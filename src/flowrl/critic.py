@@ -171,7 +171,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _weight_from_jac(jac: np.ndarray, tau: float) -> np.ndarray:
     absj = np.abs(jac)
-    with np.errstate(divide="ignore"):
+    # |J| -> 0 sends -tau/|J| to -inf; exp overflows and the weight takes its 0.5 limit
+    with np.errstate(divide="ignore", over="ignore"):
         w = np.where(absj > 0.0, _sigmoid(-tau / np.where(absj > 0.0, absj, 1.0)) + 0.5, 0.5)
     return w
 

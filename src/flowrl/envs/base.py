@@ -101,19 +101,90 @@ class ToyMdp:
 
     def _sample_outcome(self, s: np.ndarray, a: np.ndarray,
                         rng: np.random.Generator) -> tuple[np.ndarray, float, bool]:
-        """Draw one branch from ``outcomes`` by inverse CDF."""
+        """Draw one branch of ``outcomes`` by inverse CDF (one uniform draw).
+
+        Branches of action atoms are read from the env's :class:`BranchTable`;
+        other actions call ``outcomes`` directly.
+        """
         u = rng.random()
+        table = branch_table(self)
+        aid = table.atom_id(a)
+        branches = self.outcomes(s, a) if aid is None else table.row(table.state_id(s), aid)
         acc = 0.0
-        branches = self.outcomes(s, a)
-        for prob, s_next, r, terminal in branches:
-            acc += prob
+        for branch in branches:
+            acc += branch[0]
             if u < acc:
-                return s_next, r, terminal
-        _, s_next, r, terminal = branches[-1]
-        return s_next, r, terminal
+                break
+        return branch[1].copy(), branch[2], branch[3]
 
     def state_key(self, s: np.ndarray):
         return tuple(np.round(np.asarray(s, dtype=np.float64), 12))
+
+
+def _frozen(x: np.ndarray) -> np.ndarray:
+    x = np.array(x, dtype=np.float64)
+    x.flags.writeable = False
+    return x
+
+
+class BranchTable:
+    """The branches of a finite env, read from ``outcomes`` once per pair.
+
+    States get integer ids in the order they are first seen, keyed by their
+    exact float64 bytes; action atoms are numbered as ``action_atoms`` lists
+    them. ``row(sid, aid)`` calls ``outcomes`` the first time the pair is
+    asked for and keeps the result. A row holds, in ``outcomes`` order,
+    ``(prob, s_next, r, terminal, next_id)`` with ``s_next`` the read-only
+    array ``states[next_id]``. Actions that are not atoms (``atom_id`` is
+    None) are never stored: ``branches`` reads them from ``outcomes`` on every
+    call. The table assumes an env's dynamics do not change after first use.
+    """
+
+    def __init__(self, mdp: ToyMdp):
+        self._mdp = mdp
+        self.atoms = [_frozen(a) for a in mdp.action_atoms() or []]
+        self._atom_ids = {a.tobytes(): i for i, a in enumerate(self.atoms)}
+        self.states: list[np.ndarray] = []
+        self._state_ids: dict[bytes, int] = {}
+        self._rows: dict[tuple[int, int], list] = {}
+
+    def atom_id(self, a: np.ndarray) -> int | None:
+        return self._atom_ids.get(np.asarray(a, dtype=np.float64).tobytes())
+
+    def state_id(self, s: np.ndarray) -> int:
+        s = np.asarray(s, dtype=np.float64)
+        key = s.tobytes()
+        sid = self._state_ids.get(key)
+        if sid is None:
+            sid = self._state_ids[key] = len(self.states)
+            self.states.append(_frozen(s))
+        return sid
+
+    def _read(self, sid: int, a: np.ndarray) -> list:
+        row = []
+        for prob, s_next, r, terminal in self._mdp.outcomes(self.states[sid], a):
+            nid = self.state_id(s_next)
+            row.append((prob, self.states[nid], r, terminal, nid))
+        return row
+
+    def row(self, sid: int, aid: int) -> list:
+        row = self._rows.get((sid, aid))
+        if row is None:
+            row = self._rows[(sid, aid)] = self._read(sid, self.atoms[aid])
+        return row
+
+    def branches(self, sid: int, a: np.ndarray) -> list:
+        """Rows for any action: the stored row of an atom, else ``outcomes``."""
+        aid = self.atom_id(a)
+        return self._read(sid, a) if aid is None else self.row(sid, aid)
+
+
+def branch_table(mdp: ToyMdp) -> BranchTable:
+    """The env's branch table, created on first use and kept on the instance."""
+    table = mdp.__dict__.get("_branch_table")
+    if table is None:
+        table = mdp.__dict__["_branch_table"] = BranchTable(mdp)
+    return table
 
 
 def step(mdp: ToyMdp, s: np.ndarray, a: np.ndarray,

@@ -1,10 +1,17 @@
 """Exact return-distribution oracles for finite toy MDPs.
 
-``enumerate_return_distribution`` walks every (transition x policy) branch up
-to a horizon and returns the exact atoms of the truncated discounted return.
-``monte_carlo_returns`` is the sampling cross-check. The histogram-level
-Bellman operator discretizes the density backup for contraction and
-fixed-point harnesses.
+The oracles below read an env's branches through its
+:class:`~flowrl.envs.base.BranchTable`, which calls ``outcomes`` once per
+(state, action atom) pair; Monte Carlo does so through ``step``.
+
+``enumerate_return_distribution`` returns the exact atoms of the discounted
+return truncated at a horizon. It is a dynamic program over depth: the
+frontier maps (state, action, exact partial return) to its probability, so
+paths that meet again are expanded once, and ``PATH_GUARD`` bounds the
+frontier size. ``monte_carlo_returns`` is the sampling cross-check; it steps
+the env like any other rollout. The histogram-level Bellman operator
+discretizes the density backup for contraction and fixed-point harnesses, as
+one matrix step over all reachable pairs.
 """
 
 from __future__ import annotations
@@ -13,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowrl.envs.base import ToyMdp, UniformDiscretePolicy, step
+from flowrl.envs.base import ToyMdp, UniformDiscretePolicy, branch_table, step
 from flowrl.errors import ContractError, OracleError
 
-PATH_GUARD = 10_000_000
+PATH_GUARD = 1_000_000    # frontier entries per depth of the enumeration DP
 
 
 @dataclass
@@ -53,38 +60,62 @@ def enumerate_return_distribution(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndar
                                   horizon: int, mass_tol: float = 1e-6) -> ReturnAtomSet:
     """Exact atoms of the discounted return from (s, a), truncated at ``horizon``.
 
+    Works depth by depth: the frontier maps (state, action, partial return)
+    to the probability of reaching it, so paths that meet again with the same
+    partial return are expanded once. Every path still does the same float
+    operations as a path-by-path walk (``ret + gamma**depth * r``), so atom
+    values are exact; masses differ from such a walk only in summation order.
+    Branches come from the env's branch table.
+
     Paths still alive at the horizon contribute atoms at their partial return;
     their total probability is reported as ``truncated_mass`` and the value
-    truncation bound as ``value_tol``. Raises :class:`OracleError` when the
-    branch walk would exceed the path guard.
+    truncation bound as ``value_tol``. Raises :class:`OracleError` when a
+    frontier would hold more than ``PATH_GUARD`` entries.
     """
     if horizon < 1:
         raise ContractError("horizon must be >= 1")
     gamma = mdp.gamma
+    table = branch_table(mdp)
+    a = np.asarray(a, dtype=np.float64)
+    actions = {a.tobytes(): a}
+    supports: dict[int, list] = {}
+
+    def support(sid):
+        # policy support of a state, with each action's frontier key
+        out = supports.get(sid)
+        if out is None:
+            out = supports[sid] = []
+            for p_a, a_next in _policy_support(policy, table.states[sid]):
+                if p_a > 0.0:
+                    a_next = np.asarray(a_next, dtype=np.float64)
+                    key = a_next.tobytes()
+                    actions.setdefault(key, a_next)
+                    out.append((p_a, key))
+        return out
+
     atoms: dict[float, float] = {}
     truncated_mass = 0.0
-    expanded = 0
-    # stack entries: (state, action, probability, partial return, depth)
-    stack = [(np.asarray(s, dtype=np.float64), np.asarray(a, dtype=np.float64), 1.0, 0.0, 0)]
-    while stack:
-        cur_s, cur_a, prob, ret, depth = stack.pop()
-        expanded += 1
-        if expanded > PATH_GUARD:
-            raise OracleError(f"more than {PATH_GUARD} paths; lower the horizon")
-        for p_out, s_next, r, terminal in mdp.outcomes(cur_s, cur_a):
-            new_ret = ret + gamma**depth * r
-            new_prob = prob * p_out
-            if terminal:
-                key = round(new_ret, 10)
-                atoms[key] = atoms.get(key, 0.0) + new_prob
-            elif depth + 1 >= horizon:
-                key = round(new_ret, 10)
-                atoms[key] = atoms.get(key, 0.0) + new_prob
-                truncated_mass += new_prob
-            else:
-                for p_a, a_next in _policy_support(policy, s_next):
-                    if p_a > 0.0:
-                        stack.append((s_next, a_next, new_prob * p_a, new_ret, depth + 1))
+    frontier = {(table.state_id(s), a.tobytes(), 0.0): 1.0}
+    for depth in range(horizon):
+        last = depth + 1 >= horizon
+        nxt: dict[tuple, float] = {}
+        for (sid, akey, ret), prob in frontier.items():
+            for p_out, _, r, terminal, nid in table.branches(sid, actions[akey]):
+                new_ret = ret + gamma**depth * r
+                new_prob = prob * p_out
+                if terminal or last:
+                    key = round(new_ret, 10)
+                    atoms[key] = atoms.get(key, 0.0) + new_prob
+                    if not terminal:
+                        truncated_mass += new_prob
+                    continue
+                for p_a, a_key in support(nid):
+                    node = (nid, a_key, new_ret)
+                    nxt[node] = nxt.get(node, 0.0) + new_prob * p_a
+            if len(nxt) > PATH_GUARD:
+                raise OracleError(f"more than {PATH_GUARD} frontier entries at depth "
+                                  f"{depth + 1}; lower the horizon")
+        frontier = nxt
     values = np.array(sorted(atoms))
     masses = np.array([atoms[v] for v in values])
     value_tol = gamma**horizon * max(abs(mdp.r_min), abs(mdp.r_max)) / (1.0 - gamma)
@@ -122,41 +153,68 @@ def monte_carlo_returns(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndarray,
 HistTable = dict[tuple, np.ndarray]
 
 
-def reachable_state_actions(mdp: ToyMdp, policy) -> list[tuple[np.ndarray, np.ndarray]]:
-    """All nonterminal (s, a) pairs reachable from the initial state."""
-    atoms = mdp.action_atoms()
-    if atoms is None:
+def _reachable_states(mdp: ToyMdp) -> list[int]:
+    """Branch-table ids of the nonterminal states reachable from the start."""
+    table = branch_table(mdp)
+    if not table.atoms:
         raise ContractError("reachability scan needs a finite action set")
-    rng = np.random.default_rng(0)
-    start = mdp.initial_state(rng)
-    seen: dict[tuple, np.ndarray] = {mdp.state_key(start): start}
+    start = table.state_id(mdp.initial_state(np.random.default_rng(0)))
+    seen = {start: None}
     frontier = [start]
     while frontier:
-        s = frontier.pop()
-        for a in atoms:
-            for _, s_next, _, terminal in mdp.outcomes(s, a):
-                key = mdp.state_key(s_next)
-                if not terminal and key not in seen:
-                    seen[key] = s_next
-                    frontier.append(s_next)
-    return [(s, a) for s in seen.values() for a in atoms]
+        sid = frontier.pop()
+        for aid in range(len(table.atoms)):
+            for _, _, _, terminal, nid in table.row(sid, aid):
+                if not terminal and nid not in seen:
+                    seen[nid] = None
+                    frontier.append(nid)
+    return list(seen)
+
+
+def reachable_state_actions(mdp: ToyMdp, policy) -> list[tuple[np.ndarray, np.ndarray]]:
+    """All nonterminal (s, a) pairs reachable from the initial state.
+
+    The arrays are the env's branch-table entries and are read-only.
+    """
+    table = branch_table(mdp)
+    return [(table.states[sid], a) for sid in _reachable_states(mdp) for a in table.atoms]
+
+
+def _action_key(a: np.ndarray) -> tuple:
+    return tuple(np.round(np.asarray(a, dtype=np.float64), 12))
 
 
 def table_key(mdp: ToyMdp, s: np.ndarray, a: np.ndarray) -> tuple:
-    return (mdp.state_key(s), tuple(np.round(np.asarray(a, dtype=np.float64), 12)))
+    return (mdp.state_key(s), _action_key(a))
+
+
+def _linear_split(values: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left bin index and the fraction of mass that goes to the bin right of it."""
+    v = np.clip(values, centers[0], centers[-1])
+    idx = np.clip(np.searchsorted(centers, v, side="right") - 1, 0, len(centers) - 2)
+    left = centers[idx]
+    width = centers[idx + 1] - left
+    return idx, np.clip((v - left) / width, 0.0, 1.0)
 
 
 def project_masses(values: np.ndarray, masses: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Spread mass at arbitrary values onto fixed bin centers (linear split)."""
     out = np.zeros(len(centers))
-    v = np.clip(values, centers[0], centers[-1])
-    idx = np.clip(np.searchsorted(centers, v, side="right") - 1, 0, len(centers) - 2)
-    left = centers[idx]
-    width = centers[idx + 1] - left
-    frac = np.clip((v - left) / width, 0.0, 1.0)
+    idx, frac = _linear_split(values, centers)
     np.add.at(out, idx, masses * (1.0 - frac))
     np.add.at(out, idx + 1, masses * frac)
     return out
+
+
+def _projection_matrix(r: float, gamma: float, centers: np.ndarray) -> np.ndarray:
+    """Row k is ``project_masses`` of a unit mass at ``r + gamma * centers[k]``."""
+    n = len(centers)
+    idx, frac = _linear_split(r + gamma * centers, centers)
+    m = np.zeros((n, n))
+    rows = np.arange(n)
+    m[rows, idx] = 1.0 - frac
+    m[rows, idx + 1] = frac
+    return m
 
 
 def bellman_histogram_operator(mdp: ToyMdp, policy, table: HistTable,
@@ -166,22 +224,60 @@ def bellman_histogram_operator(mdp: ToyMdp, policy, table: HistTable,
     Each (s, a) histogram becomes the mixture over outcomes of the next-pair
     histogram pushed through z -> r + gamma * z and re-projected onto the
     shared bin grid; terminal branches contribute a point mass at r.
+
+    Computed as one matrix step over the reachable pairs,
+    ``const + sum_r W_r @ T @ M_r`` with ``W_r = B_r @ P``: ``T`` stacks the
+    histograms of the successor pairs, ``P`` mixes them by the policy into
+    one histogram per next state, ``B_r`` holds the probabilities of the
+    nonterminal branches with reward r, ``M_r`` projects
+    ``r + gamma * centers`` onto the bins and ``const`` holds the terminal
+    point masses.
     """
     centers = 0.5 * (edges[:-1] + edges[1:])
-    new_table: HistTable = {}
-    for s, a in reachable_state_actions(mdp, policy):
-        key = table_key(mdp, s, a)
-        masses = np.zeros(len(centers))
-        for p_out, s_next, r, terminal in mdp.outcomes(s, a):
+    branches = branch_table(mdp)
+    sids = _reachable_states(mdp)
+    pairs = [(sid, aid) for sid in sids for aid in range(len(branches.atoms))]
+    # table_key parts, computed once per state and atom
+    state_keys = {sid: mdp.state_key(branches.states[sid]) for sid in sids}
+    atom_keys = [_action_key(a) for a in branches.atoms]
+    next_states: dict[int, int] = {}
+    by_reward: dict[float, list] = {}
+    term_rows, term_r, term_p = [], [], []
+    for i, (sid, aid) in enumerate(pairs):
+        for p_out, _, r, terminal, nid in branches.row(sid, aid):
             if terminal:
-                masses += p_out * project_masses(np.array([r]), np.array([1.0]), centers)
-                continue
-            for p_a, a_next in _policy_support(policy, s_next):
-                src = table[table_key(mdp, s_next, a_next)]
-                shifted = r + mdp.gamma * centers
-                masses += p_out * p_a * project_masses(shifted, src, centers)
-        new_table[key] = masses
-    return new_table
+                term_rows.append(i)
+                term_r.append(r)
+                term_p.append(p_out)
+            else:
+                k = next_states.setdefault(nid, len(next_states))
+                by_reward.setdefault(r, []).append((i, k, p_out))
+
+    new = np.zeros((len(pairs), len(centers)))
+    if term_rows:
+        idx, frac = _linear_split(np.array(term_r), centers)
+        p = np.array(term_p)
+        np.add.at(new, (term_rows, idx), p * (1.0 - frac))
+        np.add.at(new, (term_rows, idx + 1), p * frac)
+    cols: dict[tuple, int] = {}
+    mix = []
+    for k, nid in enumerate(next_states):
+        for p_a, a_next in _policy_support(policy, branches.states[nid]):
+            aid = branches.atom_id(a_next)
+            key = (state_keys[nid], _action_key(a_next) if aid is None else atom_keys[aid])
+            mix.append((k, cols.setdefault(key, len(cols)), p_a))
+    if mix:
+        rows, cols_p, vals = zip(*mix)
+        p_mix = np.zeros((len(next_states), len(cols)))
+        np.add.at(p_mix, (rows, cols_p), vals)
+        per_state = p_mix @ np.array([table[key] for key in cols])
+        for r, entries in by_reward.items():
+            rows, cols_b, vals = zip(*entries)
+            b_r = np.zeros((len(pairs), len(next_states)))
+            np.add.at(b_r, (rows, cols_b), vals)
+            new += (b_r @ per_state) @ _projection_matrix(r, mdp.gamma, centers)
+    keys = [(state_keys[sid], atom_keys[aid]) for sid, aid in pairs]
+    return dict(zip(keys, new))
 
 
 def uniform_table(mdp: ToyMdp, policy, edges: np.ndarray) -> HistTable:

@@ -147,6 +147,8 @@ class WindyGrid(ToyMdp):
             "up": ("left", "right"), "down": ("left", "right")}
 
     def __init__(self, size: int = 5, slip: float = 0.2, gamma: float = 0.9):
+        if size < 2:
+            raise ConfigError("grid size must be >= 2")
         self.size = size
         self.slip = slip
         self.gamma = gamma
@@ -254,9 +256,23 @@ ENV_REGISTRY = {
     "continuous-bandit-1d": ContinuousBandit1D,
 }
 
+# The constructor argument an id's size suffix sets, e.g. "windy-grid-7" -> size=7.
+_SIZE_ARGS = {"stochastic-chain": "length", "branching-tree": "depth", "windy-grid": "size"}
+
 
 def make_env(env_id: str, **kwargs) -> ToyMdp:
-    for key, cls in ENV_REGISTRY.items():
-        if env_id == key or env_id.startswith(key):
-            return cls(**kwargs)
-    raise ConfigError(f"unknown env id {env_id!r}; known: {sorted(ENV_REGISTRY)}")
+    """Build an env from its id: a bare registry key, or a key plus ``-<size>``.
+
+    The size suffix becomes the constructor's size argument, so
+    ``make_env(env.env_id)`` rebuilds an env of the same size.
+    """
+    if env_id in ENV_REGISTRY:
+        return ENV_REGISTRY[env_id](**kwargs)
+    family, _, suffix = env_id.rpartition("-")
+    size_arg = _SIZE_ARGS.get(family)
+    if size_arg is None or not suffix.isdigit() or str(int(suffix)) != suffix:
+        raise ConfigError(f"unknown env id {env_id!r}; known: {sorted(ENV_REGISTRY)}, "
+                          f"or one of {sorted(_SIZE_ARGS)} followed by -<size>")
+    if size_arg in kwargs:
+        raise ConfigError(f"env id {env_id!r} already sets {size_arg}")
+    return ENV_REGISTRY[family](**{size_arg: int(suffix)}, **kwargs)

@@ -111,7 +111,7 @@ def export_histogram(samples: np.ndarray, n_bins: int, support: tuple[float, flo
     hist, n_clipped = histogram_from_samples(samples, histogram_edges(support, n_bins))
     lines = ["bin_left,bin_right,mass"]
     for left, right, mass in zip(hist.edges[:-1], hist.edges[1:], hist.masses):
-        lines.append(f"{left!r},{right!r},{mass!r}")
+        lines.append(f"{float(left)!r},{float(right)!r},{float(mass)!r}")
     Path(path).write_text("\n".join(lines) + "\n")
     return hist, n_clipped
 
@@ -120,9 +120,23 @@ def load_histogram_csv(path: str | Path) -> ReturnHistogram:
     lines = Path(path).read_text().strip().split("\n")
     if lines[0] != "bin_left,bin_right,mass":
         raise ContractError(f"unexpected histogram CSV header: {lines[0]!r}")
-    rows = [line.split(",") for line in lines[1:]]
-    edges = [float(r[0]) for r in rows] + [float(rows[-1][1])]
-    masses = [float(r[2]) for r in rows]
+    if len(lines) < 2:
+        raise ContractError("histogram CSV has no bins")
+    rows = []
+    for n, line in enumerate(lines[1:], start=2):
+        try:
+            row = [float(x) for x in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != 3 or not np.all(np.isfinite(row)):
+            raise ContractError(f"malformed histogram CSV line {n}: {line!r}; "
+                                f"expected three finite numbers")
+        if rows and row[0] != rows[-1][1]:
+            raise ContractError(f"histogram CSV line {n}: bin starts at {row[0]!r}, "
+                                f"previous bin ends at {rows[-1][1]!r}")
+        rows.append(row)
+    edges = [r[0] for r in rows] + [rows[-1][1]]
+    masses = [r[2] for r in rows]
     return ReturnHistogram(np.array(edges), np.array(masses))
 
 

@@ -2,7 +2,9 @@
 
 Everything here is deliberately independent of the package's tensor engine:
 plain numpy forward passes and central differences, used to cross-check the
-analytic gradients and derivatives.
+analytic gradients and derivatives. The env oracles at the end read every
+branch from ``outcomes()`` directly, never from an env's branch table, and
+referee the table-driven sampling, enumeration and Bellman backup.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 from scipy.special import erf
 
 from flowrl.diffcore import MlpSpec, ParamSet
+from flowrl.envs import ReturnAtomSet, ToyMdp, project_masses, reachable_state_actions, table_key
 
 
 def ref_gelu(x: np.ndarray) -> np.ndarray:
@@ -78,3 +81,71 @@ def random_params_like(params: ParamSet, rng: np.random.Generator,
                        scale: float = 0.4) -> ParamSet:
     """Re-randomize every parameter (including norms/biases) for gradient checks."""
     return {k: rng.normal(0.0, scale, size=v.shape) for k, v in params.items()}
+
+
+# -- env oracles that bypass the branch table ------------------------------------------
+
+def sample_from_outcomes(mdp: ToyMdp, s: np.ndarray, a: np.ndarray,
+                         rng: np.random.Generator) -> tuple[np.ndarray, float, bool]:
+    """Draw one branch of ``outcomes`` by inverse CDF, one uniform draw per call."""
+    u = rng.random()
+    acc = 0.0
+    branches = mdp.outcomes(s, a)
+    for prob, s_next, r, terminal in branches:
+        acc += prob
+        if u < acc:
+            return s_next, r, terminal
+    _, s_next, r, terminal = branches[-1]
+    return s_next, r, terminal
+
+
+def enumerate_by_paths(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndarray,
+                       horizon: int) -> ReturnAtomSet:
+    """Walk every (branch x policy action) path to ``horizon``; no merging.
+
+    Atoms are keyed like the package's enumeration (partial return rounded to
+    10 decimals); the mass and truncation checks are left to the caller.
+    """
+    gamma = mdp.gamma
+    atoms: dict[float, float] = {}
+    truncated_mass = 0.0
+    # stack entries: (state, action, probability, partial return, depth)
+    stack = [(np.asarray(s, dtype=np.float64), np.asarray(a, dtype=np.float64), 1.0, 0.0, 0)]
+    while stack:
+        cur_s, cur_a, prob, ret, depth = stack.pop()
+        for p_out, s_next, r, terminal in mdp.outcomes(cur_s, cur_a):
+            new_ret = ret + gamma**depth * r
+            new_prob = prob * p_out
+            if terminal:
+                key = round(new_ret, 10)
+                atoms[key] = atoms.get(key, 0.0) + new_prob
+            elif depth + 1 >= horizon:
+                key = round(new_ret, 10)
+                atoms[key] = atoms.get(key, 0.0) + new_prob
+                truncated_mass += new_prob
+            else:
+                for p_a, a_next in policy.support(s_next):
+                    if p_a > 0.0:
+                        stack.append((s_next, a_next, new_prob * p_a, new_ret, depth + 1))
+    values = np.array(sorted(atoms))
+    masses = np.array([atoms[v] for v in values])
+    value_tol = gamma**horizon * max(abs(mdp.r_min), abs(mdp.r_max)) / (1.0 - gamma)
+    return ReturnAtomSet(values, masses, horizon, truncated_mass, value_tol)
+
+
+def bellman_by_pairs(mdp: ToyMdp, policy, table: dict, edges: np.ndarray) -> dict:
+    """The histogram Bellman backup, one ``project_masses`` call per branch and action."""
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    new_table = {}
+    for s, a in reachable_state_actions(mdp, policy):
+        masses = np.zeros(len(centers))
+        for p_out, s_next, r, terminal in mdp.outcomes(s, a):
+            if terminal:
+                masses += p_out * project_masses(np.array([r]), np.array([1.0]), centers)
+                continue
+            for p_a, a_next in policy.support(s_next):
+                src = table[table_key(mdp, s_next, a_next)]
+                shifted = r + mdp.gamma * centers
+                masses += p_out * p_a * project_masses(shifted, src, centers)
+        new_table[table_key(mdp, s, a)] = masses
+    return new_table

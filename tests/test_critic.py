@@ -186,6 +186,11 @@ class TestConfidenceWeight:
         w_big_tau = _weight_from_jac(np.array([1.0]), 2.0)
         assert w_small_tau > w_big_tau  # decreasing in tau
 
+    @pytest.mark.filterwarnings("error")
+    def test_vanishing_derivative_takes_half_limit_without_warning(self):
+        w = _weight_from_jac(np.array([1e-300, -1e-300, 0.0]), 1.0)
+        assert np.all(w == 0.5)
+
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ContractError):
             confidence_weight(linear_field(), STATE, ACTION, np.array([0.0]), 0.0, 10)

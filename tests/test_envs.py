@@ -1,7 +1,10 @@
 """Tests for the toy envs, datasets, and exact return-distribution oracles."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flowrl.envs import (
     BranchingTree,
@@ -24,15 +27,19 @@ from flowrl.envs import (
     uniform_discrete_policy,
     uniform_table,
 )
-from flowrl.errors import ContractError, OracleError
+from flowrl.envs.base import branch_table
+from flowrl.errors import ConfigError, ContractError, OracleError
 from flowrl.metrics import (
     ReturnHistogram,
+    evaluate_policy,
     histogram_edges,
     histogram_from_atoms,
     wasserstein1_discrete,
     wasserstein1_histograms,
 )
 from scipy.stats import norm
+
+from helpers import bellman_by_pairs, enumerate_by_paths, sample_from_outcomes
 
 
 class UnitRewardLoop(ToyMdp):
@@ -58,6 +65,21 @@ class UnitRewardLoop(ToyMdp):
 
     def _step_inner(self, s, a, rng):
         return np.array([1.0]), 1.0, False
+
+
+class SkewedPolicy:
+    """State-dependent, non-uniform weights over the action atoms (test-only)."""
+
+    def __init__(self, env):
+        self.atoms = env.action_atoms()
+
+    def support(self, s):
+        w = np.arange(1.0, len(self.atoms) + 1.0) + np.argmax(s)
+        return [(p, a) for p, a in zip(w / w.sum(), self.atoms)]
+
+
+FINITE_ENVS = [StochasticChain, BranchingTree, WindyGrid]
+REFEREE_ENVS = [StochasticChain(), BranchingTree(), WindyGrid(), UnitRewardLoop()]
 
 
 class TestStep:
@@ -259,19 +281,158 @@ class TestBellmanOperator:
                                                 ReturnHistogram(edges, tq[k])) for k in keys)
             assert after <= env.gamma * before + 2 * width
 
-    def test_fixed_point_matches_enumeration(self):
-        env = BranchingTree()
-        policy = uniform_discrete_policy(env)
-        edges = histogram_edges(env.z_bounds, 60)
+    @staticmethod
+    def fixed_point(env, policy, edges):
+        """Enough applications for the gamma-contraction to shrink z_bounds to one bin."""
         width = edges[1] - edges[0]
         z_lo, z_hi = env.z_bounds
         n_iters = int(np.ceil(np.log(width / (z_hi - z_lo)) / np.log(env.gamma))) + 2
         table = uniform_table(env, policy, edges)
         for _ in range(n_iters):
             table = bellman_histogram_operator(env, policy, table, edges)
+        return table
+
+    def test_fixed_point_matches_enumeration(self):
+        env = BranchingTree()
+        policy = uniform_discrete_policy(env)
+        edges = histogram_edges(env.z_bounds, 60)
+        width = edges[1] - edges[0]
+        table = self.fixed_point(env, policy, edges)
         s = env.initial_state(np.random.default_rng(0))
         for a in env.action_atoms():
             atoms = enumerate_return_distribution(env, policy, s, a, horizon=3)
             oracle_hist = histogram_from_atoms(atoms.values, atoms.masses, edges)
             got = ReturnHistogram(edges, table[table_key(env, s, a)])
             assert wasserstein1_histograms(got, oracle_hist) < 3 * width
+
+    def test_windy_grid_fixed_point_matches_long_enumeration(self):
+        # At horizon 400 less than 2 % of the mass is still walking, so the
+        # truncation check is on; the walk itself would need ~12^400 paths.
+        env = WindyGrid()
+        policy = uniform_discrete_policy(env)
+        edges = histogram_edges(env.z_bounds, 60)
+        width = edges[1] - edges[0]
+        table = self.fixed_point(env, policy, edges)
+        s, a = env.initial_state(None), env.action_atoms()[0]
+        atoms = enumerate_return_distribution(env, policy, s, a, horizon=400, mass_tol=0.02)
+        oracle_hist = histogram_from_atoms(atoms.values, atoms.masses, edges)
+        got = ReturnHistogram(edges, table[table_key(env, s, a)])
+        assert wasserstein1_histograms(got, oracle_hist) < 3 * width
+
+    @pytest.mark.parametrize("make", FINITE_ENVS)
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_matrix_step_matches_per_pair_loop(self, make, skewed):
+        env = make()
+        policy = SkewedPolicy(env) if skewed else uniform_discrete_policy(env)
+        edges = histogram_edges(env.z_bounds, 60)
+        rng = np.random.default_rng(1)
+        table = {}
+        for s, a in reachable_state_actions(env, policy):
+            m = rng.random(60) ** 3
+            table[table_key(env, s, a)] = m / m.sum()
+        for _ in range(3):
+            got = bellman_histogram_operator(env, policy, table, edges)
+            ref = bellman_by_pairs(env, policy, table, edges)
+            assert list(got) == list(ref)
+            for key in ref:
+                np.testing.assert_allclose(got[key], ref[key], rtol=0.0, atol=1e-12)
+            table = ref
+
+
+class TestBranchTable:
+    @pytest.mark.parametrize("make", FINITE_ENVS + [UnitRewardLoop])
+    def test_rows_equal_outcomes_in_order(self, make):
+        env = make()
+        table = branch_table(env)
+        pairs = reachable_state_actions(env, uniform_discrete_policy(env))
+        assert pairs
+        for s, a in pairs:
+            row = table.row(table.state_id(s), table.atom_id(a))
+            expected = env.outcomes(s, a)
+            assert len(row) == len(expected)
+            for (p, s_next, r, terminal, nid), (p0, s0, r0, t0) in zip(row, expected):
+                assert p == p0 and r == r0 and terminal == t0
+                assert np.array_equal(s_next, s0) and s_next is table.states[nid]
+        assert table.atom_id(np.full(env.action_dim, 0.5)) is None
+
+    @pytest.mark.parametrize("make", FINITE_ENVS)
+    def test_sampling_bit_identical_to_outcomes(self, make):
+        env, ref = make(), make()
+        ref._sample_outcome = functools.partial(sample_from_outcomes, ref)
+        policy = behavior_policy_for(env)
+        got, want = generate_dataset(env, policy, 500, seed=3), generate_dataset(ref, policy, 500, 3)
+        got_arr, want_arr = got.arrays(), want.arrays()
+        for key in want_arr:
+            assert got_arr[key].tobytes() == want_arr[key].tobytes()
+        s, a = env.initial_state(None), env.action_atoms()[0]
+        assert (monte_carlo_returns(env, policy, s, a, 200, env.episode_cap, seed=4).tobytes()
+                == monte_carlo_returns(ref, policy, s, a, 200, env.episode_cap, seed=4).tobytes())
+
+        def box(s, rng):  # actions off the atoms read outcomes() directly
+            return rng.uniform(-1.0, 1.0, size=env.action_dim)
+
+        for selector in (policy, box):
+            assert (evaluate_policy(env, selector, 50, env.episode_cap, seed=5)
+                    == evaluate_policy(ref, selector, 50, env.episode_cap, seed=5))
+        assert branch_table(env).states and not branch_table(ref).states
+
+
+@settings(max_examples=40, deadline=None)
+@example(env_index=2, horizon=4, pair_index=0, skewed=True)   # WindyGrid: 12^4 paths
+@example(env_index=0, horizon=4, pair_index=5, skewed=False)
+@given(env_index=st.integers(0, len(REFEREE_ENVS) - 1), horizon=st.integers(1, 4),
+       pair_index=st.integers(0, 1000), skewed=st.booleans())
+def test_enumeration_dp_matches_path_walk(env_index, horizon, pair_index, skewed):
+    env = REFEREE_ENVS[env_index]
+    policy = SkewedPolicy(env) if skewed else uniform_discrete_policy(env)
+    pairs = reachable_state_actions(env, policy)
+    s, a = pairs[pair_index % len(pairs)]
+    got = enumerate_return_distribution(env, policy, s, a, horizon, mass_tol=1.0)
+    want = enumerate_by_paths(env, policy, s, a, horizon)
+    assert got.values.tobytes() == want.values.tobytes()
+    np.testing.assert_allclose(got.masses, want.masses, rtol=0.0, atol=1e-12)
+    assert abs(got.truncated_mass - want.truncated_mass) <= 1e-12
+
+
+def test_enumeration_dp_matches_path_walk_from_a_non_atom_action():
+    env = BranchingTree()
+    policy = uniform_discrete_policy(env)
+    s, a = env.initial_state(None), np.array([0.3])
+    got = enumerate_return_distribution(env, policy, s, a, 3)
+    want = enumerate_by_paths(env, policy, s, a, 3)
+    assert got.values.tobytes() == want.values.tobytes()
+    np.testing.assert_allclose(got.masses, want.masses, rtol=0.0, atol=1e-12)
+
+
+class TestMakeEnv:
+    @pytest.mark.parametrize("env_id,cls,attr,size", [
+        ("stochastic-chain-7", StochasticChain, "length", 7),
+        ("branching-tree-5", BranchingTree, "depth", 5),
+        ("windy-grid-3", WindyGrid, "size", 3),
+    ])
+    def test_size_suffix_sets_the_size(self, env_id, cls, attr, size):
+        env = make_env(env_id)
+        assert type(env) is cls and getattr(env, attr) == size and env.env_id == env_id
+
+    @pytest.mark.parametrize("env", [StochasticChain(2), BranchingTree(1), WindyGrid(7),
+                                     ContinuousBandit1D(), coin_flip_env()])
+    def test_env_id_round_trips(self, env):
+        assert make_env(env.env_id).env_id == env.env_id
+
+    def test_bare_keys_keep_defaults(self):
+        assert make_env("stochastic-chain").env_id == "stochastic-chain-4"
+        assert make_env("windy-grid").env_id == "windy-grid-5"
+        assert make_env("continuous-bandit-1d").env_id == "continuous-bandit-1d"
+
+    @pytest.mark.parametrize("env_id", [
+        "stochastic-chainsaw", "stochastic-chain-07", "stochastic-chain-0", "branching-tree-x",
+        "branching-tree--3", "windy-grid-", "windy-grid-1", "continuous-bandit-1d-2",
+        "continuous-bandit",
+    ])
+    def test_unknown_ids_rejected(self, env_id):
+        with pytest.raises(ConfigError):
+            make_env(env_id)
+
+    def test_size_given_twice_rejected(self):
+        with pytest.raises(ConfigError):
+            make_env("windy-grid-3", size=4)
