@@ -51,11 +51,13 @@ class CriticConfig:
 
 
 def _rows(x, n: int, dim: int) -> np.ndarray:
-    """Coerce a single vector or a batch to an (n, dim) float array."""
+    """Coerce one row, as (dim,) or (1, dim), or an (n, dim) batch to (n, dim) floats."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
-        x = np.broadcast_to(x, (n, dim))
-    return np.ascontiguousarray(x)
+        x = x[None, :]
+    if x.ndim != 2 or x.shape[1] != dim or x.shape[0] not in (1, n):
+        raise ContractError(f"expected 1 or {n} rows of width {dim}, got shape {x.shape}")
+    return np.ascontiguousarray(np.broadcast_to(x, (n, dim)))
 
 
 class ReturnField:
@@ -170,26 +172,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _weight_from_jac(jac: np.ndarray, tau: float) -> np.ndarray:
+    """Per-sample loss weight in [0.5, 1], increasing in the flow derivative.
+
+    w = sigmoid(-tau / |dphi/deps|) + 0.5, with the zero-derivative limit
+    pinned to 0.5. ``value_flow_loss`` applies it to the target flow's
+    derivative at t = 1, outside the gradient graph.
+    """
     absj = np.abs(jac)
     # |J| -> 0 sends -tau/|J| to -inf; exp overflows and the weight takes its 0.5 limit
     with np.errstate(divide="ignore", over="ignore"):
         w = np.where(absj > 0.0, _sigmoid(-tau / np.where(absj > 0.0, absj, 1.0)) + 0.5, 0.5)
     return w
-
-
-def confidence_weight(target_field: ReturnField, s, a, eps, tau: float,
-                      flow_steps: int) -> np.ndarray:
-    """Per-sample loss weight in [0.5, 1], increasing in the flow derivative.
-
-    w = sigmoid(-tau / |dphi/deps|) + 0.5, with the zero-derivative limit
-    pinned to 0.5. Computed without gradient flow.
-    """
-    if tau <= 0.0:
-        raise ContractError(f"tau must be positive, got {tau}")
-    eps = np.atleast_1d(np.asarray(eps, dtype=np.float64))
-    cond = target_field.conditioned(s, a)
-    _, jac = euler_integrate_with_derivative(cond, eps, IntegrationConfig(flow_steps))
-    return _weight_from_jac(jac, tau)
 
 
 # -- losses ---------------------------------------------------------------------
@@ -206,9 +199,14 @@ class CriticBatch:
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=np.float64).reshape(-1)
-        if self.r.size == 0:
+        n = self.r.size
+        if n == 0:
             raise ContractError("critic loss needs a nonempty batch")
         self.terminal = np.asarray(self.terminal, dtype=bool).reshape(-1)
+        for name in ("s", "a", "s_next", "terminal"):
+            shape = np.shape(getattr(self, name))
+            if shape[:1] != (n,):
+                raise ContractError(f"{name} has shape {shape}; r has {n} rows")
 
     def __len__(self):
         return self.r.size
@@ -283,35 +281,6 @@ def _weighted_regression(online: ReturnField, z_in, t, s, a, target, coeffs
     residual = tape.output - Tensor(target[:, None])
     loss = (residual**2 * Tensor(coeffs[:, None])).sum()
     return loss, tape
-
-
-def _check_weights(weights, n: int) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if weights.shape != (n,):
-        raise ContractError(f"weights length {weights.size} != batch size {n}")
-    return weights
-
-
-def dcfm_loss(online: ReturnField, target: ReturnField, next_action_sampler,
-              batch: CriticBatch, weights, rng: np.random.Generator,
-              cfg: CriticConfig) -> tuple[Tensor, MlpTape]:
-    """Weighted distributional conditional flow-matching loss (TD term)."""
-    weights = _check_weights(weights, len(batch))
-    d = _draw_loss_quantities(target, next_action_sampler, batch, cfg, rng)
-    z_in, tgt = _dcfm_rows(batch, d, cfg)
-    return _weighted_regression(online, z_in, d.t, batch.s, batch.a, tgt,
-                                weights / len(batch))
-
-
-def bcfm_loss(online: ReturnField, target: ReturnField, next_action_sampler,
-              batch: CriticBatch, weights, rng: np.random.Generator,
-              cfg: CriticConfig) -> tuple[Tensor, MlpTape]:
-    """Weighted bootstrapped conditional flow-matching regularizer."""
-    weights = _check_weights(weights, len(batch))
-    d = _draw_loss_quantities(target, next_action_sampler, batch, cfg, rng)
-    z_in, tgt = _bcfm_rows(batch, d, cfg)
-    return _weighted_regression(online, z_in, d.t, batch.s, batch.a, tgt,
-                                weights / len(batch))
 
 
 def value_flow_loss(online: ReturnField, target: ReturnField, next_action_sampler,

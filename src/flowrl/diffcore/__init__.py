@@ -1,4 +1,9 @@
-"""Minimal reverse-mode differentiation engine: tensors, MLPs, optimizers."""
+"""Differentiation for the package's one network shape, plus optimizers and files.
+
+``nn`` walks a GELU/LayerNorm MLP once for values, input JVPs and the
+closed-form parameter/input VJP; ``tensor`` is a small reverse-mode engine for
+the loss heads, in which an MLP is a single node.
+"""
 
 from flowrl.diffcore.tensor import Tensor, concat
 from flowrl.diffcore.nn import (

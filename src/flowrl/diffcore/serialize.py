@@ -43,6 +43,8 @@ def params_from_obj(obj: dict) -> ParamSet:
         if entry.get("dtype") != "float64":
             raise ConfigError(f"unsupported dtype for {name}: {entry.get('dtype')!r}")
         raw = base64.b64decode(entry["data"])
+        if len(raw) != 8 * np.prod(entry["shape"], dtype=np.int64):
+            raise ConfigError(f"{name}: {len(raw)} data bytes for float64 shape {entry['shape']}")
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(entry["shape"])
         params[name] = arr.copy()
     return params

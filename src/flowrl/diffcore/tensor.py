@@ -2,7 +2,9 @@
 
 A ``Tensor`` wraps an ndarray and remembers how it was produced; calling
 ``backward`` on a scalar-or-seeded output accumulates gradients into every
-reachable leaf. Only the primitives needed by this package are implemented.
+reachable leaf. Only the primitives the loss heads need are implemented; an
+MLP enters the graph as one node whose backward is the closed-form VJP of
+``flowrl.diffcore.nn``.
 """
 
 from __future__ import annotations
@@ -10,12 +12,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from flowrl.errors import ContractError
-
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def _as_f64(data) -> np.ndarray:
@@ -146,15 +144,6 @@ class Tensor:
 
         return Tensor._node(base**exponent, (self,), bw)
 
-    def __matmul__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-
-        def bw(g):
-            self._accum(g @ other.data.T)
-            other._accum(self.data.T @ g)
-
-        return Tensor._node(self.data @ other.data, (self, other), bw)
-
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
@@ -191,33 +180,6 @@ class Tensor:
         return Tensor._node(np.where(take_self, self.data, other.data), (self, other), bw)
 
     # -- nonlinearities --------------------------------------------------------
-
-    def gelu(self):
-        """Exact-erf GELU: x * Phi(x)."""
-        x = self.data
-        cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-
-        def bw(g):
-            pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-            self._accum(g * (cdf + x * pdf))
-
-        return Tensor._node(x * cdf, (self,), bw)
-
-    def sigmoid(self):
-        y = 1.0 / (1.0 + np.exp(-self.data))
-
-        def bw(g):
-            self._accum(g * y * (1.0 - y))
-
-        return Tensor._node(y, (self,), bw)
-
-    def abs(self):
-        sign = np.sign(self.data)
-
-        def bw(g):
-            self._accum(g * sign)
-
-        return Tensor._node(np.abs(self.data), (self,), bw)
 
     def huber(self, kappa: float):
         """Huber penalty: x^2/2 for |x| <= kappa, else kappa*(|x| - kappa/2)."""

@@ -130,7 +130,9 @@ class BranchingTree(ToyMdp):
 
 def coin_flip_env(gamma: float = 0.9) -> BranchingTree:
     """One-step env paying +/-1 with probability 1/2 each, any action."""
-    return BranchingTree(depth=1, action_bias=0.0, gamma=gamma)
+    env = BranchingTree(depth=1, action_bias=0.0, gamma=gamma)
+    env.env_id = "coin-flip"
+    return env
 
 
 class WindyGrid(ToyMdp):
@@ -254,6 +256,7 @@ ENV_REGISTRY = {
     "branching-tree": BranchingTree,
     "windy-grid": WindyGrid,
     "continuous-bandit-1d": ContinuousBandit1D,
+    "coin-flip": coin_flip_env,
 }
 
 # The constructor argument an id's size suffix sets, e.g. "windy-grid-7" -> size=7.

@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the package's tensor engine:
 plain numpy forward passes and central differences, used to cross-check the
-analytic gradients and derivatives. The env oracles at the end read every
+analytic gradients and derivatives (``loss_grad_match`` runs a loss's own
+backward only to compare it with them). The env oracles at the end read every
 branch from ``outcomes()`` directly, never from an env's branch table, and
 referee the table-driven sampling, enumeration and Bellman backup.
 """
@@ -75,6 +76,20 @@ def grad_match_fraction(analytic: ParamSet, numeric: ParamSet,
         ok += int(close.sum())
         total += a.size
     return ok / total
+
+
+def loss_grad_match(net, loss_of) -> float:
+    """``grad_match_fraction`` of a loss's tape gradients against central differences.
+
+    ``loss_of(params)`` returns ``(loss, tape, ...)`` for ``net`` with ``params``
+    and must replay the same randomness on every call.
+    """
+    loss, tape = loss_of(net.params)[:2]
+    loss.backward()
+    analytic = {name: leaf.grad for name, leaf in tape.params.items()}
+    numeric = finite_diff_param_grads(lambda ps: float(loss_of(ps)[0].data),
+                                      {k: v.copy() for k, v in net.params.items()})
+    return grad_match_fraction(analytic, numeric)
 
 
 def random_params_like(params: ParamSet, rng: np.random.Generator,

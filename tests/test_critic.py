@@ -8,24 +8,23 @@ from flowrl.critic import (
     CriticConfig,
     ReturnField,
     antithetic_noises,
-    bcfm_loss,
-    confidence_weight,
     critic_ensemble_q,
-    dcfm_loss,
     q_estimate,
     q_values_tensor,
     sample_return,
     value_flow_loss,
     variance_estimate,
+    _dcfm_rows,
     _draw_loss_quantities,
     _weight_from_jac,
 )
-from flowrl.diffcore import MlpSpec, Tensor, init_mlp
+from flowrl.diffcore import MlpSpec, Tensor
 from flowrl.diffcore.nn import MlpTape
 from flowrl.envs import BranchingTree
 from flowrl.errors import ConfigError, ContractError
+from flowrl.flowkit import IntegrationConfig, euler_integrate_with_derivative
 
-from helpers import ref_mlp
+from helpers import loss_grad_match, random_params_like, ref_mlp
 
 DS, DA = 2, 1
 STATE = np.array([0.3, -0.7])
@@ -65,6 +64,17 @@ def make_batch(n=8, terminal=False, seed=0) -> CriticBatch:
         s_next=rng.normal(size=(n, DS)),
         terminal=np.full(n, terminal, dtype=bool),
     )
+
+
+def flow_weight(field, eps, tau, flow_steps=10) -> np.ndarray:
+    """The confidence weight as ``value_flow_loss`` forms it: from the t = 1 flow derivative."""
+    cond = field.conditioned(STATE, ACTION)
+    _, jac = euler_integrate_with_derivative(cond, eps, IntegrationConfig(flow_steps))
+    return _weight_from_jac(jac, tau)
+
+
+# tau limits that pin every confidence weight: -tau/|J| rounds to 0 (w = 1) or to -inf (w = 1/2)
+TAU_UNIT_WEIGHTS, TAU_HALF_WEIGHTS = 1e-300, 1e300
 
 
 class TestConfig:
@@ -160,17 +170,17 @@ class TestConfidenceWeight:
     def test_constant_field_value_frozen(self):
         # J = 1, tau = 1 -> sigmoid(-1) + 0.5 = 0.768941...
         field = linear_field(bias=4.0)
-        w = confidence_weight(field, STATE, ACTION, np.array([0.2]), tau=1.0, flow_steps=10)
+        w = flow_weight(field, np.array([0.2]), tau=1.0)
         assert w[0] == pytest.approx(0.7689414213699951, abs=1e-6)
 
     def test_huge_derivative_limit_is_one(self):
         field = linear_field(w_z=30.0)  # J = (1 + 3)^10, enormous
-        w = confidence_weight(field, STATE, ACTION, np.array([0.0]), tau=1.0, flow_steps=10)
+        w = flow_weight(field, np.array([0.0]), tau=1.0)
         assert w[0] == pytest.approx(1.0, abs=1e-2)
 
     def test_zero_derivative_limit_is_half(self):
         field = linear_field(w_z=-10.0)  # first Euler factor (1 - 10/10) kills J
-        w = confidence_weight(field, STATE, ACTION, np.array([0.3]), tau=1.0, flow_steps=10)
+        w = flow_weight(field, np.array([0.3]), tau=1.0)
         assert w[0] == 0.5
 
     def test_bounds_and_monotonicity(self):
@@ -192,8 +202,10 @@ class TestConfidenceWeight:
         assert np.all(w == 0.5)
 
     def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ContractError):
-            confidence_weight(linear_field(), STATE, ACTION, np.array([0.0]), 0.0, 10)
+        # the weight's tau reaches value_flow_loss only through the config
+        for tau in (0.0, -1.0):
+            with pytest.raises(ConfigError):
+                wide_config(tau=tau)
 
 
 class TestDcfmLoss:
@@ -201,30 +213,33 @@ class TestDcfmLoss:
         online = linear_field(bias=1.3)
         target = linear_field(bias=1.3)
         batch = make_batch()
-        loss, _ = dcfm_loss(online, target, uniform_action_sampler, batch,
-                            np.ones(len(batch)), np.random.default_rng(0), wide_config())
+        loss, _, diag = value_flow_loss(online, target, uniform_action_sampler, batch,
+                                        wide_config(lam=0.0), np.random.default_rng(0))
         assert loss.data == pytest.approx(0.0, abs=1e-20)
+        assert diag["dcfm"] == pytest.approx(0.0, abs=1e-20)
 
     def test_half_weights_halve_loss(self):
         online, target = random_field(1), random_field(2)
         batch = make_batch()
-        cfg = wide_config()
-        full, _ = dcfm_loss(online, target, uniform_action_sampler, batch,
-                            np.ones(len(batch)), np.random.default_rng(3), cfg)
-        half, _ = dcfm_loss(online, target, uniform_action_sampler, batch,
-                            np.full(len(batch), 0.5), np.random.default_rng(3), cfg)
+        full, _, full_diag = value_flow_loss(online, target, uniform_action_sampler, batch,
+                                             wide_config(lam=0.0, tau=TAU_UNIT_WEIGHTS),
+                                             np.random.default_rng(3))
+        half, _, half_diag = value_flow_loss(online, target, uniform_action_sampler, batch,
+                                             wide_config(lam=0.0, tau=TAU_HALF_WEIGHTS),
+                                             np.random.default_rng(3))
+        assert (full_diag["mean_weight"], half_diag["mean_weight"]) == (1.0, 0.5)
         assert half.data == pytest.approx(0.5 * full.data, rel=1e-12)
 
     def test_fixed_seed_value_matches_recomputation(self):
         online, target = random_field(4), random_field(5)
         batch = make_batch(n=6, seed=7)
-        cfg = wide_config()
-        weights = np.linspace(0.5, 1.0, 6)
-        loss, _ = dcfm_loss(online, target, uniform_action_sampler, batch, weights,
-                            np.random.default_rng(9), cfg)
+        cfg = wide_config(lam=0.0, tau=2.0)
+        loss, _, _ = value_flow_loss(online, target, uniform_action_sampler, batch, cfg,
+                                     np.random.default_rng(9))
         # independent straight-line recomputation with replayed randomness
         d = _draw_loss_quantities(target, uniform_action_sampler, batch, cfg,
                                   np.random.default_rng(9))
+        weights = _weight_from_jac(d.jac1, cfg.tau)
         z_in = batch.r + cfg.gamma * d.z_t
         x = np.concatenate([z_in[:, None], d.t[:, None], batch.s, batch.a], axis=1)
         v = ref_mlp(online.params, x, online.spec)[:, 0]
@@ -237,15 +252,26 @@ class TestDcfmLoss:
         cfg = wide_config()
         losses = []
         for target_seed in (100, 200):
-            loss, _ = dcfm_loss(online, random_field(target_seed), uniform_action_sampler,
-                                batch, np.ones(5), np.random.default_rng(1), cfg)
-            losses.append(loss.data)
+            d = _draw_loss_quantities(random_field(target_seed), uniform_action_sampler, batch,
+                                      cfg, np.random.default_rng(1))
+            z_in, tgt = _dcfm_rows(batch, d, cfg)
+            x = np.concatenate([z_in[:, None], d.t[:, None], batch.s, batch.a], axis=1)
+            v = ref_mlp(online.params, x, online.spec)[:, 0]
+            losses.append(float(np.mean((v - tgt) ** 2)))
         assert losses[0] == pytest.approx(losses[1], rel=1e-15)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):
             CriticBatch(np.zeros((0, DS)), np.zeros((0, DA)), np.zeros(0),
                         np.zeros((0, DS)), np.zeros(0, dtype=bool))
+
+    @pytest.mark.parametrize("field", ["s", "a", "s_next", "terminal"])
+    def test_misaligned_rows_rejected(self, field):
+        arrays = dict(s=np.zeros((4, DS)), a=np.zeros((4, DA)), r=np.zeros(4),
+                      s_next=np.zeros((4, DS)), terminal=np.zeros(4, dtype=bool))
+        arrays[field] = arrays[field][:3]
+        with pytest.raises(ContractError):
+            CriticBatch(**arrays)
 
 
 class _AnalyticTerminalField(ReturnField):
@@ -259,7 +285,7 @@ class _AnalyticTerminalField(ReturnField):
     def forward_tape(self, x):
         z, t = x[:, 0], x[:, 1]
         eps = (z - t * self._r) / (1.0 - t)
-        return MlpTape(output=Tensor((self._r - eps)[:, None]), inputs=None, params={})
+        return MlpTape(output=Tensor((self._r - eps)[:, None]), params={})
 
 
 class TestBcfmLoss:
@@ -268,16 +294,17 @@ class TestBcfmLoss:
         batch = make_batch(n=6, terminal=True)
         batch.r[:] = r
         online = _AnalyticTerminalField(r)
-        loss, _ = bcfm_loss(online, linear_field(), uniform_action_sampler, batch,
-                            np.ones(6), np.random.default_rng(2), wide_config())
+        loss, _, diag = value_flow_loss(online, linear_field(), uniform_action_sampler, batch,
+                                        wide_config(lam=1.0), np.random.default_rng(2))
+        assert diag["bcfm"] == pytest.approx(0.0, abs=1e-20)
         assert loss.data == pytest.approx(0.0, abs=1e-20)
 
     def test_unit_weights_reduce_to_unweighted(self):
         online, target = random_field(8), random_field(9)
         batch = make_batch(n=6)
-        cfg = wide_config()
-        loss, _ = bcfm_loss(online, target, uniform_action_sampler, batch, np.ones(6),
-                            np.random.default_rng(5), cfg)
+        cfg = wide_config(tau=TAU_UNIT_WEIGHTS)
+        _, _, diag = value_flow_loss(online, target, uniform_action_sampler, batch, cfg,
+                                     np.random.default_rng(5))
         d = _draw_loss_quantities(target, uniform_action_sampler, batch, cfg,
                                   np.random.default_rng(5))
         z1_td = batch.r + cfg.gamma * d.z1
@@ -285,23 +312,27 @@ class TestBcfmLoss:
         x = np.concatenate([z_in[:, None], d.t[:, None], batch.s, batch.a], axis=1)
         v = ref_mlp(online.params, x, online.spec)[:, 0]
         expected = float(np.mean((v - (z1_td - d.eps)) ** 2))
-        assert loss.data == pytest.approx(expected, rel=1e-12)
+        assert diag["mean_weight"] == 1.0
+        assert diag["bcfm"] == pytest.approx(expected, rel=1e-12)
 
 
 class TestValueFlowLoss:
     def test_lambda_zero_equals_weighted_dcfm(self):
         online, target = random_field(10), random_field(11)
         batch = make_batch(n=7)
+        batch.terminal[::3] = True
         cfg = wide_config(lam=0.0, tau=2.0)
         loss, _, diag = value_flow_loss(online, target, uniform_action_sampler, batch,
                                         cfg, np.random.default_rng(21))
         d = _draw_loss_quantities(target, uniform_action_sampler, batch, cfg,
                                   np.random.default_rng(21))
         weights = _weight_from_jac(d.jac1, cfg.tau)
-        dc, _ = dcfm_loss(online, target, uniform_action_sampler, batch, weights,
-                          np.random.default_rng(21), cfg)
-        assert loss.data == pytest.approx(dc.data, rel=1e-12)
-        assert diag["dcfm"] == pytest.approx(dc.data, rel=1e-12)
+        z_in, tgt = _dcfm_rows(batch, d, cfg)
+        x = np.concatenate([z_in[:, None], d.t[:, None], batch.s, batch.a], axis=1)
+        v = ref_mlp(online.params, x, online.spec)[:, 0]
+        dcfm = float(np.mean(weights * (v - tgt) ** 2))
+        assert loss.data == pytest.approx(dcfm, rel=1e-12)
+        assert diag["dcfm"] == pytest.approx(dcfm, rel=1e-12)
 
     def test_lambda_one_sums_both_terms(self):
         online, target = random_field(12), random_field(13)
@@ -320,6 +351,18 @@ class TestValueFlowLoss:
         loss.backward()
         assert any(leaf.grad is not None and np.any(leaf.grad != 0)
                    for leaf in tape.params.values())
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(16)
+        online = random_field(16, hidden=(4, 4))
+        online = online.with_params(random_params_like(online.params, rng))
+        target = random_field(17, hidden=(4, 4))
+        batch = make_batch(n=5)
+        batch.terminal[::2] = True
+        cfg = wide_config(lam=0.7, tau=2.0)
+        assert loss_grad_match(online, lambda ps: value_flow_loss(
+            online.with_params(ps), target, uniform_action_sampler, batch, cfg,
+            np.random.default_rng(43))) >= 0.95
 
 
 class TestEnsemble:

@@ -1,5 +1,7 @@
 """Tests for the autodiff engine, MLP, optimizer, EMA, and serialization."""
 
+import base64
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from flowrl.diffcore import (
     adam_step,
     backward,
     clone_params,
+    concat,
     ema_update,
     init_mlp,
     input_derivative,
@@ -17,6 +20,8 @@ from flowrl.diffcore import (
     mlp_value,
     mlp_value_and_input_jvp,
     load_params,
+    params_from_obj,
+    params_to_obj,
     save_params,
 )
 from flowrl.errors import ConfigError, ContractError, TrainingError
@@ -85,11 +90,23 @@ class TestMlpForward:
         tape = mlp_forward(params, x, spec)
         np.testing.assert_allclose(tape.output.data, want, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("layer_norm", [False, True])
+    def test_value_jvp_and_tape_outputs_bit_identical(self, layer_norm):
+        rng = np.random.default_rng(12)
+        spec = small_spec(layer_norm)
+        params = random_params_like(init_mlp(spec, rng), rng)
+        x = rng.normal(size=(7, 3))
+        value = mlp_value(params, x, spec)
+        assert np.array_equal(mlp_value_and_input_jvp(params, x, spec, np.ones_like(x))[0], value)
+        assert np.array_equal(mlp_forward(params, x, spec).output.data, value)
+
     def test_shape_mismatch_raises(self):
         spec = small_spec()
         params = init_mlp(spec, np.random.default_rng(0))
         with pytest.raises(ConfigError):
             mlp_value(params, np.zeros((2, 4)), spec)
+        with pytest.raises(ConfigError):
+            mlp_value(params, np.zeros(3), spec)
         bad = dict(params)
         bad["w1"] = np.zeros((2, 2))
         with pytest.raises(ConfigError):
@@ -113,6 +130,26 @@ class TestBackward:
         analytic = {n: leaf.grad for n, leaf in tape.params.items()}
         numeric = finite_diff_param_grads(loss, clone_params(params))
         assert grad_match_fraction(analytic, numeric) >= 0.95
+
+    def test_graph_tensor_input_gets_gradients(self):
+        rng = np.random.default_rng(13)
+        spec = small_spec()
+        params = random_params_like(init_mlp(spec, rng), rng)
+        const = rng.normal(size=(4, 1))
+        x_leaf = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        tape = mlp_forward(params, concat([const, x_leaf], axis=1), spec)
+        (tape.output**2).mean().backward()
+
+        def loss(ps, x2):
+            x = np.concatenate([const, x2], axis=1)
+            return float((mlp_value(ps, x, spec) ** 2).mean())
+
+        analytic = {n: leaf.grad for n, leaf in tape.params.items()}
+        numeric = finite_diff_param_grads(lambda ps: loss(ps, x_leaf.data), clone_params(params))
+        assert grad_match_fraction(analytic, numeric) >= 0.95
+        numeric_x = finite_diff_param_grads(lambda xs: loss(params, xs["x"]),
+                                            {"x": x_leaf.data.copy()})
+        assert grad_match_fraction({"x": x_leaf.grad}, numeric_x) >= 0.95
 
     def test_untouched_params_get_zero_gradient(self):
         spec = MlpSpec(in_dim=1, hidden=(), out_dim=1, layer_norm=False)
@@ -157,9 +194,10 @@ class TestInputDerivative:
         tangent[:, 1] = 1.0
         value, jvp = mlp_value_and_input_jvp(params, x, spec, tangent)
         np.testing.assert_allclose(value, mlp_value(params, x, spec), atol=1e-14)
+        x_t = Tensor(x, requires_grad=True)
+        mlp_forward(params, x_t, spec, params_need_grad=False).output.backward(np.ones((6, 1)))
         for row in range(x.shape[0]):
-            rev = input_derivative(params, x[row : row + 1], spec, 1)
-            assert jvp[row, 0] == pytest.approx(rev, rel=1e-10, abs=1e-12)
+            assert jvp[row, 0] == pytest.approx(x_t.grad[row, 1], rel=1e-10, abs=1e-12)
 
     def test_non_scalar_output_rejected(self):
         spec = MlpSpec(in_dim=2, hidden=(), out_dim=2, layer_norm=False)
@@ -247,6 +285,15 @@ class TestSerialization:
         for name in params:
             assert loaded[name].dtype == np.float64
             assert np.array_equal(loaded[name], params[name])
+
+    @pytest.mark.parametrize("shape,data", [([2, 2], None), ([2, 3], b"\0" * 47)])
+    def test_data_length_must_match_shape(self, shape, data):
+        obj = params_to_obj({"w0": np.arange(6.0).reshape(2, 3)})
+        obj["params"]["w0"]["shape"] = shape
+        if data is not None:
+            obj["params"]["w0"]["data"] = base64.b64encode(data).decode("ascii")
+        with pytest.raises(ConfigError):
+            params_from_obj(obj)
 
 
 class TestDeterminism:

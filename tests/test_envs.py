@@ -417,7 +417,20 @@ class TestMakeEnv:
     @pytest.mark.parametrize("env", [StochasticChain(2), BranchingTree(1), WindyGrid(7),
                                      ContinuousBandit1D(), coin_flip_env()])
     def test_env_id_round_trips(self, env):
-        assert make_env(env.env_id).env_id == env.env_id
+        rebuilt = make_env(env.env_id)
+        assert (rebuilt.env_id, rebuilt.gamma) == (env.env_id, env.gamma)
+        if env.action_atoms() is None:   # no branch table: compare the reward model
+            actions = np.linspace(-1.0, 1.0, 9)
+            assert list(map(rebuilt.mean_reward, actions)) == list(map(env.mean_reward, actions))
+            return
+
+        def branch_rows(mdp):
+            table = branch_table(mdp)
+            return [(p, s_next.tobytes(), r, terminal)
+                    for s, a in reachable_state_actions(mdp, uniform_discrete_policy(mdp))
+                    for p, s_next, r, terminal, _ in table.branches(table.state_id(s), a)]
+
+        assert branch_rows(rebuilt) == branch_rows(env)
 
     def test_bare_keys_keep_defaults(self):
         assert make_env("stochastic-chain").env_id == "stochastic-chain-4"
@@ -427,7 +440,7 @@ class TestMakeEnv:
     @pytest.mark.parametrize("env_id", [
         "stochastic-chainsaw", "stochastic-chain-07", "stochastic-chain-0", "branching-tree-x",
         "branching-tree--3", "windy-grid-", "windy-grid-1", "continuous-bandit-1d-2",
-        "continuous-bandit",
+        "continuous-bandit", "coin-flip-2",
     ])
     def test_unknown_ids_rejected(self, env_id):
         with pytest.raises(ConfigError):

@@ -16,7 +16,7 @@ from flowrl.policies import (
     snap_to_atoms,
 )
 
-from helpers import ref_mlp
+from helpers import loss_grad_match, random_params_like, ref_mlp
 
 DS, DA = 2, 2
 STATE = np.array([0.1, -0.4])
@@ -86,6 +86,15 @@ class TestBcFlowLoss:
         with pytest.raises(ContractError):
             bc_flow_loss(linear_policy(), np.zeros((0, DS)), np.zeros((0, DA)),
                          np.random.default_rng(0))
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(14)
+        policy = BcFlowPolicy.create(DS, DA, rng, hidden=(4, 4))
+        policy = policy.with_params(random_params_like(policy.params, rng))
+        s = rng.normal(size=(5, DS))
+        a = rng.uniform(-1, 1, size=(5, DA))
+        assert loss_grad_match(policy, lambda ps: bc_flow_loss(
+            policy.with_params(ps), s, a, np.random.default_rng(15))) >= 0.95
 
 
 class TestSampleBcAction:
@@ -218,3 +227,14 @@ class TestOneStepPolicy:
         bc_a = sample_bc_action(bc, s, eps_d, 10)
         expected = float((-q + alpha * ((actions - bc_a) ** 2).sum(axis=1, keepdims=True)).mean())
         assert loss.data == pytest.approx(expected, rel=1e-12)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(16)
+        one_step = OneStepPolicy.create(DS, DA, rng, hidden=(4, 4))
+        one_step = one_step.with_params(random_params_like(one_step.params, rng))
+        bc = BcFlowPolicy.create(DS, DA, rng, hidden=(4,))
+        fields = [ReturnField.create(DS, DA, rng, hidden=(4,)) for _ in range(2)]
+        s = rng.normal(size=(5, DS))
+        assert loss_grad_match(one_step, lambda ps: one_step_policy_loss(
+            one_step.with_params(ps), bc, fields, s, 0.5, np.random.default_rng(17),
+            q_noises=2)) >= 0.95

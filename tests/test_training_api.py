@@ -1,0 +1,81 @@
+"""The training-update contract that ``perfbench/workloads.py`` is written against.
+
+Every loss returns ``(loss, tape, ...)``; an update calls ``loss.backward()``,
+reads ``tape.params[name].grad`` (None meaning zero), then ``adam_step`` and
+``ema_update``. The MLP layer probe calls ``backward(mlp_forward(...), seed)``.
+"""
+
+import numpy as np
+import pytest
+
+from flowrl.baselines import CategoricalCritic, QuantileCritic, c51_project_and_loss, \
+    quantile_huber_loss
+from flowrl.critic import CriticBatch, CriticConfig, ReturnField, value_flow_loss
+from flowrl.diffcore import AdamState, Tensor, adam_step, backward, clone_params, ema_update, \
+    mlp_forward
+from flowrl.policies import BcFlowPolicy, OneStepPolicy, bc_flow_loss, one_step_policy_loss
+
+DS, DA = 3, 1
+HIDDEN = (8, 8)
+
+
+def sampler(s_next, rng):
+    return rng.choice([-1.0, 1.0], size=(s_next.shape[0], DA))
+
+
+def make_batch(rng, n=6) -> CriticBatch:
+    return CriticBatch(s=rng.normal(size=(n, DS)), a=sampler(np.zeros((n, DS)), rng),
+                       r=rng.uniform(-1, 1, size=n), s_next=rng.normal(size=(n, DS)),
+                       terminal=np.arange(n) % 2 == 0)
+
+
+def loss_cases() -> dict:
+    """name -> (network, loss call) for every loss a training loop steps on."""
+    rng = np.random.default_rng(0)
+    batch = make_batch(rng)
+    cfg = CriticConfig(gamma=0.9, z_lo=-2.0, z_hi=2.0)
+    flows = [ReturnField.create(DS, DA, rng, HIDDEN) for _ in range(2)]
+    target = flows[0].with_params(clone_params(flows[0].params))
+    c51 = CategoricalCritic.create(DS, DA, 11, cfg.z_lo, cfg.z_hi, rng, HIDDEN)
+    iqn = QuantileCritic.create(DS, DA, rng, HIDDEN)
+    bc = BcFlowPolicy.create(DS, DA, rng, HIDDEN)
+    one = OneStepPolicy.create(DS, DA, rng, HIDDEN)
+    return {
+        "value_flow": (flows[0], lambda r: value_flow_loss(flows[0], target, sampler, batch,
+                                                           cfg, r)),
+        "c51": (c51, lambda r: c51_project_and_loss(c51, c51, sampler, batch, r, cfg.gamma)),
+        "iqn": (iqn, lambda r: quantile_huber_loss(iqn, iqn, sampler, batch, r, cfg.gamma,
+                                                   1.0, 8)),
+        "bc_flow": (bc, lambda r: bc_flow_loss(bc, batch.s, batch.a, r)),
+        "one_step": (one, lambda r: one_step_policy_loss(one, bc, flows, batch.s, 1.0, r, 10, 2)),
+    }
+
+
+@pytest.mark.parametrize("name", ["value_flow", "c51", "iqn", "bc_flow", "one_step"])
+def test_update_path(name):
+    net, loss_fn = loss_cases()[name]
+    loss, tape = loss_fn(np.random.default_rng(1))[:2]
+    assert isinstance(loss, Tensor) and loss.data.shape == ()
+    loss.backward()
+    grads = {k: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+             for k, leaf in tape.params.items()}
+    assert set(grads) == set(net.params)
+    assert all(grads[k].shape == net.params[k].shape for k in grads)
+    assert any(np.any(g != 0.0) for g in grads.values())
+    params, state = adam_step(net.params, grads, AdamState.for_params(net.params), 5e-3)
+    assert state.step == 1
+    target = ema_update(clone_params(net.params), params, 0.05)
+    assert set(target) == set(net.params)
+
+
+def test_seeded_backward_equals_loss_backward():
+    rng = np.random.default_rng(2)
+    field = ReturnField.create(DS, DA, rng, HIDDEN)
+    x = rng.normal(size=(10, 2 + DS + DA))
+    seed = np.ones((10, 1))
+    grads = backward(mlp_forward(field.params, x, field.spec), seed)
+    tape = mlp_forward(field.params, x, field.spec)
+    tape.output.sum().backward()
+    assert set(grads) == set(field.params)
+    for name, leaf in tape.params.items():
+        assert np.array_equal(grads[name], leaf.grad)
