@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from flowrl.critic import CriticConfig, ReturnField, sample_return
+from flowrl.critic import CriticConfig, ReturnField, _rows, sample_return
 from flowrl.diffcore import MlpSpec, ParamSet, Tensor, init_mlp, mlp_forward, mlp_value
 from flowrl.diffcore.nn import MlpTape
 from flowrl.errors import ConfigError, ContractError
@@ -185,15 +185,19 @@ def quantile_huber_loss(online: QuantileCritic, target: QuantileCritic,
 def critic_histogram(critic, s, a, n_samples: int, n_bins: int,
                      support: tuple[float, float], rng: np.random.Generator,
                      critic_cfg: CriticConfig | None = None) -> ReturnHistogram:
-    """Binned return distribution at (s, a) for any of the three critic kinds.
+    """Binned return distribution at one (s, a) pair for any of the three critic kinds.
 
-    Flow critics draw ``n_samples`` returns through the ODE; categorical
-    critics bin their atom masses; quantile critics evaluate the inverse CDF
-    at sorted uniform mid-fractions (yielding a valid distribution even
-    without monotonicity).
+    ``s`` and ``a`` are one row each, as ``(dim,)`` or ``(1, dim)``. Flow
+    critics draw ``n_samples`` returns through the ODE; categorical critics
+    bin their atom masses; quantile critics evaluate the inverse CDF at
+    sorted uniform mid-fractions (yielding a valid distribution even without
+    monotonicity).
     """
+    if not isinstance(critic, (ReturnField, CategoricalCritic, QuantileCritic)):
+        raise ContractError(f"unsupported critic type: {type(critic).__name__}")
     if n_samples < 1:
         raise ContractError("n_samples must be >= 1")
+    s, a = _rows(s, 1, critic.state_dim), _rows(a, 1, critic.action_dim)
     edges = histogram_edges(support, n_bins)
     if isinstance(critic, ReturnField):
         if critic_cfg is None:
@@ -205,9 +209,7 @@ def critic_histogram(critic, s, a, n_samples: int, n_bins: int,
     if isinstance(critic, CategoricalCritic):
         probs = critic.probs(s, a)[0]
         return histogram_from_atoms(critic.support, probs, edges)
-    if isinstance(critic, QuantileCritic):
-        u = np.sort((np.arange(n_samples) + 0.5) / n_samples)[None, :]
-        samples = critic.quantiles(s, a, u)[0]
-        hist, _ = histogram_from_samples(samples, edges)
-        return hist
-    raise ContractError(f"unsupported critic type: {type(critic).__name__}")
+    u = np.sort((np.arange(n_samples) + 0.5) / n_samples)[None, :]
+    samples = critic.quantiles(s, a, u)[0]
+    hist, _ = histogram_from_samples(samples, edges)
+    return hist

@@ -19,8 +19,8 @@ from flowrl.diffcore import MlpSpec, ParamSet, Tensor, concat, init_mlp, mlp_for
     mlp_value_and_input_jvp
 from flowrl.diffcore.nn import MlpTape
 from flowrl.errors import ConfigError, ContractError
-from flowrl.flowkit import IntegrationConfig, euler_integrate, euler_integrate_to_times, \
-    euler_integrate_with_derivative, sample_times
+from flowrl.flowkit import IntegrationConfig, euler_integrate, euler_integrate_with_derivative, \
+    euler_trajectory, sample_times
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ class _LossDraws:
     eps: np.ndarray
     t: np.ndarray
     a_next: np.ndarray
-    z_t: np.ndarray        # target flow at per-row time t
+    z_t: np.ndarray        # target flow read off the t = 1 trajectory at per-row time t
     vbar_t: np.ndarray     # target velocity at (z_t, t, s', a')
     z1: np.ndarray         # target flow at t = 1 (same eps)
     jac1: np.ndarray       # flow derivative at t = 1
@@ -236,9 +236,10 @@ def _draw_loss_quantities(target: ReturnField, sampler, batch: CriticBatch,
     a_next = np.atleast_2d(np.asarray(sampler(batch.s_next, rng), dtype=np.float64))
     eps = rng.standard_normal(n)
     t = sample_times(rng, n)
-    cond = target.conditioned(batch.s_next, a_next)
-    z1, jac1 = euler_integrate_with_derivative(cond, eps, IntegrationConfig(cfg.flow_steps))
-    z_t = euler_integrate_to_times(cond, eps, t, cfg.flow_steps)
+    # one target trajectory: its end gives z1 and jac1, its nodes give z_t
+    traj = euler_trajectory(target.conditioned(batch.s_next, a_next), eps,
+                            IntegrationConfig(cfg.flow_steps))
+    z1, jac1, z_t = traj.x, traj.jac, traj.at(t)
     if cfg.clip_returns:
         z1 = np.clip(z1, cfg.z_lo, cfg.z_hi)
         z_t = np.clip(z_t, cfg.z_lo, cfg.z_hi)
@@ -324,21 +325,18 @@ def q_values_tensor(fields: list[ReturnField], s: np.ndarray, a_tensor: Tensor,
                     noises: np.ndarray) -> Tensor:
     """Differentiable ensemble-min Q estimate with gradients into the actions.
 
-    Field parameters stay constant; each noise adds one forward pass whose
-    input concatenates (eps, t=0, s, action graph).
+    Field parameters stay constant. Each field runs one forward pass over the
+    m noises stacked on n rows, inputs (eps, t=0, s, action graph); the m
+    outputs per row are averaged.
     """
     if not fields:
         raise ContractError("need at least one field")
-    n = s.shape[0]
-    t_col = np.zeros((n, 1))
-    per_field: list[Tensor] = []
-    for field in fields:
-        acc = None
-        for eps in np.atleast_1d(noises):
-            x = concat([np.full((n, 1), float(eps)), t_col, s, a_tensor], axis=1)
-            tape = mlp_forward(field.params, x, field.spec, params_need_grad=False)
-            acc = tape.output if acc is None else acc + tape.output
-        per_field.append(acc * (1.0 / np.atleast_1d(noises).size))
+    noises = np.atleast_1d(np.asarray(noises, dtype=np.float64))
+    n, m = s.shape[0], noises.size
+    x = concat([np.repeat(noises, n)[:, None], np.zeros((m * n, 1)), np.tile(s, (m, 1)),
+                concat([a_tensor] * m, axis=0)], axis=1)
+    per_field = [mlp_forward(field.params, x, field.spec, params_need_grad=False)
+                 .output.reshape(m, n, 1).mean(axis=0) for field in fields]
     q = per_field[0]
     for other in per_field[1:]:
         q = q.min_elem(other)

@@ -82,8 +82,9 @@ class ToyMdp:
         a = np.asarray(a, dtype=np.float64).reshape(-1)
         if a.shape != (self.action_dim,):
             raise ContractError(f"action shape {a.shape} != ({self.action_dim},)")
-        if np.any(np.abs(a) > 1.0 + 1e-9):
-            raise ContractError(f"action {a} outside the [-1, 1] box")
+        # plain comparisons: NaN fails both, and this runs once per env step
+        if not all(-1.0 - 1e-9 <= x <= 1.0 + 1e-9 for x in a.tolist()):
+            raise ContractError(f"action {a} is not finite or lies outside the [-1, 1] box")
         return a
 
     def is_terminal(self, s: np.ndarray) -> bool:

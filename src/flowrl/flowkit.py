@@ -4,6 +4,13 @@ A flow field turns noise into samples by Euler-integrating dx/dt = v(x | t)
 over t in [0, 1]. Scalar fields can co-integrate the sensitivity of the
 generated sample to its starting noise: dJ/dt = (dv/dx) * J with J(0) = 1,
 on the same grid as the sample itself.
+
+That co-integration keeps its grid as an :class:`EulerTrajectory`: the node
+states x_k and velocities v_k. Reading the flow off at an intermediate time
+t then costs no further field evaluation: with k the node at or before t,
+x(t) = x_k + (t - t_k) * v_k, the Euler step from node k cut short at t.
+The critic takes both its t = 1 targets and its per-row z_t from one
+trajectory this way.
 """
 
 from __future__ import annotations
@@ -95,35 +102,83 @@ def euler_integrate(field: FlowField, noise: np.ndarray, cfg: IntegrationConfig)
     return x
 
 
-def euler_integrate_with_derivative(field: ScalarFlowField, noise: np.ndarray,
-                                    cfg: IntegrationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Co-integrate the sample and its noise sensitivity on one Euler grid.
+@dataclass(frozen=True)
+class EulerTrajectory:
+    """One Euler solve with its noise sensitivity, kept node by node.
 
-    Returns ``(x(t_final), J(t_final))`` with J updated as
-    J <- J + (dv/dx at the current node) * J * dt and J(t_init) = 1. The
-    sample component performs bitwise the same arithmetic as
-    :func:`euler_integrate`.
+    ``nodes[k]`` and ``velocities[k]`` are x and v(x | t_k) at the grid node
+    t_k = t_init + k * dt, k < steps; ``x`` and ``jac`` are the sample and
+    its noise sensitivity at ``t_final``.
+    """
+
+    cfg: IntegrationConfig
+    nodes: np.ndarray
+    velocities: np.ndarray
+    x: np.ndarray
+    jac: np.ndarray
+
+    def at(self, times: np.ndarray) -> np.ndarray:
+        """Per-row read-off: row i at its own time t_i in [t_init, t_final].
+
+        Takes k = min(floor((t_i - t_init) / dt), steps - 1) and returns
+        x_k + (t_i - t_k) * v_k, the piecewise-linear Euler path through the
+        nodes. A time on a node returns that node, and ``t_final`` returns
+        ``x`` (bit for bit on the [0, 1] grid). Calls no field.
+        """
+        cfg = self.cfg
+        times = np.asarray(times, dtype=np.float64)
+        if times.shape != self.x.shape:
+            raise ContractError(f"times shape {times.shape} != noise shape {self.x.shape}")
+        if not np.all((times >= cfg.t_init) & (times <= cfg.t_final)):
+            raise ContractError(f"times must lie in [{cfg.t_init}, {cfg.t_final}]")
+        span = cfg.t_final - cfg.t_init
+        # in units of steps; t_final lands on exactly ``steps`` when the grid is [0, 1]
+        u = (times - cfg.t_init) * (cfg.steps / span) if span > 0.0 else np.zeros_like(times)
+        k = np.minimum(np.floor(u).astype(np.intp), cfg.steps - 1)
+        x_k = np.take_along_axis(self.nodes, k[None], axis=0)[0]
+        v_k = np.take_along_axis(self.velocities, k[None], axis=0)[0]
+        return x_k + (u - k) * (v_k * (span / cfg.steps))
+
+
+def euler_trajectory(field: ScalarFlowField, noise: np.ndarray,
+                     cfg: IntegrationConfig) -> EulerTrajectory:
+    """Co-integrate the sample and its noise sensitivity, keeping every node.
+
+    J is updated as J <- J + (dv/dx at the current node) * J * dt with
+    J(t_init) = 1. The sample component performs bitwise the same arithmetic
+    as :func:`euler_integrate`.
     """
     x = np.asarray(noise, dtype=np.float64).copy()
     jac = np.ones_like(x)
+    nodes, velocities = [], []
     dt = (cfg.t_final - cfg.t_init) / cfg.steps
     t = cfg.t_init
     for k in range(cfg.steps):
         v, dv = field.velocity_and_derivative(x, t)
         _check_finite(v, k)
         _check_finite(dv, k)
+        nodes.append(x)
+        velocities.append(v)
         x = x + v * dt
         jac = jac + dv * jac * dt
         t = cfg.t_init + (k + 1) * dt
-    return x, jac
+    return EulerTrajectory(cfg, np.stack(nodes), np.stack(velocities), x, jac)
+
+
+def euler_integrate_with_derivative(field: ScalarFlowField, noise: np.ndarray,
+                                    cfg: IntegrationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``(x(t_final), J(t_final))`` of :func:`euler_trajectory`."""
+    traj = euler_trajectory(field, noise, cfg)
+    return traj.x, traj.jac
 
 
 def euler_integrate_to_times(field: FlowField, noise: np.ndarray, t_finals: np.ndarray,
                              steps: int) -> np.ndarray:
     """Per-row partial integration: row i runs ``steps`` steps of size t_i/steps.
 
-    Used when each batch element carries its own flow time (losses sample one
-    t per transition).
+    Nothing in the package calls it: the critic reads its per-row times off
+    one :class:`EulerTrajectory` instead (see :meth:`EulerTrajectory.at`).
+    It is kept because the benchmark still times it as a probe.
     """
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")

@@ -96,3 +96,13 @@ class TestCriticHistogram:
         with pytest.raises(ContractError):
             critic_histogram(field, np.zeros((3, DS)), np.zeros((1, DA)), 64, 8, (Z_LO, Z_HI),
                              np.random.default_rng(6), cfg)
+
+    @pytest.mark.parametrize("kind", [0, 1, 2], ids=["flow", "c51", "iqn"])
+    @pytest.mark.parametrize("s_rows,a_rows", [(3, 3), (3, 1), (1, 2)])
+    def test_rejects_more_than_one_state_action_pair(self, kind, s_rows, a_rows):
+        critic = self.critics()[kind]
+        cfg = CriticConfig(gamma=0.9, z_lo=Z_LO, z_hi=Z_HI)
+        rng = np.random.default_rng(7)
+        s, a = rng.normal(size=(s_rows, DS)), rng.uniform(-1, 1, size=(a_rows, DA))
+        with pytest.raises(ContractError):
+            critic_histogram(critic, s, a, 64, 8, (Z_LO, Z_HI), np.random.default_rng(8), cfg)

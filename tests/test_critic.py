@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import flowrl.critic as critic_module
 from flowrl.critic import (
     CriticBatch,
     CriticConfig,
@@ -18,7 +19,7 @@ from flowrl.critic import (
     _draw_loss_quantities,
     _weight_from_jac,
 )
-from flowrl.diffcore import MlpSpec, Tensor
+from flowrl.diffcore import MlpSpec, Tensor, mlp_forward
 from flowrl.diffcore.nn import MlpTape
 from flowrl.envs import BranchingTree
 from flowrl.errors import ConfigError, ContractError
@@ -365,6 +366,61 @@ class TestValueFlowLoss:
             np.random.default_rng(43))) >= 0.95
 
 
+class _CountingField(ReturnField):
+    """ReturnField that counts its value and value-and-JVP evaluations."""
+
+    def __init__(self, base: ReturnField):
+        super().__init__(base.state_dim, base.action_dim, base.params, base.spec)
+        self.calls = {"velocity": 0, "velocity_and_dz": 0}
+
+    def velocity(self, z, t, s, a):
+        self.calls["velocity"] += 1
+        return super().velocity(z, t, s, a)
+
+    def velocity_and_dz(self, z, t, s, a):
+        self.calls["velocity_and_dz"] += 1
+        return super().velocity_and_dz(z, t, s, a)
+
+
+class TestTargetTrajectory:
+    @pytest.mark.parametrize("flow_steps", [1, 4, 10])
+    def test_one_target_trajectory_per_loss(self, flow_steps):
+        target = _CountingField(random_field(18))
+        batch = make_batch(n=6)
+        batch.terminal[::2] = True
+        value_flow_loss(random_field(19), target, uniform_action_sampler, batch,
+                        wide_config(flow_steps=flow_steps), np.random.default_rng(51))
+        assert target.calls == {"velocity": 1, "velocity_and_dz": flow_steps}
+
+    def test_z_t_is_the_euler_path_cut_short_at_t(self):
+        target = random_field(22)
+        batch = make_batch(n=9, seed=3)
+        cfg = wide_config(flow_steps=5)
+        d = _draw_loss_quantities(target, uniform_action_sampler, batch, cfg,
+                                  np.random.default_rng(52))
+        dt = 1.0 / cfg.flow_steps
+        for i in range(len(batch)):
+            s, a = batch.s_next[i], d.a_next[i]
+            k = min(int(d.t[i] * cfg.flow_steps), cfg.flow_steps - 1)
+            z = d.eps[i:i + 1]
+            for j in range(k):
+                z = z + target.velocity(z, j * dt, s, a) * dt
+            z_t = z + (d.t[i] - k * dt) * target.velocity(z, k * dt, s, a)
+            assert d.z_t[i] == pytest.approx(z_t[0], abs=1e-12)
+            assert d.vbar_t[i] == pytest.approx(
+                target.velocity(d.z_t[i:i + 1], d.t[i], s, a)[0], abs=1e-12)
+
+    def test_z1_and_jac1_are_the_t1_integration(self):
+        target = random_field(23)
+        batch = make_batch(n=7, seed=4)
+        cfg = wide_config()
+        d = _draw_loss_quantities(target, uniform_action_sampler, batch, cfg,
+                                  np.random.default_rng(53))
+        z1, jac1 = euler_integrate_with_derivative(target.conditioned(batch.s_next, d.a_next),
+                                                   d.eps, IntegrationConfig(cfg.flow_steps))
+        assert np.array_equal(d.z1, z1) and np.array_equal(d.jac1, jac1)
+
+
 class TestEnsemble:
     def test_single_field_identity(self):
         f = linear_field(bias=0.7)
@@ -400,3 +456,21 @@ class TestEnsemble:
         fd = (critic_ensemble_q(fields, s[0], a_hi[0], noises)
               - critic_ensemble_q(fields, s[0], a_lo[0], noises)) / (2 * h)
         assert a_tensor.grad[0, 0] == pytest.approx(fd, abs=1e-6)
+
+    def test_q_values_tensor_runs_one_pass_per_field(self, monkeypatch):
+        passes = []
+
+        def counting_forward(params, x, spec, **kw):
+            passes.append(np.shape(x.data)[0])
+            return mlp_forward(params, x, spec, **kw)
+
+        monkeypatch.setattr(critic_module, "mlp_forward", counting_forward)
+        fields = [random_field(24), random_field(25)]
+        s = np.random.default_rng(2).normal(size=(5, DS))
+        a = np.random.default_rng(3).uniform(-1, 1, size=(5, DA))
+        noises = np.array([0.9, -0.3, 0.1])
+        q = q_values_tensor(fields, s, Tensor(a, requires_grad=True), noises)
+        assert passes == [15, 15]  # 3 noises x 5 rows, once per field
+        for i in range(5):
+            assert q.data[i, 0] == pytest.approx(
+                critic_ensemble_q(fields, s[i], a[i], noises), rel=1e-12)

@@ -108,6 +108,17 @@ class TestStep:
             step(env, env.initial_state(np.random.default_rng(0)), np.array([2.0]),
                  np.random.default_rng(0))
 
+    @pytest.mark.parametrize("make", [StochasticChain, BranchingTree, WindyGrid,
+                                      ContinuousBandit1D])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_action_rejected(self, make, bad):
+        env = make()
+        a = np.zeros(env.action_dim)
+        a[-1] = bad
+        rng = np.random.default_rng(0)
+        with pytest.raises(ContractError):
+            step(env, env.initial_state(rng), a, rng)
+
     def test_branch_frequency_three_sigma(self):
         # action bias 0.2 with a = -1 makes the left branch probability 0.3
         env = BranchingTree(depth=2, action_bias=0.2)

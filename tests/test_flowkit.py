@@ -12,6 +12,7 @@ from flowrl.flowkit import (
     euler_integrate,
     euler_integrate_to_times,
     euler_integrate_with_derivative,
+    euler_trajectory,
     sample_times,
 )
 
@@ -115,6 +116,79 @@ class TestPartialTimes:
         times = np.array([0.1, 0.5, 1.0])
         out = euler_integrate_to_times(field, np.zeros(3), times, 7)
         np.testing.assert_allclose(out, c * times, atol=1e-12)
+
+
+def _sine_field():
+    return FuncField(lambda x, t: np.sin(x) + np.asarray(t) * 0.3, lambda x, t: np.cos(x))
+
+
+class TestEulerTrajectory:
+    """Per-row times read off the nodes of one Euler solve on [0, 1]."""
+
+    @pytest.mark.parametrize("steps", [1, 7, 10])
+    def test_end_point_and_derivative_are_the_integrators(self, steps):
+        noise = np.random.default_rng(3).normal(size=9)
+        cfg = IntegrationConfig(steps)
+        traj = euler_trajectory(_sine_field(), noise, cfg)
+        x, jac = euler_integrate_with_derivative(_sine_field(), noise, cfg)
+        assert np.array_equal(traj.x, x) and np.array_equal(traj.jac, jac)
+        assert np.array_equal(traj.x, euler_integrate(_sine_field(), noise, cfg))
+        assert np.array_equal(traj.nodes[0], noise)
+        assert traj.nodes.shape == traj.velocities.shape == (steps, 9)
+
+    @pytest.mark.parametrize("steps", [1, 7, 10])
+    def test_time_one_reads_the_end_point_bit_for_bit(self, steps):
+        noise = np.random.default_rng(4).normal(size=6)
+        traj = euler_trajectory(_sine_field(), noise, IntegrationConfig(steps))
+        assert np.array_equal(traj.at(np.ones(6)), traj.x)
+
+    def test_grid_times_read_the_nodes(self):
+        noise = np.random.default_rng(5).normal(size=10)
+        # steps = 8: every k / 8 is exact, so each row lands on its node exactly
+        traj = euler_trajectory(_sine_field(), noise[:8], IntegrationConfig(8))
+        k = np.arange(8)
+        assert np.array_equal(traj.at(k / 8.0), traj.nodes[k, k])
+        # steps = 10: k / 10 is inexact and may fall just short of node k
+        traj = euler_trajectory(_sine_field(), noise, IntegrationConfig(10))
+        k = np.arange(10)
+        np.testing.assert_allclose(traj.at(k / 10.0), traj.nodes[k, k], rtol=0, atol=1e-12)
+
+    def test_between_nodes_it_is_the_straight_line(self):
+        rng = np.random.default_rng(6)
+        steps, n = 10, 200
+        noise = rng.normal(size=n)
+        times = rng.random(n)
+        traj = euler_trajectory(_sine_field(), noise, IntegrationConfig(steps))
+        ends = np.vstack([traj.nodes, traj.x[None, :]])
+        k = np.minimum((times * steps).astype(int), steps - 1)
+        rows = np.arange(n)
+        frac = times * steps - k
+        line = ends[k, rows] + frac * (ends[k + 1, rows] - ends[k, rows])
+        np.testing.assert_allclose(traj.at(times), line, rtol=0, atol=1e-12)
+
+    def test_constant_field_is_exact_at_every_time(self):
+        c = 3.0
+        field = FuncField(lambda x, t: np.full_like(x, c), lambda x, t: np.zeros_like(x))
+        rng = np.random.default_rng(7)
+        noise, times = rng.normal(size=50), sample_times(rng, 50)
+        traj = euler_trajectory(field, noise, IntegrationConfig(7))
+        np.testing.assert_allclose(traj.at(times), noise + c * times, rtol=0, atol=1e-12)
+
+    def test_rejects_times_off_the_grid_or_misaligned(self):
+        traj = euler_trajectory(_sine_field(), np.zeros(3), IntegrationConfig(5))
+        for times in (np.array([0.5, 1.5, 0.5]), np.array([-0.1, 0.5, 0.5]),
+                      np.array([0.5, np.nan, 0.5]), np.full(2, 0.5)):
+            with pytest.raises(ContractError):
+                traj.at(times)
+
+    def test_non_finite_field_raises_with_step_index(self):
+        def fn(x, t):
+            return np.full_like(x, np.nan) if t > 0.4 else np.zeros_like(x)
+
+        field = FuncField(fn, lambda x, t: np.zeros_like(x))
+        with pytest.raises(IntegrationError) as excinfo:
+            euler_trajectory(field, np.zeros(2), IntegrationConfig(10))
+        assert excinfo.value.step_index == 5
 
 
 class TestSampleTimes:
