@@ -102,18 +102,17 @@ class ReturnField:
     def forward_tape(self, x) -> MlpTape:
         return mlp_forward(self.params, x, self.spec)
 
-    def conditioned(self, s, a, n: int | None = None) -> "ConditionedReturnField":
-        return ConditionedReturnField(self, s, a, n)
+    def conditioned(self, s, a) -> "ConditionedReturnField":
+        return ConditionedReturnField(self, s, a)
 
 
 class ConditionedReturnField:
     """flowkit-facing view of a ReturnField with (s, a) context baked in."""
 
-    def __init__(self, field: ReturnField, s, a, n: int | None = None):
+    def __init__(self, field: ReturnField, s, a):
         self.field = field
         self._s = s
         self._a = a
-        self._n = n
 
     def velocity(self, x, t):
         return self.field.velocity(x, t, self._s, self._a)

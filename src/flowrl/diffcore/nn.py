@@ -9,10 +9,17 @@ the input JVP J @ tangent and a per-layer cache, over which ``_vjp`` runs the
 closed-form reverse pass (linear, LayerNorm and GELU). ``mlp_forward``
 records the whole network as a single node of the tensor engine, so loss
 heads written with ``Tensor`` ops differentiate through it.
+
+Both passes allocate nothing per hidden layer in steady state: their
+(batch, hidden) temporaries live in a per-thread workspace (``_Workspace``)
+that is reused from call to call. Outputs, gradients and the cache a tape
+keeps are fresh arrays, and the arithmetic is the same operations in the
+same order as with fresh temporaries, so every result is bit-identical.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,42 +85,91 @@ def _check_arch(params: ParamSet, x: np.ndarray, spec: MlpSpec) -> None:
                               f"expected {(fan_in, fan_out)}")
 
 
+class _Workspace(threading.local):
+    """Reused scratch arrays of the layer walks, one set per thread and width.
+
+    ``take(slot, rows, width)`` returns the first ``rows`` rows of a
+    C-contiguous (capacity, width) array kept under (slot, width); it is
+    replaced by a larger one when a call needs more rows. The forward and the
+    reverse pass draw on the same slots, so each hidden width keeps at most
+    six arrays of the largest batch walked at that width: memory that one
+    call of that batch needed anyway while it ran. A request above
+    ``_POOLED_MAX`` elements gets a fresh array and pools nothing, which
+    bounds the workspace whatever the batch. No array it returns leaves
+    ``_walk`` or ``_vjp``: outputs, gradients and the ``keep`` cache are
+    always freshly allocated, so a later call cannot overwrite them. It is
+    module state rather than an object callers pass because no result
+    depends on it, only memory and speed do.
+    """
+
+    def __init__(self):
+        self.arrays: dict[tuple[int, int], np.ndarray] = {}
+
+    def take(self, slot: int, rows: int, width: int) -> np.ndarray:
+        if rows * width > _POOLED_MAX:
+            return np.empty((rows, width))
+        key = (slot, width)
+        arrays = self.arrays
+        if key not in arrays or arrays[key].shape[0] < rows:
+            arrays.pop(key, None)       # free the old array before allocating its successor
+            arrays[key] = np.empty((rows, width))
+        return arrays[key][:rows]
+
+
+_POOLED_MAX = 1 << 20             # elements of one pooled array (8 MiB)
+_H, _TMP, _SLOPE, _DH = 0, 2, 3, 4   # slots; _H and _DH are pairs used alternately
+_workspace = _Workspace()
+
+
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=1, keepdims=True)``, bit for bit, without NumPy's Python wrapper."""
+    m = np.add.reduce(a, axis=1, keepdims=True)
+    m /= a.shape[1]
+    return m
+
+
 def _walk(params: ParamSet, x, spec: MlpSpec, tangent=None, keep: bool = False):
     """Run the layers once: (output, J @ tangent or None, cache or None).
 
-    Hidden activations are updated in place: besides the matmul results a
-    layer allocates one scratch array, plus the GELU slope when a tangent or
-    ``keep`` needs it, and ``keep`` copies the normalized pre-activation for
-    ``_vjp``. Every further (batch, hidden) temporary would cost page faults
-    once such arrays reach glibc's mmap threshold (256 x 64 floats do).
+    Every (batch, hidden) temporary that does not outlive the call lives in
+    the per-thread workspace: the hidden activations, the tangent ``dh``, the
+    GELU CDF and slope, each updated in place. Fresh (batch, hidden) arrays
+    reached glibc's mmap threshold from 256 rows of 64 floats and cost page
+    faults on every call. Only what escapes is allocated: the output, its
+    JVP and, with ``keep``, the per-layer cache ``_vjp`` reads (layer input,
+    normalized pre-activation, inverse std, GELU slope), which a live tape
+    holds until its backward runs.
     """
     h = np.asarray(x, dtype=np.float64)
     _check_arch(params, h, spec)
     dh = None if tangent is None else np.asarray(tangent, dtype=np.float64)
     if dh is not None and dh.shape != h.shape:
         raise ContractError(f"tangent shape {dh.shape} != input shape {h.shape}")
+    ws = _workspace
+    rows = h.shape[0]
     cache = [] if keep else None
     last = len(spec.layer_dims) - 1
-    for i in range(last + 1):
+    for i, (_, width) in enumerate(spec.layer_dims):
         w = params[f"w{i}"]
         layer_in = h
-        h = h @ w
+        hidden = i < last
+        h = np.matmul(h, w, out=ws.take(_H + i % 2, rows, width) if hidden and not keep else None)
         h += params[f"b{i}"]
         if dh is not None:
-            dh = dh @ w
+            dh = np.matmul(dh, w, out=ws.take(_DH + i % 2, rows, width) if hidden else None)
         xhat = inv_std = slope = None
-        if i < last:
-            tmp = np.empty_like(h)
+        if hidden:
+            tmp = ws.take(_TMP, rows, width)
             if spec.layer_norm:
-                h -= h.mean(axis=1, keepdims=True)
+                h -= _row_mean(h)
                 np.multiply(h, h, out=tmp)
-                inv_std = 1.0 / np.sqrt(tmp.mean(axis=1, keepdims=True) + _LN_EPS)
+                inv_std = 1.0 / np.sqrt(_row_mean(tmp) + _LN_EPS)
                 h *= inv_std
                 scale = params[f"ln{i}_scale"]
                 if dh is not None:   # d(xhat) = inv_std * (dc - xhat * mean(xhat * dc))
-                    dh -= dh.mean(axis=1, keepdims=True)
+                    dh -= _row_mean(dh)
                     np.multiply(h, dh, out=tmp)
-                    np.multiply(h, tmp.mean(axis=1, keepdims=True), out=tmp)
+                    np.multiply(h, _row_mean(tmp), out=tmp)
                     dh -= tmp
                     dh *= inv_std
                     dh *= scale
@@ -126,7 +182,7 @@ def _walk(params: ParamSet, x, spec: MlpSpec, tangent=None, keep: bool = False):
             tmp += 1.0
             tmp *= 0.5                      # Phi(h)
             if dh is not None or keep:      # GELU'(h) = Phi(h) + h * phi(h)
-                slope = h * h
+                slope = np.multiply(h, h, out=None if keep else ws.take(_SLOPE, rows, width))
                 slope *= -0.5
                 np.exp(slope, out=slope)
                 slope *= _INV_SQRT_2PI
@@ -145,26 +201,37 @@ def _vjp(params: ParamSet, cache: list, out_grad: np.ndarray, param_grads: bool,
     """Reverse pass over a ``_walk`` cache: (parameter grads, input grad).
 
     Each part is skipped, and returned empty or None, when not asked for.
+    The back-propagated ``g`` of every hidden layer and its LayerNorm
+    temporaries live in the workspace; the grads are fresh arrays.
     """
+    ws = _workspace
     grads: ParamSet = {}
     g = out_grad
+    rows = g.shape[0]
     for i in range(len(cache) - 1, -1, -1):
         layer_in, xhat, inv_std, slope = cache[i]
-        if slope is not None:
-            g = g * slope
+        if slope is not None:       # a hidden layer: g came from the workspace
+            g *= slope
             if xhat is not None:
+                tmp = ws.take(_TMP, rows, g.shape[1])
                 if param_grads:
-                    grads[f"ln{i}_scale"] = (g * xhat).sum(axis=0)
+                    np.multiply(g, xhat, out=tmp)
+                    grads[f"ln{i}_scale"] = tmp.sum(axis=0)
                     grads[f"ln{i}_offset"] = g.sum(axis=0)
-                g = g * params[f"ln{i}_scale"]
-                g -= g.mean(axis=1, keepdims=True) + xhat * (g * xhat).mean(axis=1, keepdims=True)
+                g *= params[f"ln{i}_scale"]
+                g_mean = _row_mean(g)  # g -= mean(g) + xhat * mean(g * xhat)
+                np.multiply(g, xhat, out=tmp)
+                np.multiply(xhat, _row_mean(tmp), out=tmp)
+                tmp += g_mean
+                g -= tmp
                 g *= inv_std
         if param_grads:
             grads[f"w{i}"] = layer_in.T @ g
             grads[f"b{i}"] = g.sum(axis=0)
         if i == 0 and not input_grad:
             return grads, None
-        g = g @ params[f"w{i}"].T
+        w = params[f"w{i}"]
+        g = np.matmul(g, w.T, out=ws.take(_H + i % 2, rows, w.shape[0]) if i > 0 else None)
     return grads, g
 
 

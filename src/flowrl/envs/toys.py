@@ -50,7 +50,7 @@ class StochasticChain(ToyMdp):
         return [np.array([-1.0]), np.array([1.0])]
 
     def _pos(self, s) -> int:
-        return int(np.argmax(s))
+        return int(np.asarray(s).argmax())
 
     def is_terminal(self, s):
         return self._pos(s) == self.length
@@ -98,7 +98,7 @@ class BranchingTree(ToyMdp):
         return [np.array([-1.0]), np.array([1.0])]
 
     def _node(self, s) -> int:
-        return int(np.argmax(s))
+        return int(np.asarray(s).argmax())
 
     def _level(self, node: int) -> int:
         return int(np.floor(np.log2(node + 1)))
@@ -169,7 +169,7 @@ class WindyGrid(ToyMdp):
                 np.array([0.0, 1.0]), np.array([0.0, -1.0])]
 
     def _cell(self, s) -> tuple[int, int]:
-        idx = int(np.argmax(s))
+        idx = int(np.asarray(s).argmax())
         return divmod(idx, self.size)
 
     def _encode(self, row: int, col: int) -> np.ndarray:

@@ -106,6 +106,8 @@ def rejection_sample_action(critic_fields: list[ReturnField], bc_policy: BcFlowP
     """
     if n_candidates < 1:
         raise ContractError("need at least one candidate")
+    if not critic_fields:
+        raise ContractError("need at least one critic field")
     eps = rng.standard_normal((n_candidates, bc_policy.action_dim))
     candidates = sample_bc_action(bc_policy, s, eps, flow_steps)
     if action_atoms is not None:
@@ -116,11 +118,12 @@ def rejection_sample_action(critic_fields: list[ReturnField], bc_policy: BcFlowP
     k = noise_set.size
     s_flat = np.asarray(s, dtype=np.float64).reshape(-1)
     s_rows = np.broadcast_to(s_flat, (n_candidates * k, s_flat.size))
-    a_rows = np.repeat(candidates, k, axis=0)
-    z_rows = np.tile(noise_set, n_candidates)
+    # the (z, t=0, s, a) rows are the same for every ensemble member: build them once
+    x = critic_fields[0]._inputs(np.tile(noise_set, n_candidates), 0.0, s_rows,
+                                 np.repeat(candidates, k, axis=0))
     q = None
     for field in critic_fields:
-        v = field.velocity(z_rows, 0.0, s_rows, a_rows).reshape(n_candidates, k).mean(axis=1)
+        v = mlp_value(field.params, x, field.spec)[:, 0].reshape(n_candidates, k).mean(axis=1)
         q = v if q is None else np.minimum(q, v)
     best = int(np.argmax(q))  # argmax takes the first maximizer
     return candidates[best]

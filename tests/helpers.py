@@ -44,6 +44,69 @@ def ref_mlp(params: ParamSet, x: np.ndarray, spec: MlpSpec) -> np.ndarray:
     return h
 
 
+def fresh_walk(params: ParamSet, x: np.ndarray, spec: MlpSpec, tangent=None, keep=False):
+    """The layer walk with a fresh array for every temporary: (output, JVP, cache).
+
+    The same operations in the same order as ``flowrl.diffcore.nn._walk``,
+    whose outputs, JVPs and cache must equal these bit for bit; only where
+    each intermediate is stored differs.
+    """
+    h = np.asarray(x, dtype=np.float64)
+    dh = None if tangent is None else np.asarray(tangent, dtype=np.float64)
+    cache = [] if keep else None
+    last = len(spec.layer_dims) - 1
+    for i in range(last + 1):
+        w = params[f"w{i}"]
+        layer_in = h
+        h = h @ w
+        h += params[f"b{i}"]
+        if dh is not None:
+            dh = dh @ w
+        xhat = inv_std = slope = None
+        if i < last:
+            if spec.layer_norm:
+                h = h - h.mean(axis=1, keepdims=True)
+                inv_std = 1.0 / np.sqrt((h * h).mean(axis=1, keepdims=True) + 1e-6)
+                h = h * inv_std
+                scale = params[f"ln{i}_scale"]
+                if dh is not None:
+                    dh = dh - dh.mean(axis=1, keepdims=True)
+                    dh = dh - h * (h * dh).mean(axis=1, keepdims=True)
+                    dh = dh * inv_std
+                    dh = dh * scale
+                xhat = h
+                h = h * scale
+                h = h + params[f"ln{i}_offset"]
+            cdf = (erf(h / math.sqrt(2.0)) + 1.0) * 0.5
+            slope = np.exp((h * h) * -0.5) * (1.0 / math.sqrt(2.0 * math.pi)) * h + cdf
+            if dh is not None:
+                dh = dh * slope
+            h = h * cdf
+        if keep:
+            cache.append((layer_in, xhat, inv_std, slope))
+    return h, dh, cache
+
+
+def fresh_vjp(params: ParamSet, cache: list, out_grad: np.ndarray) -> tuple[ParamSet, np.ndarray]:
+    """Reverse pass over a ``fresh_walk`` cache: (parameter grads, input grad)."""
+    grads: ParamSet = {}
+    g = out_grad
+    for i in range(len(cache) - 1, -1, -1):
+        layer_in, xhat, inv_std, slope = cache[i]
+        if slope is not None:
+            g = g * slope
+            if xhat is not None:
+                grads[f"ln{i}_scale"] = (g * xhat).sum(axis=0)
+                grads[f"ln{i}_offset"] = g.sum(axis=0)
+                g = g * params[f"ln{i}_scale"]
+                g = g - (g.mean(axis=1, keepdims=True) + xhat * (g * xhat).mean(axis=1, keepdims=True))
+                g = g * inv_std
+        grads[f"w{i}"] = layer_in.T @ g
+        grads[f"b{i}"] = g.sum(axis=0)
+        g = g @ params[f"w{i}"].T
+    return grads, g
+
+
 def finite_diff_param_grads(loss_fn, params: ParamSet, step: float = 1e-4) -> ParamSet:
     """Central-difference gradient of ``loss_fn(params)`` w.r.t. every entry."""
     grads = {}

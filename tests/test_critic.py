@@ -136,7 +136,7 @@ class _AffineTransportField:
     def __init__(self, mu, sigma):
         self.mu, self.sigma = mu, sigma
 
-    def conditioned(self, s, a, n=None):
+    def conditioned(self, s, a):
         mu, sigma = self.mu, self.sigma
 
         class _Cond:

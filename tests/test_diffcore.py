@@ -1,6 +1,7 @@
 """Tests for the autodiff engine, MLP, optimizer, EMA, and serialization."""
 
 import base64
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,9 +25,11 @@ from flowrl.diffcore import (
     params_to_obj,
     save_params,
 )
+from flowrl.diffcore import nn
 from flowrl.errors import ConfigError, ContractError, TrainingError
 
-from helpers import finite_diff_param_grads, grad_match_fraction, ref_mlp, random_params_like
+from helpers import finite_diff_param_grads, fresh_vjp, fresh_walk, grad_match_fraction, \
+    ref_mlp, random_params_like
 
 
 def small_spec(layer_norm=True):
@@ -158,6 +161,113 @@ class TestBackward:
         grads = backward(tape, np.zeros((1, 1)))
         assert set(grads) == {"w0", "b0"}
         assert np.array_equal(grads["w0"], np.zeros((1, 1)))
+
+
+def _bit_equal(got: dict, want: dict) -> bool:
+    return set(got) == set(want) and all(np.array_equal(got[k], want[k]) for k in want)
+
+
+class TestWorkspace:
+    """The reused layer buffers change no bit of any output or gradient."""
+
+    ROWS = (1, 32, 255, 256, 257, 2000)
+
+    @staticmethod
+    def nets():
+        rng = np.random.default_rng(21)
+        out = []
+        for spec in (MlpSpec(in_dim=18, hidden=(64, 64), out_dim=1),
+                     MlpSpec(in_dim=5, hidden=(32, 48), out_dim=3),
+                     MlpSpec(in_dim=4, hidden=(48,), out_dim=2, layer_norm=False)):
+            out.append((spec, random_params_like(init_mlp(spec, rng), rng)))
+        return out
+
+    def test_every_pass_matches_fresh_arithmetic_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        nets = self.nets()
+        # ascending then descending row counts, the specs interleaved at each
+        for rows in self.ROWS + self.ROWS[::-1]:
+            for spec, params in nets:
+                x = rng.normal(size=(rows, spec.in_dim))
+                tangent = rng.normal(size=x.shape)
+                seed = rng.normal(size=(rows, spec.out_dim))
+                want_value, want_jvp, cache = fresh_walk(params, x, spec, tangent, keep=True)
+                want_grads, want_gx = fresh_vjp(params, cache, seed)
+
+                assert np.array_equal(mlp_value(params, x, spec), want_value)
+                value, jvp = mlp_value_and_input_jvp(params, x, spec, tangent)
+                assert np.array_equal(value, want_value) and np.array_equal(jvp, want_jvp)
+                assert _bit_equal(backward(mlp_forward(params, x, spec), seed), want_grads)
+                x_t = Tensor(x, requires_grad=True)
+                mlp_forward(params, x_t, spec, params_need_grad=False).output.backward(seed)
+                assert np.array_equal(x_t.grad, want_gx)
+                _, _, own_cache = nn._walk(params, x, spec, keep=True)
+                grads, gx = nn._vjp(params, own_cache, seed, True, True)
+                assert _bit_equal(grads, want_grads) and np.array_equal(gx, want_gx)
+
+    def test_returned_arrays_are_not_overwritten_by_later_calls(self):
+        rng = np.random.default_rng(23)
+        (spec, params), (other_spec, other_params) = self.nets()[:2]
+        x = rng.normal(size=(256, spec.in_dim))
+        tangent = np.ones_like(x)
+        seed = np.ones((256, 1))
+        held = [mlp_value(params, x, spec), *mlp_value_and_input_jvp(params, x, spec, tangent),
+                *backward(mlp_forward(params, x, spec), seed).values()]
+        copies = [a.copy() for a in held]
+        y = rng.normal(size=x.shape)
+        mlp_value(params, y, spec)
+        mlp_value_and_input_jvp(params, y, spec, tangent)
+        backward(mlp_forward(params, y, spec), seed)
+        mlp_value_and_input_jvp(other_params, rng.normal(size=(256, other_spec.in_dim)),
+                                other_spec, np.ones((256, other_spec.in_dim)))
+        assert all(np.array_equal(a, c) for a, c in zip(held, copies))
+
+    def test_two_live_tapes_of_one_shape_backprop_correctly(self):
+        # the q_values_tensor pattern: two nets of one spec on one graph input, min of both
+        rng = np.random.default_rng(24)
+        spec = MlpSpec(in_dim=6, hidden=(64, 64), out_dim=1)
+        params = [random_params_like(init_mlp(spec, rng), rng) for _ in range(2)]
+        x = rng.normal(size=(300, 6))
+        x_t = Tensor(x, requires_grad=True)
+        tapes = [mlp_forward(p, x_t, spec, params_need_grad=False) for p in params]
+        mlp_value_and_input_jvp(params[0], rng.normal(size=x.shape), spec, np.ones_like(x))
+        tapes[0].output.min_elem(tapes[1].output).sum().backward()
+
+        walks = [fresh_walk(p, x, spec, keep=True) for p in params]
+        first = walks[0][0] <= walks[1][0]
+        want = sum(fresh_vjp(p, walk[2], mask.astype(float))[1]
+                   for p, walk, mask in zip(params, walks, (first, ~first)))
+        assert np.array_equal(x_t.grad, want)
+
+    def test_workspace_reuses_within_capacity_and_never_pools_past_its_bound(self):
+        ws = nn._Workspace()
+        big = ws.take(0, 300, 64)
+        small = ws.take(0, 40, 64)
+        assert small.base is big.base and small.flags.c_contiguous
+        assert ws.take(1, 300, 64).base is not big.base   # another slot, another array
+        rows = nn._POOLED_MAX // 64 + 1
+        assert ws.take(0, rows, 64).shape == (rows, 64)
+        assert ws.arrays[(0, 64)].shape == (300, 64)
+
+    @pytest.mark.parametrize("with_jvp", [False, True])
+    def test_steady_state_pass_allocates_less_than_one_hidden_array(self, with_jvp):
+        spec, params = self.nets()[0]
+        x = np.random.default_rng(25).normal(size=(2000, spec.in_dim))
+        tangent = np.ones_like(x)
+
+        def run():
+            if with_jvp:
+                return mlp_value_and_input_jvp(params, x, spec, tangent)
+            return mlp_value(params, x, spec)
+
+        run()  # warm-up: the workspace grows to 2000 rows here
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.shape[0] * spec.hidden[0] * 8
 
 
 class TestInputDerivative:

@@ -145,6 +145,36 @@ class TestRejectionSampling:
         for cand in candidates:
             assert q_chosen >= critic_ensemble_q(fields, STATE, cand, noises) - 1e-12
 
+    def test_scores_equal_per_field_velocity_and_rows_are_built_once(self, monkeypatch):
+        policy = BcFlowPolicy.create(DS, DA, np.random.default_rng(5))
+        fields = [ReturnField.create(DS, DA, np.random.default_rng(s)) for s in (6, 7)]
+        noises = np.array([0.3, -0.3, 1.2])
+        n = 32
+        candidates = sample_bc_action(policy, STATE, np.random.default_rng(8).standard_normal(
+            (n, DA)), 10)
+        z = np.tile(noises, n)
+        s_rows = np.broadcast_to(STATE, (n * noises.size, DS))
+        a_rows = np.repeat(candidates, noises.size, axis=0)
+        q = np.minimum(*(f.velocity(z, 0.0, s_rows, a_rows).reshape(n, -1).mean(axis=1)
+                         for f in fields))
+        calls = []
+        build = ReturnField._inputs
+
+        def counting_inputs(self, *args):
+            calls.append(args)
+            return build(self, *args)
+
+        monkeypatch.setattr(ReturnField, "_inputs", counting_inputs)
+        chosen = rejection_sample_action(fields, policy, STATE, n, noises,
+                                         np.random.default_rng(8))
+        np.testing.assert_array_equal(chosen, candidates[int(np.argmax(q))])
+        assert len(calls) == 1
+
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(ContractError):
+            rejection_sample_action([], linear_policy(), STATE, 4, np.array([0.0]),
+                                    np.random.default_rng(0))
+
     def test_snap_to_atoms(self):
         atoms = [np.array([-1.0, 0.0]), np.array([1.0, 0.0])]
         snapped = snap_to_atoms(np.array([[0.2, 0.7], [-0.9, 0.1]]), atoms)
