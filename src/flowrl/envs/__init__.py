@@ -3,7 +3,6 @@
 from flowrl.envs.base import (
     Dataset,
     ToyMdp,
-    Transition,
     UniformBoxPolicy,
     UniformDiscretePolicy,
     behavior_policy_for,
@@ -34,7 +33,7 @@ from flowrl.envs.toys import (
 )
 
 __all__ = [
-    "Dataset", "ToyMdp", "Transition", "UniformBoxPolicy", "UniformDiscretePolicy",
+    "Dataset", "ToyMdp", "UniformBoxPolicy", "UniformDiscretePolicy",
     "behavior_policy_for", "generate_dataset", "load_dataset", "save_dataset", "step",
     "ReturnAtomSet", "bellman_histogram_operator", "enumerate_return_distribution",
     "monte_carlo_returns", "project_masses", "reachable_state_actions", "table_key",

@@ -2,16 +2,23 @@
 
 The oracles below read an env's branches through its
 :class:`~flowrl.envs.base.BranchTable`, which calls ``outcomes`` once per
-(state, action atom) pair; Monte Carlo does so through ``step``.
+(state, action atom) pair.
 
 ``enumerate_return_distribution`` returns the exact atoms of the discounted
 return truncated at a horizon. It is a dynamic program over depth: the
 frontier maps (state, action, exact partial return) to its probability, so
 paths that meet again are expanded once, and ``PATH_GUARD`` bounds the
-frontier size. ``monte_carlo_returns`` is the sampling cross-check; it steps
-the env like any other rollout. The histogram-level Bellman operator
-discretizes the density backup for contraction and fixed-point harnesses, as
-one matrix step over all reachable pairs.
+frontier size. ``monte_carlo_returns`` is the sampling cross-check, a path
+apart from the enumeration: it draws episodes branch by branch. When the env
+has action atoms and the policy's ``support`` lies on them, all episodes
+advance together, one numpy step per time step, off the table's dense arrays
+(:meth:`~flowrl.envs.base.BranchTable.dense`); any other policy is called
+and the env stepped with ``step`` one transition at a time. That per-step
+loop is the referee of the lockstep path in the tests. The two paths draw
+different random streams, so a seed gives different samples on each. The
+histogram-level Bellman operator discretizes the density backup for
+contraction and fixed-point harnesses, as one matrix step over all reachable
+pairs.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowrl.envs.base import ToyMdp, UniformDiscretePolicy, branch_table, step
+from flowrl.envs.base import DenseBranches, ToyMdp, UniformDiscretePolicy, _draw, branch_table, \
+    check_reward, step
 from flowrl.errors import ContractError, OracleError
 
 PATH_GUARD = 1_000_000    # frontier entries per depth of the enumeration DP
@@ -129,10 +137,22 @@ def enumerate_return_distribution(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndar
 
 def monte_carlo_returns(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndarray,
                         n: int, horizon: int, seed: int = 0) -> np.ndarray:
-    """n independent truncated discounted-return samples from (s, a)."""
+    """n independent truncated discounted-return samples from (s, a).
+
+    When the env has action atoms and ``policy.support(s)`` puts all its mass
+    on them, the n episodes run in lockstep off the env's branch table (see
+    :func:`_lockstep_returns`); any other policy is called as
+    ``policy(s, rng)`` and the env stepped one transition at a time. The two
+    paths draw different random streams from one seed.
+    """
     if n < 1:
         raise ContractError("n must be >= 1")
+    if horizon < 1:
+        raise ContractError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
+    out = _lockstep_returns(mdp, policy, s, a, n, horizon, rng)
+    if out is not None:
+        return out
     out = np.empty(n)
     for i in range(n):
         cur_s, cur_a = s, a
@@ -146,6 +166,63 @@ def monte_carlo_returns(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndarray,
             cur_s, cur_a = s_next, policy(s_next, rng)
         out[i] = ret
     return out
+
+
+def _lockstep_returns(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndarray, n: int,
+                      horizon: int, rng: np.random.Generator) -> np.ndarray | None:
+    """``monte_carlo_returns`` with every live episode stepped at once, or None.
+
+    Returns None, having drawn nothing from ``rng``, unless the env has
+    action atoms and the policy's support lies on them. Each time step draws
+    one uniform per live episode for its branch, picked by the inverse-CDF
+    rule of ``step``, then one for its next action, picked by inverse CDF
+    over ``policy.support`` read once per call. The start action may be any
+    action in the box: its branches are read once, from the table or from
+    ``outcomes``. Each episode's return is summed in step order,
+    ``ret += disc * r; disc *= gamma``, as a single rollout sums it.
+    """
+    table = branch_table(mdp)
+    if not table.atoms or getattr(policy, "support", None) is None:
+        return None
+    a = mdp.validate_action(a)
+    sid = table.state_id(s)
+    start_terminal = mdp.is_terminal(table.states[sid])
+    aid = table.atom_id(a)
+    first = None if start_terminal or aid is not None else table.branches(sid, a)
+    view = table.dense()
+    act_cdf = view.action_cdf(policy)
+    if act_cdf is None:
+        return None
+    ret = np.zeros(n)
+    if start_terminal:       # ``step`` returns reward 0 and ends the episode
+        return ret
+    u = rng.random(n)
+    if first is None:
+        nid, r, terminal = view.sample(np.full(n, sid * len(view.atoms) + aid), u)
+    else:
+        for branch in first:
+            check_reward(mdp, branch[2])
+        start = DenseBranches.from_rows(view.states, view.atoms, [first])
+        nid, r, terminal = start.sample(np.zeros(n, dtype=np.intp), u)
+    disc = 1.0
+    ret += disc * r
+    disc *= mdp.gamma
+    # the live episodes: their indices, states and returns so far
+    idx, cur, acc = np.arange(n), nid, ret
+    for _ in range(horizon - 1):
+        if terminal.any():
+            ret[idx[terminal]] = acc[terminal]
+            live = ~terminal
+            idx, cur, acc = idx[live], cur[live], acc[live]
+            if not idx.size:
+                return ret
+        k = idx.size
+        aid = _draw(act_cdf[cur], rng.random(k))
+        cur, r, terminal = view.sample(cur * len(view.atoms) + aid, rng.random(k))
+        acc = acc + disc * r
+        disc *= mdp.gamma
+    ret[idx] = acc
+    return ret
 
 
 # -- discretized density-level Bellman operator --------------------------------

@@ -158,6 +158,8 @@ def evaluate_policy(env: ToyMdp, action_selector, episodes: int, horizon: int,
     """
     if episodes < 1:
         raise ContractError("episodes must be >= 1")
+    if horizon < 1:
+        raise ContractError("horizon must be >= 1")
     returns = np.empty(episodes)
     for ep in range(episodes):
         rng = np.random.default_rng((seed, ep))

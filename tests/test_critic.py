@@ -23,7 +23,9 @@ from flowrl.diffcore import MlpSpec, Tensor, mlp_forward
 from flowrl.diffcore.nn import MlpTape
 from flowrl.envs import BranchingTree
 from flowrl.errors import ConfigError, ContractError
-from flowrl.flowkit import IntegrationConfig, euler_integrate_with_derivative
+from flowrl.flowkit import FuncField, IntegrationConfig, euler_integrate_with_derivative, \
+    euler_trajectory
+from scipy.stats import norm
 
 from helpers import loss_grad_match, random_params_like, ref_mlp
 
@@ -145,6 +147,80 @@ class _AffineTransportField:
                 return mu + slope * (x - np.asarray(t) * mu), np.broadcast_to(slope, np.shape(x)).astype(float)
 
         return _Cond()
+
+
+class _MixtureMarginalField:
+    """Exact marginal velocity of a Gaussian-mixture return law, independent coupling.
+
+    Under x_t = t * z + (1 - t) * eps with z ~ sum_i w_i N(mu_i, sd_i^2), component i
+    has x_t ~ N(t * mu_i, s_i^2), s_i^2 = t^2 sd_i^2 + (1 - t)^2, and the velocity
+    E[z - eps | x_t = x, i] = mu_i + c_i * (x - t * mu_i), c_i = (t sd_i^2 - (1 - t)) / s_i^2.
+    The marginal velocity mixes these by the posterior of i given x_t = x, and its
+    x-derivative is the posterior mean of c_i plus the posterior covariance of the
+    component score -(x - t * mu_i) / s_i^2 with the component velocity.
+    """
+
+    def __init__(self, weights, means, sds):
+        self.log_w = np.log(np.asarray(weights, dtype=np.float64))
+        self.means = np.asarray(means, dtype=np.float64)
+        self.var = np.asarray(sds, dtype=np.float64) ** 2
+
+    @property
+    def variance(self) -> float:
+        w = np.exp(self.log_w)
+        return float(w @ (self.var + self.means**2) - (w @ self.means) ** 2)
+
+    def velocity_and_derivative(self, x, t):
+        d = np.asarray(x)[..., None] - t * self.means
+        s2 = t * t * self.var + (1.0 - t) ** 2
+        c = (t * self.var - (1.0 - t)) / s2
+        v_i = self.means + c * d
+        log_post = self.log_w - 0.5 * np.log(s2) - 0.5 * d * d / s2
+        post = np.exp(log_post - log_post.max(axis=-1, keepdims=True))
+        post /= post.sum(axis=-1, keepdims=True)
+        score = -d / s2
+        v = (post * v_i).sum(-1)
+        dv = (post * c).sum(-1) + (post * score * v_i).sum(-1) - (post * score).sum(-1) * v
+        return v, dv
+
+    def conditioned(self, s, a):
+        return FuncField(lambda x, t: self.velocity_and_derivative(x, t)[0],
+                         lambda x, t: self.velocity_and_derivative(x, t)[1])
+
+
+# 2000 standard-normal quantiles: a low-discrepancy noise set, so sample moments
+# over it carry the Euler error and almost no sampling error
+QUANTILE_NOISES = norm.ppf((np.arange(2000) + 0.5) / 2000)
+
+
+class TestVarianceEstimateAnalytic:
+    def test_field_derivative_matches_central_differences(self):
+        field = _MixtureMarginalField([0.3, 0.7], [-1.5, 1.5], [0.5, 0.5])
+        x, h = np.linspace(-3.0, 3.0, 13), 1e-6
+        for t in (0.0, 0.5, 0.9):
+            _, dv = field.velocity_and_derivative(x, t)
+            fd = (field.velocity_and_derivative(x + h, t)[0]
+                  - field.velocity_and_derivative(x - h, t)[0]) / (2 * h)
+            np.testing.assert_allclose(dv, fd, rtol=0.0, atol=1e-7)
+
+    def test_gaussian_target_gives_sigma_squared_to_first_order(self):
+        # The exact map is eps -> mu + sigma * eps, so E[J^2] = sigma^2; the forward
+        # Euler error is first order: it halves when the step count doubles.
+        field = _MixtureMarginalField([1.0], [1.0], [0.7])
+        errors = [variance_estimate(field, STATE, ACTION, QUANTILE_NOISES, flow_steps=k) - 0.49
+                  for k in (100, 200)]
+        assert abs(errors[0]) < 0.03 * 0.49
+        assert 0.4 < errors[1] / errors[0] < 0.6
+
+    def test_mixture_sample_variance_matches_and_ej2_bounds_it(self):
+        field = _MixtureMarginalField([0.3, 0.7], [-1.5, 1.5], [0.5, 0.5])
+        traj = euler_trajectory(field.conditioned(STATE, ACTION), QUANTILE_NOISES,
+                                IntegrationConfig(100))
+        assert traj.x.var() == pytest.approx(field.variance, rel=0.03)
+        # Gaussian Poincare inequality: Var f(eps) <= E[f'(eps)^2] for the transport map f
+        ej2 = variance_estimate(field, STATE, ACTION, QUANTILE_NOISES, flow_steps=100)
+        assert ej2 == pytest.approx(float((traj.jac**2).mean()), rel=1e-12)
+        assert ej2 >= field.variance
 
 
 class TestVarianceEstimate:

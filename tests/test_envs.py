@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from flowrl.envs import (
     BranchingTree,
     ContinuousBandit1D,
+    Dataset,
     StochasticChain,
     ToyMdp,
     WindyGrid,
@@ -189,7 +190,6 @@ class TestMonteCarlo:
         assert abs(samples.mean()) < 4.0 / np.sqrt(n)
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("env,horizon,mass_tol", [
     (StochasticChain(), 16, 0.05),
     (BranchingTree(), 3, 1e-9),
@@ -228,17 +228,16 @@ class TestDatasets:
         env = StochasticChain()
         ds = generate_dataset(env, behavior_policy_for(env), 1, seed=0)
         assert len(ds) == 1
-        t = ds.transitions[0]
-        assert t.s.shape == (env.state_dim,) and t.a.shape == (env.action_dim,)
+        assert ds.s.shape == ds.s_next.shape == (1, env.state_dim)
+        assert ds.a.shape == (1, env.action_dim) and ds.r.shape == ds.terminal.shape == (1,)
 
     def test_same_seed_identical(self):
         env = BranchingTree()
         pol = behavior_policy_for(env)
-        a = generate_dataset(env, pol, 200, seed=9)
-        b = generate_dataset(env, pol, 200, seed=9)
-        for ta, tb in zip(a.transitions, b.transitions):
-            assert np.array_equal(ta.s, tb.s) and np.array_equal(ta.a, tb.a)
-            assert ta.r == tb.r and ta.terminal == tb.terminal
+        a = generate_dataset(env, pol, 200, seed=9).arrays()
+        b = generate_dataset(env, pol, 200, seed=9).arrays()
+        for key in a:
+            assert a[key].dtype == b[key].dtype and a[key].tobytes() == b[key].tobytes()
 
     def test_uniform_action_frequencies(self):
         env = StochasticChain()
@@ -264,6 +263,118 @@ class TestDatasets:
         assert make_env("branching-tree").env_id == "branching-tree-3"
         with pytest.raises(Exception):
             make_env("no-such-env")
+
+    def test_arrays_are_the_read_only_columns(self):
+        env = WindyGrid()
+        ds = generate_dataset(env, behavior_policy_for(env), 300, seed=2)
+        arr = ds.arrays()
+        assert list(arr) == ["s", "a", "r", "s_next", "terminal"]
+        for key, col in arr.items():
+            assert col is getattr(ds, key) and not col.flags.writeable
+        assert arr["terminal"].dtype == bool and arr["r"].dtype == np.float64
+        with pytest.raises(ValueError):
+            arr["r"][0] = 1.0
+
+    def test_constructor_copies_and_checks_columns(self):
+        s = np.zeros((2, 3))
+        ds = Dataset(s, np.zeros((2, 1)), np.zeros(2), np.ones((2, 3)), [True, False], "e", "b", 0)
+        s[0, 0] = 5.0
+        assert ds.s[0, 0] == 0.0 and s.flags.writeable
+        with pytest.raises(ContractError):   # rows disagree
+            Dataset(s, np.zeros((3, 1)), np.zeros(2), s, [True, False], "e", "b", 0)
+        with pytest.raises(ContractError):   # s_next width differs from s
+            Dataset(s, np.zeros((2, 1)), np.zeros(2), np.zeros((2, 2)), [True, False], "e", "b", 0)
+        with pytest.raises(ContractError):
+            Dataset(np.zeros((0, 3)), np.zeros((0, 1)), np.zeros(0), np.zeros((0, 3)), [],
+                    "e", "b", 0)
+
+    def test_episodes_are_contiguous_and_rows_are_branches(self):
+        # rows run episode by episode: each row is a branch of outcomes(s, a), and the
+        # next row continues from s_next unless the episode ended or hit the cap
+        for env in (StochasticChain(), WindyGrid()):
+            ds = generate_dataset(env, behavior_policy_for(env), 2000, seed=6)
+            start = env.initial_state(None)
+            length = 0
+            for i in range(len(ds)):
+                s, a = ds.s[i], ds.a[i]
+                if length == 0:
+                    assert np.array_equal(s, start)
+                else:
+                    assert np.array_equal(s, ds.s_next[i - 1])
+                assert any(np.array_equal(ds.s_next[i], s_next) and ds.r[i] == r
+                           and ds.terminal[i] == terminal
+                           for _, s_next, r, terminal in env.outcomes(s, a))
+                length += 1
+                if ds.terminal[i] or length == env.episode_cap:
+                    length = 0
+
+
+# windy-grid-3 and continuous-bandit-1d datasets in the file format, each with
+# the bytes of the columns that were saved
+GRID_FILE = """windy-grid-3|uniform-discrete|1|4|9|2
+1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|-1.0,0.0|-0.05|1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|0
+1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|0.0,1.0|-0.05|0.0,0.0,0.0,1.0,0.0,0.0,0.0,0.0,0.0|0
+0.0,0.0,0.0,1.0,0.0,0.0,0.0,0.0,0.0|0.0,-1.0|-0.05|1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|0
+1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|0.0,-1.0|-0.05|1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|0
+"""
+GRID_COLUMNS = {
+    "s": np.eye(9)[[0, 0, 3, 0]],
+    "a": np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, -1.0]]),
+    "r": np.full(4, -0.05),
+    "s_next": np.eye(9)[[0, 3, 0, 0]],
+    "terminal": np.zeros(4, dtype=bool),
+}
+BANDIT_FILE = """continuous-bandit-1d|uniform-box|2|3|1|1
+0.0|-0.4767757315013672|0.3181506394428474|1.0|1
+0.0|0.6284514811885606|0.2957766808613427|1.0|1
+0.0|0.200201051931308|0.27749909902487|1.0|1
+"""
+BANDIT_COLUMNS = {
+    "s": np.zeros((3, 1)),
+    "a": np.frombuffer(bytes.fromhex("54ca945b7e83debfec7bda47461ce43fe0ba552530a0c93f"))
+           .reshape(3, 1),
+    "r": np.frombuffer(bytes.fromhex("f2f1e67f945cd43f6402ce5001eed23f54cdbe948bc2d13f")),
+    "s_next": np.ones((3, 1)),
+    "terminal": np.ones(3, dtype=bool),
+}
+
+
+class TestLoadDataset:
+    @pytest.mark.parametrize("text,columns,provenance", [
+        (GRID_FILE, GRID_COLUMNS, ("windy-grid-3", "uniform-discrete", 1)),
+        (BANDIT_FILE, BANDIT_COLUMNS, ("continuous-bandit-1d", "uniform-box", 2)),
+    ])
+    def test_file_loads_to_saved_columns_bit_for_bit(self, tmp_path, text, columns, provenance):
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+        ds = load_dataset(path)
+        assert (ds.env_id, ds.behavior_id, ds.seed) == provenance
+        for key, want in columns.items():
+            got = ds.arrays()[key]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        save_dataset(ds, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_text() == text
+
+    @pytest.mark.parametrize("old,new", [
+        ("|-1.0,0.0|-0.05|", "|-1.0,0.0|"),                        # four fields
+        ("|-1.0,0.0|-0.05|", "|-1.0,0.0|abc|"),                    # non-numeric real
+        ("1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|-1.0", "1.0,0.0|-1.0"),   # state of width 2
+        ("|1|4|9|2", "|one|4|9|2"),                                 # header seed not an int
+        ("|1|4|9|2", "|1|4|9|x"),                                   # header dim not an int
+        ("|1|4|9|2", "|1|5|9|2"),                                   # count != lines
+        ("0.0,0.0,0.0,0.0|-1.0,0.0|-0.05|1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|0",
+         "0.0,0.0,0.0,0.0|-1.0,0.0|-0.05|1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|7"),   # flag 7
+        ("1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|-1.0", "nan,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|-1.0"),
+        ("|-1.0,0.0|-0.05|", "|-1.0,0.0|inf|"),                    # infinite reward
+    ], ids=["field-count", "non-numeric", "vector-width", "header-seed", "header-dim",
+            "count", "terminal-flag", "nan-state", "inf-reward"])
+    def test_malformed_file_raises_contract_error(self, tmp_path, old, new):
+        assert old in GRID_FILE
+        path = tmp_path / "data.txt"
+        path.write_text(GRID_FILE.replace(old, new, 1))
+        with pytest.raises(ContractError):
+            load_dataset(path)
 
 
 class TestBellmanOperator:
@@ -368,24 +479,153 @@ class TestBranchTable:
 
     @pytest.mark.parametrize("make", FINITE_ENVS)
     def test_sampling_bit_identical_to_outcomes(self, make):
+        # Selectors without ``support`` take the step-by-step path, which samples
+        # through ``_sample_outcome``; ``ref`` reads outcomes() instead.
         env, ref = make(), make()
         ref._sample_outcome = functools.partial(sample_from_outcomes, ref)
         policy = behavior_policy_for(env)
-        got, want = generate_dataset(env, policy, 500, seed=3), generate_dataset(ref, policy, 500, 3)
-        got_arr, want_arr = got.arrays(), want.arrays()
-        for key in want_arr:
-            assert got_arr[key].tobytes() == want_arr[key].tobytes()
-        s, a = env.initial_state(None), env.action_atoms()[0]
-        assert (monte_carlo_returns(env, policy, s, a, 200, env.episode_cap, seed=4).tobytes()
-                == monte_carlo_returns(ref, policy, s, a, 200, env.episode_cap, seed=4).tobytes())
+
+        def uniform(s, rng):
+            return policy(s, rng)
 
         def box(s, rng):  # actions off the atoms read outcomes() directly
             return rng.uniform(-1.0, 1.0, size=env.action_dim)
 
+        got, want = generate_dataset(env, uniform, 500, seed=3), generate_dataset(ref, uniform, 500, 3)
+        got_arr, want_arr = got.arrays(), want.arrays()
+        for key in want_arr:
+            assert got_arr[key].tobytes() == want_arr[key].tobytes()
+        s, a = env.initial_state(None), env.action_atoms()[0]
+        assert (monte_carlo_returns(env, uniform, s, a, 200, env.episode_cap, seed=4).tobytes()
+                == monte_carlo_returns(ref, uniform, s, a, 200, env.episode_cap, seed=4).tobytes())
         for selector in (policy, box):
             assert (evaluate_policy(env, selector, 50, env.episode_cap, seed=5)
                     == evaluate_policy(ref, selector, 50, env.episode_cap, seed=5))
         assert branch_table(env).states and not branch_table(ref).states
+
+
+def support_sampler(policy):
+    """A selector drawing from ``policy.support`` with no ``support`` of its own."""
+    def select(s, rng):
+        probs, actions = zip(*policy.support(s))
+        return np.asarray(actions[rng.choice(len(actions), p=probs)], dtype=np.float64)
+    return select
+
+
+class TestLockstepRollouts:
+    """The lockstep path of Monte Carlo and dataset generation, refereed by ``step``."""
+
+    @pytest.mark.parametrize("make", FINITE_ENVS + [UnitRewardLoop])
+    def test_dense_rows_equal_outcomes(self, make):
+        env = make()
+        view = branch_table(env).dense()
+        n_atoms = len(view.atoms)
+        assert view.states.shape[1] == env.state_dim and len(view.atoms) == len(env.action_atoms())
+        for sid, s in enumerate(view.states):
+            for aid, a in enumerate(view.atoms):
+                pair = sid * n_atoms + aid
+                expected = ([(1.0, s, 0.0, True)] if env.is_terminal(s)
+                            else env.outcomes(s, a))
+                count = view.count[pair]
+                assert count == len(expected)
+                assert np.isinf(view.cdf[pair, count - 1:]).all()
+                np.testing.assert_array_equal(view.cdf[pair, :count - 1],
+                                              np.cumsum([p for p, *_ in expected])[:count - 1])
+                for j, (p, s_next, r, terminal) in enumerate(expected):
+                    assert view.prob[pair, j] == p and view.reward[pair, j] == r
+                    assert view.terminal[pair, j] == terminal
+                    assert np.array_equal(view.states[view.next_id[pair, j]], s_next)
+
+    @pytest.mark.parametrize("make,horizon", [(StochasticChain, 16), (BranchingTree, 3),
+                                              (WindyGrid, 12)])
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_monte_carlo_matches_step_by_step(self, make, horizon, skewed):
+        env = make()
+        policy = SkewedPolicy(env) if skewed else uniform_discrete_policy(env)
+        s, a = env.initial_state(None), env.action_atoms()[0]
+        batched = monte_carlo_returns(env, policy, s, a, 20_000, horizon, seed=21)
+        stepwise = monte_carlo_returns(env, support_sampler(policy), s, a, 2000, horizon, seed=22)
+        z_lo, z_hi = env.z_bounds
+        assert wasserstein1_discrete(batched, np.full(batched.size, 1.0 / batched.size),
+                                     stepwise, np.full(stepwise.size, 1.0 / stepwise.size)) \
+            < 0.02 * (z_hi - z_lo)
+        atoms = enumerate_return_distribution(env, policy, s, a, horizon, mass_tol=1.0)
+        w1 = wasserstein1_discrete(atoms.values, atoms.masses, batched,
+                                   np.full(batched.size, 1.0 / batched.size))
+        assert w1 < 0.02 * (z_hi - z_lo)
+
+    def test_terminal_start_state_returns_zero(self):
+        env = BranchingTree()
+        leaf = np.eye(env.state_dim)[env.n_nodes - 1]
+        for policy in (uniform_discrete_policy(env), behavior_policy_for(env).__call__):
+            out = monte_carlo_returns(env, policy, leaf, np.array([1.0]), 50, 5, seed=0)
+            assert out.tobytes() == np.zeros(50).tobytes()
+
+    def test_off_atom_start_action(self):
+        # action 0.3 makes the first (+1 or -1) edge go left with probability 0.515
+        env = BranchingTree()
+        policy = uniform_discrete_policy(env)
+        s, a = env.initial_state(None), np.array([0.3])
+        n = 100_000
+        samples = monte_carlo_returns(env, policy, s, a, n, 3, seed=8)
+        p_left = (samples > 0.0).mean()
+        assert abs(p_left - 0.515) < 4 * np.sqrt(0.515 * 0.485 / n)
+        atoms = enumerate_return_distribution(env, policy, s, a, 3)
+        assert wasserstein1_discrete(atoms.values, atoms.masses,
+                                     samples, np.full(n, 1.0 / n)) < 0.01
+        with pytest.raises(ContractError):
+            monte_carlo_returns(env, policy, s, np.array([1.5]), 10, 3)
+
+    def test_unit_reward_loop_constant_as_step_by_step(self):
+        env = UnitRewardLoop()
+        policy = uniform_discrete_policy(env)
+        s, a = env.initial_state(None), np.array([1.0])
+        batched = monte_carlo_returns(env, policy, s, a, 64, 30, seed=0)
+        stepwise = monte_carlo_returns(env, support_sampler(policy), s, a, 4, 30, seed=0)
+        assert batched.tobytes() == np.full(64, stepwise[0]).tobytes()
+        assert stepwise.tobytes() == np.full(4, stepwise[0]).tobytes()
+
+    def test_support_off_the_atoms_steps_one_transition_at_a_time(self):
+        env = BranchingTree()
+
+        class Tilted:   # support on a non-atom action: sampled through __call__
+            def support(self, s):
+                return [(1.0, np.array([0.3]))]
+
+            def __call__(self, s, rng):
+                return np.array([0.3])
+
+        s, a = env.initial_state(None), np.array([1.0])
+        got = monte_carlo_returns(env, Tilted(), s, a, 300, 3, seed=1)
+        want = monte_carlo_returns(env, Tilted().__call__, s, a, 300, 3, seed=1)
+        assert got.tobytes() == want.tobytes()
+        ds = generate_dataset(env, Tilted(), 30, seed=1)
+        assert (ds.a == 0.3).all()
+
+    @pytest.mark.parametrize("make", FINITE_ENVS)
+    def test_dataset_matches_step_by_step(self, make):
+        # per-row frequencies of actions, terminal flags and rewards agree
+        env = make()
+        policy = SkewedPolicy(env)
+        policy.behavior_id = "skewed"
+        batched = generate_dataset(env, policy, 20_000, seed=5)
+        stepwise = generate_dataset(env, support_sampler(policy), 4000, seed=5)
+        assert batched.behavior_id == "skewed" and stepwise.behavior_id == "custom"
+        for key in ("a", "r", "terminal", "s_next"):
+            x = batched.arrays()[key].reshape(len(batched), -1).astype(float)
+            y = stepwise.arrays()[key].reshape(len(stepwise), -1).astype(float)
+            spread = np.sqrt(x.var(axis=0) / len(x) + y.var(axis=0) / len(y))
+            assert (np.abs(x.mean(axis=0) - y.mean(axis=0)) <= 5 * spread + 1e-12).all(), key
+
+    def test_horizon_below_one_rejected(self):
+        env = WindyGrid()
+        policy = uniform_discrete_policy(env)
+        s, a = env.initial_state(None), env.action_atoms()[0]
+        for selector in (policy, support_sampler(policy)):
+            with pytest.raises(ContractError):
+                monte_carlo_returns(env, selector, s, a, 3, horizon=0)
+            with pytest.raises(ContractError):
+                evaluate_policy(env, selector, 3, horizon=0, seed=0)
 
 
 @settings(max_examples=40, deadline=None)
