@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from flowrl.critic import CriticConfig, ReturnField, _rows, sample_return
-from flowrl.diffcore import MlpSpec, ParamSet, Tensor, init_mlp, mlp_forward, mlp_value
-from flowrl.diffcore.nn import MlpTape
+from flowrl.diffcore import Loss, MlpSpec, MlpTape, ParamSet, init_mlp, mlp_forward, mlp_value
 from flowrl.errors import ConfigError, ContractError
 from flowrl.metrics import ReturnHistogram, histogram_edges, histogram_from_atoms, \
     histogram_from_samples
@@ -51,9 +50,6 @@ class CategoricalCritic:
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
         return np.concatenate([s, a], axis=1)
 
-    def logits_tape(self, s, a) -> MlpTape:
-        return mlp_forward(self.params, self._inputs(s, a), self.spec)
-
     def probs(self, s, a) -> np.ndarray:
         logits = mlp_value(self.params, self._inputs(s, a), self.spec)
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -87,11 +83,21 @@ def c51_project(values: np.ndarray, masses: np.ndarray, support: np.ndarray) -> 
     return out
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 <= gamma < 1.0:
+        raise ConfigError(f"gamma must be in [0, 1), got {gamma}")
+
+
 def c51_project_and_loss(online: CategoricalCritic, target: CategoricalCritic,
                          next_action_sampler, batch, rng: np.random.Generator,
-                         gamma: float) -> tuple[Tensor, MlpTape]:
+                         gamma: float) -> tuple[Loss, MlpTape]:
     """Cross-entropy between the projected TD target distribution and the
-    online categorical distribution. Terminal rows project a point mass at r."""
+    online categorical distribution. Terminal rows project a point mass at r.
+
+    With p the projected target and G = -p / n, the logits' gradient is
+    G - softmax * rowsum(G), the log-softmax reverse pass.
+    """
+    _check_gamma(gamma)
     if not np.array_equal(online.support, target.support):
         raise ConfigError("online and target critics must share one support")
     n = len(batch)
@@ -101,10 +107,12 @@ def c51_project_and_loss(online: CategoricalCritic, target: CategoricalCritic,
     gamma_eff = gamma * (~batch.terminal)
     shifted = batch.r[:, None] + gamma_eff[:, None] * online.support[None, :]
     projected = c51_project(shifted, next_probs, online.support)
-    tape = online.logits_tape(batch.s, batch.a)
-    log_probs = tape.output.log_softmax(axis=1)
-    loss = -(log_probs * Tensor(projected)).sum(axis=1).mean()
-    return loss, tape
+    tape = mlp_forward(online.params, online._inputs(batch.s, batch.a), online.spec)
+    logits = tape.output - tape.output.max(axis=1, keepdims=True)
+    log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    value = -((log_probs * projected).sum(axis=1).sum() * (1.0 / n))
+    g = -(1.0 / n) * projected
+    return Loss(value, tape, g - np.exp(log_probs) * g.sum(axis=1, keepdims=True)), tape
 
 
 class QuantileCritic:
@@ -142,9 +150,6 @@ class QuantileCritic:
         vals = mlp_value(self.params, self._inputs(s, a, u), self.spec)
         return vals.reshape(u.shape)
 
-    def quantiles_tape(self, s, a, u: np.ndarray) -> MlpTape:
-        return mlp_forward(self.params, self._inputs(s, a, u), self.spec)
-
     def q_values(self, s, a, n_fractions: int = 32) -> np.ndarray:
         s2 = np.atleast_2d(np.asarray(s, dtype=np.float64))
         u = np.broadcast_to((np.arange(n_fractions) + 0.5) / n_fractions,
@@ -155,16 +160,20 @@ class QuantileCritic:
 def quantile_huber_loss(online: QuantileCritic, target: QuantileCritic,
                         next_action_sampler, batch, rng: np.random.Generator,
                         gamma: float, kappa: float, n_quantiles: int = 32
-                        ) -> tuple[Tensor, MlpTape]:
+                        ) -> tuple[Loss, MlpTape]:
     """Asymmetric Huber quantile regression against TD target samples.
 
     Online quantiles at fresh uniform fractions regress pairwise onto target
     samples r + gamma * z', where z' are target-critic quantiles at independent
     fractions. The asymmetry weight |u - 1{delta < 0}| treats the sign of the
-    TD residual as constant.
+    TD residual as constant, so each online quantile's gradient is minus the
+    weighted Huber slope summed over the target samples, over the pair count.
     """
+    _check_gamma(gamma)
     if kappa <= 0.0:
         raise ContractError(f"kappa must be positive, got {kappa}")
+    if n_quantiles < 1:
+        raise ContractError(f"n_quantiles must be >= 1, got {n_quantiles}")
     n = len(batch)
     a_next = np.atleast_2d(np.asarray(next_action_sampler(batch.s_next, rng),
                                       dtype=np.float64))
@@ -174,12 +183,16 @@ def quantile_huber_loss(online: QuantileCritic, target: QuantileCritic,
     gamma_eff = gamma * (~batch.terminal)
     y = batch.r[:, None] + gamma_eff[:, None] * z_next  # (n, k) target samples
 
-    tape = online.quantiles_tape(batch.s, batch.a, u_online)
-    q = tape.output.reshape(n, n_quantiles, 1)
-    delta = Tensor(y[:, None, :]) - q  # (n, k_online, k_target)
-    weight = np.abs(u_online[:, :, None] - (delta.data < 0.0))
-    loss = (delta.huber(kappa) * Tensor(weight)).mean()
-    return loss, tape
+    tape = mlp_forward(online.params, online._inputs(batch.s, batch.a, u_online), online.spec)
+    delta = y[:, None, :] - tape.output.reshape(n, n_quantiles, 1)  # (n, k_online, k_target)
+    weight = np.abs(u_online[:, :, None] - (delta < 0.0))
+    abs_delta = np.abs(delta)
+    small = abs_delta <= kappa
+    huber = np.where(small, 0.5 * delta * delta, kappa * (abs_delta - 0.5 * kappa))
+    inv_pairs = 1.0 / delta.size
+    value = (huber * weight).sum() * inv_pairs
+    slope = inv_pairs * weight * np.where(small, delta, kappa * np.sign(delta))
+    return Loss(value, tape, -slope.sum(axis=2).reshape(-1, 1)), tape
 
 
 def critic_histogram(critic, s, a, n_samples: int, n_bins: int,

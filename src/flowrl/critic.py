@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowrl.diffcore import MlpSpec, ParamSet, Tensor, concat, init_mlp, mlp_forward, mlp_value, \
-    mlp_value_and_input_jvp
-from flowrl.diffcore.nn import MlpTape
+from flowrl.diffcore import Loss, MlpSpec, MlpTape, ParamSet, init_mlp, input_vjp, mlp_forward, \
+    mlp_value, mlp_value_and_input_jvp
 from flowrl.errors import ConfigError, ContractError
 from flowrl.flowkit import IntegrationConfig, euler_integrate, euler_integrate_with_derivative, \
     euler_trajectory, sample_times
@@ -275,22 +274,25 @@ def _bcfm_rows(batch: CriticBatch, d: _LossDraws, cfg: CriticConfig):
     return z_in, target
 
 
-def _weighted_regression(online: ReturnField, z_in, t, s, a, target, coeffs
-                         ) -> tuple[Tensor, MlpTape]:
+def _weighted_regression(online: ReturnField, z_in, t, s, a, target, coeffs) -> Loss:
+    """sum(coeffs * (v - target)^2); its output gradient is 2 * coeffs * residual."""
     tape = online.forward_tape(online._inputs(z_in, t, s, a))
-    residual = tape.output - Tensor(target[:, None])
-    loss = (residual**2 * Tensor(coeffs[:, None])).sum()
-    return loss, tape
+    c = coeffs[:, None]
+    residual = tape.output - target[:, None]
+    return Loss((residual**2 * c).sum(), tape, 2.0 * c * residual)
 
 
 def value_flow_loss(online: ReturnField, target: ReturnField, next_action_sampler,
                     batch: CriticBatch, cfg: CriticConfig, rng: np.random.Generator
-                    ) -> tuple[Tensor, MlpTape, dict]:
+                    ) -> tuple[Loss, MlpTape, dict]:
     """Combined critic loss: weighted DCFM + lam * weighted BCFM.
 
     Draws one noise per transition, reused for the confidence weight, the
     target-flow integration, and both loss terms; runs a single stacked online
-    forward pass. Returns (loss, tape, diagnostics).
+    forward pass. Returns (loss, tape, diagnostics). Besides the two terms,
+    the diagnostics show how the confidence weight spreads over the batch:
+    its mean, its 10/50/90th percentiles and the share of rows above 0.55,
+    which is near 0 when the weight is flat at its 0.5 floor.
     """
     d = _draw_loss_quantities(target, next_action_sampler, batch, cfg, rng)
     weights = _weight_from_jac(d.jac1, cfg.tau)
@@ -305,38 +307,57 @@ def value_flow_loss(online: ReturnField, target: ReturnField, next_action_sample
     targets = np.concatenate([tgt_dc, tgt_bc])
     coeffs = np.concatenate([weights / n, cfg.lam * weights / n])
 
-    loss, tape = _weighted_regression(online, z_in, t_in, s_in, a_in, targets, coeffs)
+    loss = _weighted_regression(online, z_in, t_in, s_in, a_in, targets, coeffs)
 
-    res = tape.output.data[:, 0] - targets
+    res = loss.tape.output[:, 0] - targets
     dcfm_val = float(np.mean(weights * res[:n] ** 2))
     bcfm_val = float(np.mean(weights * res[n:] ** 2))
+    p10, p50, p90 = np.percentile(weights, [10, 50, 90])
     diagnostics = {
         "dcfm": dcfm_val,
         "bcfm": bcfm_val,
         "mean_weight": float(weights.mean()),
+        "weight_p10": float(p10),
+        "weight_p50": float(p50),
+        "weight_p90": float(p90),
+        "weight_share_above_0.55": float((weights > 0.55).mean()),
         "mean_abs_flow_derivative": float(np.abs(d.jac1).mean()),
         "q_mean": float(online.velocity(d.eps, 0.0, batch.s, batch.a).mean()),
     }
-    return loss, tape, diagnostics
+    return loss, loss.tape, diagnostics
 
 
-def q_values_tensor(fields: list[ReturnField], s: np.ndarray, a_tensor: Tensor,
-                    noises: np.ndarray) -> Tensor:
-    """Differentiable ensemble-min Q estimate with gradients into the actions.
+def ensemble_q_and_action_grad(fields: list[ReturnField], s: np.ndarray, actions: np.ndarray,
+                               noises: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble-min Q estimate per row and its gradient with respect to the actions.
 
-    Field parameters stay constant. Each field runs one forward pass over the
-    m noises stacked on n rows, inputs (eps, t=0, s, action graph); the m
-    outputs per row are averaged.
+    Each field runs one pass over the m noises stacked on the n rows, inputs
+    (eps, t = 0, s, a), and averages its m outputs per row; q is the minimum
+    over fields, ties going to the earlier field. dq/da comes from the
+    input-only reverse pass of each field, seeded on the rows where it is that
+    minimum, summed over the noises. Field parameters are constants.
+    Returns q as (n, 1) and dq/da as (n, action_dim).
     """
     if not fields:
         raise ContractError("need at least one field")
     noises = np.atleast_1d(np.asarray(noises, dtype=np.float64))
+    if noises.ndim != 1 or noises.size < 1:
+        raise ContractError(f"need a 1-d set of at least one Q noise, got shape {noises.shape}")
     n, m = s.shape[0], noises.size
-    x = concat([np.repeat(noises, n)[:, None], np.zeros((m * n, 1)), np.tile(s, (m, 1)),
-                concat([a_tensor] * m, axis=0)], axis=1)
-    per_field = [mlp_forward(field.params, x, field.spec, params_need_grad=False)
-                 .output.reshape(m, n, 1).mean(axis=0) for field in fields]
-    q = per_field[0]
-    for other in per_field[1:]:
-        q = q.min_elem(other)
-    return q
+    x = np.concatenate([np.repeat(noises, n)[:, None], np.zeros((m * n, 1)), np.tile(s, (m, 1)),
+                        np.tile(actions, (m, 1))], axis=1)
+    tapes = [mlp_forward(field.params, x, field.spec) for field in fields]
+    per_field = np.stack([tape.output.reshape(m, n).sum(axis=0) * (1.0 / m) for tape in tapes])
+    owner = np.argmin(per_field, axis=0)    # the first field on ties
+    q = np.take_along_axis(per_field, owner[None], axis=0).T
+    # every field's reverse pass runs over all m * n rows, seeded 0 where another field
+    # is the minimum: a row's rounding in the BLAS product depends on the rows it is
+    # batched with, so a pass over only the rows a field owns moves dq/da by an ulp
+    dq_da = np.zeros_like(actions)
+    first_action_col = x.shape[1] - actions.shape[1]
+    for j, tape in enumerate(tapes):
+        mine = owner == j
+        if mine.any():
+            gx = input_vjp(tape, np.tile(np.where(mine, 1.0 / m, 0.0), m)[:, None])
+            dq_da += gx[:, first_action_col:].reshape(m, n, -1).sum(axis=0)
+    return q, dq_da

@@ -1,12 +1,14 @@
 """Differentiation for the package's one network shape, plus optimizers and files.
 
 ``nn`` walks a GELU/LayerNorm MLP once for values, input JVPs and the
-closed-form parameter/input VJP; ``tensor`` is a small reverse-mode engine for
-the loss heads, in which an MLP is a single node.
+closed-form parameter/input VJP. A loss head returns a ``Loss``: its value,
+the network's ``MlpTape`` and d(loss)/d(output), which ``backward`` carries
+to the parameters.
 """
 
-from flowrl.diffcore.tensor import Tensor, concat
 from flowrl.diffcore.nn import (
+    Leaf,
+    Loss,
     MlpSpec,
     MlpTape,
     ParamSet,
@@ -14,6 +16,7 @@ from flowrl.diffcore.nn import (
     clone_params,
     init_mlp,
     input_derivative,
+    input_vjp,
     mlp_forward,
     mlp_value,
     mlp_value_and_input_jvp,
@@ -23,9 +26,8 @@ from flowrl.diffcore.optim import AdamState, adam_step, ema_update
 from flowrl.diffcore.serialize import load_params, params_from_obj, params_to_obj, save_params
 
 __all__ = [
-    "Tensor", "concat",
-    "MlpSpec", "MlpTape", "ParamSet",
-    "backward", "clone_params", "init_mlp", "input_derivative",
+    "Leaf", "Loss", "MlpSpec", "MlpTape", "ParamSet",
+    "backward", "clone_params", "init_mlp", "input_derivative", "input_vjp",
     "mlp_forward", "mlp_value", "mlp_value_and_input_jvp", "param_count",
     "AdamState", "adam_step", "ema_update",
     "load_params", "params_from_obj", "params_to_obj", "save_params",

@@ -7,8 +7,10 @@ plain dict of named float64 arrays; shapes are fixed at init time.
 ``_walk`` is the only forward pass. It returns the output and, on request,
 the input JVP J @ tangent and a per-layer cache, over which ``_vjp`` runs the
 closed-form reverse pass (linear, LayerNorm and GELU). ``mlp_forward``
-records the whole network as a single node of the tensor engine, so loss
-heads written with ``Tensor`` ops differentiate through it.
+keeps that cache on an ``MlpTape``; ``backward`` turns d(loss)/d(output)
+into parameter gradients and ``input_vjp`` into input gradients. Each loss
+head computes its own d(loss)/d(output) in numpy and returns it on a
+``Loss``, so there is no general differentiation engine.
 
 Both passes allocate nothing per hidden layer in steady state: their
 (batch, hidden) temporaries live in a per-thread workspace (``_Workspace``)
@@ -26,7 +28,6 @@ import numpy as np
 from scipy.special import erf
 
 from flowrl.errors import ConfigError, ContractError
-from flowrl.diffcore.tensor import Tensor
 
 ParamSet = dict[str, np.ndarray]
 
@@ -236,41 +237,74 @@ def _vjp(params: ParamSet, cache: list, out_grad: np.ndarray, param_grads: bool,
 
 
 @dataclass
+class Leaf:
+    """One parameter array and the gradient ``backward`` wrote for it (None before)."""
+
+    data: np.ndarray
+    grad: np.ndarray | None = None
+
+
+@dataclass
 class MlpTape:
-    """Forward-pass record: output node plus the leaves gradients flow into."""
+    """One forward pass kept for its reverse pass: output, parameter leaves, layer cache."""
 
-    output: Tensor
-    params: dict[str, Tensor]
+    output: np.ndarray
+    params: dict[str, Leaf]
+    cache: list
 
 
-def mlp_forward(params: ParamSet, x, spec: MlpSpec, *, params_need_grad: bool = True) -> MlpTape:
-    """Run the MLP and record it as one node for reverse-mode differentiation.
+def mlp_forward(params: ParamSet, x, spec: MlpSpec) -> MlpTape:
+    """Run the MLP on a (batch, in_dim) array and keep what its reverse pass reads."""
+    out, _, cache = _walk(params, x, spec, keep=True)
+    return MlpTape(out, {name: Leaf(arr) for name, arr in params.items()}, cache)
 
-    ``x`` may be a plain (batch, in_dim) array or an existing graph Tensor
-    (e.g. a concat containing a policy output). The node's backward is the
-    closed-form VJP; it sends gradients to the parameter leaves unless
-    ``params_need_grad`` is False, and to ``x`` when ``x`` is part of a graph.
-    """
-    x_t = x if isinstance(x, Tensor) else Tensor(x)
-    input_grad = x_t.requires_grad or bool(x_t._parents)
-    out, _, cache = _walk(params, x_t.data, spec, keep=params_need_grad or input_grad)
-    leaves = {name: Tensor(arr, requires_grad=params_need_grad) for name, arr in params.items()}
 
-    def bw(g):
-        grads, gx = _vjp(params, cache, g, params_need_grad, input_grad)
-        for name, grad in grads.items():
-            leaves[name]._accum(grad)
-        if gx is not None:
-            x_t._accum(gx)
-
-    return MlpTape(output=Tensor._node(out, (x_t, *leaves.values()), bw), params=leaves)
+def _output_grad(output_grad, shape: tuple[int, ...]) -> np.ndarray:
+    g = np.ascontiguousarray(output_grad, dtype=np.float64)
+    if g.shape != shape:
+        raise ContractError(f"output grad shape {g.shape} != output shape {shape}")
+    return g
 
 
 def backward(tape: MlpTape, output_grad) -> ParamSet:
-    """Gradients of every parameter given d(loss)/d(output); untouched -> zeros."""
-    tape.output.backward(np.asarray(output_grad, dtype=np.float64))
-    return {name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
-            for name, leaf in tape.params.items()}
+    """Gradients of every parameter given d(loss)/d(output).
+
+    Runs the closed-form reverse pass once and also writes each gradient to
+    ``tape.params[name].grad``, replacing what an earlier call wrote.
+    """
+    g = _output_grad(output_grad, tape.output.shape)
+    grads, _ = _vjp({k: leaf.data for k, leaf in tape.params.items()}, tape.cache, g, True, False)
+    for name, leaf in tape.params.items():
+        leaf.grad = grads[name]
+    return {name: leaf.grad for name, leaf in tape.params.items()}
+
+
+def input_vjp(tape: MlpTape, output_grad) -> np.ndarray:
+    """d(output)/d(input) transposed times ``output_grad``: the input-only reverse pass.
+
+    No parameter gradient is computed and no leaf is written.
+    """
+    g = _output_grad(output_grad, tape.output.shape)
+    return _vjp({k: leaf.data for k, leaf in tape.params.items()}, tape.cache, g, False, True)[1]
+
+
+@dataclass
+class Loss:
+    """A scalar loss, the tape of the network it trains and d(loss)/d(that network's output).
+
+    Every loss head computes its value and its output gradient in numpy;
+    ``backward()`` hands the gradient to the network's reverse pass.
+    """
+
+    data: np.ndarray
+    tape: MlpTape
+    output_grad: np.ndarray
+
+    def __post_init__(self):
+        self.data = np.asarray(self.data, dtype=np.float64)
+
+    def backward(self) -> ParamSet:
+        return backward(self.tape, self.output_grad)
 
 
 def mlp_value(params: ParamSet, x: np.ndarray, spec: MlpSpec) -> np.ndarray:

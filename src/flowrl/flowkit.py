@@ -1,4 +1,4 @@
-"""Generic flow-matching machinery shared by the critic and the policies.
+"""Euler integration of flow fields, shared by the critic and the policies.
 
 A flow field turns noise into samples by Euler-integrating dx/dt = v(x | t)
 over t in [0, 1]. Scalar fields can co-integrate the sensitivity of the
@@ -16,11 +16,10 @@ trajectory this way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from flowrl.diffcore.tensor import Tensor
 from flowrl.errors import ConfigError, ContractError, IntegrationError
 
 
@@ -40,33 +39,6 @@ class ScalarFlowField(FlowField, Protocol):
     """1-d flow field that can also report dv/dx at the queried points."""
 
     def velocity_and_derivative(self, x: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]: ...
-
-
-@runtime_checkable
-class TrainableFlowField(FlowField, Protocol):
-    """Field whose velocity can be evaluated as a graph Tensor for training."""
-
-    def velocity_tensor(self, x: np.ndarray, t) -> Tensor: ...
-
-
-class FuncField:
-    """Adapter turning plain callables into flow fields, mostly for tests."""
-
-    def __init__(self, fn: Callable[[np.ndarray, np.ndarray | float], np.ndarray],
-                 dfn: Callable[[np.ndarray, np.ndarray | float], np.ndarray] | None = None):
-        self._fn = fn
-        self._dfn = dfn
-
-    def velocity(self, x, t):
-        return np.asarray(self._fn(x, t), dtype=np.float64)
-
-    def velocity_and_derivative(self, x, t):
-        if self._dfn is None:
-            raise ContractError("FuncField built without a derivative rule")
-        return self.velocity(x, t), np.asarray(self._dfn(x, t), dtype=np.float64)
-
-    def velocity_tensor(self, x, t):
-        return Tensor(self.velocity(x, t))
 
 
 @dataclass(frozen=True)
@@ -172,52 +144,6 @@ def euler_integrate_with_derivative(field: ScalarFlowField, noise: np.ndarray,
     return traj.x, traj.jac
 
 
-def euler_integrate_to_times(field: FlowField, noise: np.ndarray, t_finals: np.ndarray,
-                             steps: int) -> np.ndarray:
-    """Per-row partial integration: row i runs ``steps`` steps of size t_i/steps.
-
-    Nothing in the package calls it: the critic reads its per-row times off
-    one :class:`EulerTrajectory` instead (see :meth:`EulerTrajectory.at`).
-    It is kept because the benchmark still times it as a probe.
-    """
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
-    x = np.asarray(noise, dtype=np.float64).copy()
-    t_finals = np.asarray(t_finals, dtype=np.float64)
-    if t_finals.shape != x.shape:
-        raise ContractError(f"t_finals shape {t_finals.shape} != noise shape {x.shape}")
-    dt = t_finals / steps
-    for k in range(steps):
-        t = k * dt
-        v = field.velocity(x, t)
-        _check_finite(v, k)
-        x = x + v * dt
-    return x
-
-
 def sample_times(rng: np.random.Generator, n: int) -> np.ndarray:
     """Flow times from the open-closed interval (0, 1]."""
     return 1.0 - rng.random(n)
-
-
-def cfm_loss(field: TrainableFlowField, data_batch: np.ndarray, noise_batch: np.ndarray,
-             times: np.ndarray) -> Tensor:
-    """Conditional flow-matching regression onto the straight-line velocity.
-
-    Interpolates x^t = t*x + (1-t)*eps and regresses v(x^t | t) onto (x - eps);
-    per-sample squared L2 over dims, mean over the batch. Returns a scalar
-    Tensor differentiable w.r.t. the field parameters.
-    """
-    data = np.atleast_2d(np.asarray(data_batch, dtype=np.float64))
-    noise = np.atleast_2d(np.asarray(noise_batch, dtype=np.float64))
-    times = np.asarray(times, dtype=np.float64).reshape(-1)
-    if data.shape[0] == 0:
-        raise ContractError("cfm_loss needs a nonempty batch")
-    if data.shape != noise.shape or times.shape[0] != data.shape[0]:
-        raise ContractError("data, noise and times must be aligned")
-    tcol = times[:, None]
-    x_t = tcol * data + (1.0 - tcol) * noise
-    target = data - noise
-    v = field.velocity_tensor(x_t, times)
-    residual = v - Tensor(target)
-    return (residual**2).sum(axis=1).mean()

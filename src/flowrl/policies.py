@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from flowrl.critic import ReturnField, q_values_tensor
-from flowrl.diffcore import MlpSpec, ParamSet, Tensor, init_mlp, mlp_forward, mlp_value
-from flowrl.diffcore.nn import MlpTape
+from flowrl.critic import ReturnField, ensemble_q_and_action_grad
+from flowrl.diffcore import Loss, MlpSpec, MlpTape, ParamSet, init_mlp, mlp_forward, mlp_value
 from flowrl.errors import ConfigError, ContractError
 from flowrl.flowkit import IntegrationConfig, euler_integrate, sample_times
 
@@ -56,8 +55,12 @@ class BcFlowPolicy:
 
 
 def bc_flow_loss(policy: BcFlowPolicy, s: np.ndarray, a: np.ndarray,
-                 rng: np.random.Generator) -> tuple[Tensor, MlpTape]:
-    """Conditional flow matching over dataset actions given states."""
+                 rng: np.random.Generator) -> tuple[Loss, MlpTape]:
+    """Conditional flow matching over dataset actions given states.
+
+    Interpolates a^t = t * a + (1 - t) * eps and regresses v(a^t | t, s) onto
+    a - eps: per-row squared L2 over action dims, mean over the batch.
+    """
     s = np.atleast_2d(np.asarray(s, dtype=np.float64))
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     if a.shape[0] == 0:
@@ -69,9 +72,9 @@ def bc_flow_loss(policy: BcFlowPolicy, s: np.ndarray, a: np.ndarray,
     t = sample_times(rng, n)
     a_t = t[:, None] * a + (1.0 - t[:, None]) * eps
     tape = mlp_forward(policy.params, policy._inputs(a_t, t, s), policy.spec)
-    residual = tape.output - Tensor(a - eps)
-    loss = (residual**2).sum(axis=1).mean()
-    return loss, tape
+    residual = tape.output - (a - eps)
+    value = (residual**2).sum(axis=1).sum() * (1.0 / n)
+    return Loss(value, tape, residual * (2.0 / n)), tape
 
 
 def sample_bc_action(policy: BcFlowPolicy, s: np.ndarray, eps_d: np.ndarray,
@@ -108,13 +111,15 @@ def rejection_sample_action(critic_fields: list[ReturnField], bc_policy: BcFlowP
         raise ContractError("need at least one candidate")
     if not critic_fields:
         raise ContractError("need at least one critic field")
+    noise_set = np.atleast_1d(np.asarray(noise_set, dtype=np.float64))
+    if n_candidates > 1 and noise_set.size < 1:
+        raise ContractError("scoring candidates needs at least one Q noise")
     eps = rng.standard_normal((n_candidates, bc_policy.action_dim))
     candidates = sample_bc_action(bc_policy, s, eps, flow_steps)
     if action_atoms is not None:
         candidates = snap_to_atoms(candidates, action_atoms)
     if n_candidates == 1:
         return candidates[0]
-    noise_set = np.atleast_1d(np.asarray(noise_set, dtype=np.float64))
     k = noise_set.size
     s_flat = np.asarray(s, dtype=np.float64).reshape(-1)
     s_rows = np.broadcast_to(s_flat, (n_candidates * k, s_flat.size))
@@ -160,36 +165,38 @@ class OneStepPolicy:
         a = mlp_value(self.params, self._inputs(eps_d, s), self.spec)
         return np.clip(a, -1.0, 1.0) if clip else a
 
-    def act_tape(self, s: np.ndarray, eps_d: np.ndarray) -> MlpTape:
-        return mlp_forward(self.params, self._inputs(eps_d, s), self.spec)
-
 
 def one_step_policy_loss(one_step: OneStepPolicy, bc_policy: BcFlowPolicy,
                          critic_fields: list[ReturnField], s: np.ndarray, alpha: float,
                          rng: np.random.Generator, flow_steps: int = 10,
-                         q_noises: int = 4) -> tuple[Tensor, MlpTape, dict]:
+                         q_noises: int = 4) -> tuple[Loss, MlpTape, dict]:
     """DDPG-style objective: maximize ensemble Q, distill toward the BC flow.
 
-    The same eps_d feeds both policies; gradients flow only through the
-    one-step network (the critic and BC policy are frozen inside the graph).
+    The loss is mean(-q + alpha * |a - a_bc|^2). The same eps_d feeds both
+    policies; gradients flow only into the one-step network (the critics and
+    the BC policy are constants), whose output gradient is
+    -dq/da / n + 2 * alpha * (a - a_bc) / n.
     """
     if alpha < 0.0:
         raise ContractError(f"alpha must be >= 0, got {alpha}")
+    if q_noises < 1:
+        raise ContractError(f"q_noises must be >= 1, got {q_noises}")
     s = np.atleast_2d(np.asarray(s, dtype=np.float64))
     if s.shape[0] == 0:
         raise ContractError("one_step_policy_loss needs a nonempty batch")
     n = s.shape[0]
     eps_d = rng.standard_normal((n, one_step.action_dim))
-    tape = one_step.act_tape(s, eps_d)
+    tape = mlp_forward(one_step.params, one_step._inputs(eps_d, s), one_step.spec)
     actions = tape.output
 
     q_eps = rng.standard_normal(q_noises)
-    q = q_values_tensor(critic_fields, s, actions, q_eps)
-    bc_actions = sample_bc_action(bc_policy, s, eps_d, flow_steps)
-    distill = ((actions - Tensor(bc_actions)) ** 2).sum(axis=1, keepdims=True)
-    loss = (-q + alpha * distill).mean()
+    q, dq_da = ensemble_q_and_action_grad(critic_fields, s, actions, q_eps)
+    gap = actions - sample_bc_action(bc_policy, s, eps_d, flow_steps)
+    distill = (gap**2).sum(axis=1, keepdims=True)
+    value = (-q + distill * alpha).sum() * (1.0 / n)
+    output_grad = dq_da * -(1.0 / n) + (1.0 / n) * alpha * 2.0 * gap
     diagnostics = {
-        "q_term": float(q.data.mean()),
-        "distill_term": float(distill.data.mean()),
+        "q_term": float(q.mean()),
+        "distill_term": float(distill.mean()),
     }
-    return loss, tape, diagnostics
+    return Loss(value, tape, output_grad), tape, diagnostics

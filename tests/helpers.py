@@ -1,22 +1,43 @@
 """Shared test oracles: finite differences and straight-line re-implementations.
 
-Everything here is deliberately independent of the package's tensor engine:
-plain numpy forward passes and central differences, used to cross-check the
-analytic gradients and derivatives (``loss_grad_match`` runs a loss's own
-backward only to compare it with them). The env oracles at the end read every
-branch from ``outcomes()`` directly, never from an env's branch table, and
-referee the table-driven sampling, enumeration and Bellman backup.
+Everything here is deliberately independent of the package's layer walk and
+loss heads: plain numpy forward passes and central differences, used to
+cross-check the closed-form reverse pass and each head's hand-written
+d(loss)/d(output) (``loss_grad_match`` runs a loss's own backward only to
+compare it with them). ``FuncField`` turns plain callables into flow fields.
+The env oracles at the end read every branch from ``outcomes()`` directly,
+never from an env's branch table, and referee the table-driven sampling,
+enumeration and Bellman backup.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 from scipy.special import erf
 
 from flowrl.diffcore import MlpSpec, ParamSet
 from flowrl.envs import ReturnAtomSet, ToyMdp, project_masses, reachable_state_actions, table_key
+from flowrl.errors import ContractError
+
+
+class FuncField:
+    """Flow field from plain callables: ``fn(x, t)`` and, optionally, ``dfn(x, t)`` = dv/dx."""
+
+    def __init__(self, fn: Callable[[np.ndarray, np.ndarray | float], np.ndarray],
+                 dfn: Callable[[np.ndarray, np.ndarray | float], np.ndarray] | None = None):
+        self._fn = fn
+        self._dfn = dfn
+
+    def velocity(self, x, t):
+        return np.asarray(self._fn(x, t), dtype=np.float64)
+
+    def velocity_and_derivative(self, x, t):
+        if self._dfn is None:
+            raise ContractError("FuncField built without a derivative rule")
+        return self.velocity(x, t), np.asarray(self._dfn(x, t), dtype=np.float64)
 
 
 def ref_gelu(x: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from flowrl.baselines import (
     quantile_huber_loss,
 )
 from flowrl.critic import CriticBatch, CriticConfig, ReturnField
-from flowrl.errors import ContractError
+from flowrl.errors import ConfigError, ContractError
 
 from helpers import loss_grad_match, random_params_like
 
@@ -69,6 +69,38 @@ class TestLossGradients:
         assert loss_grad_match(online, lambda ps: quantile_huber_loss(
             online.with_params(ps), target, sampler, batch, np.random.default_rng(3),
             gamma=0.9, kappa=1.0, n_quantiles=6)) >= 0.95
+
+
+class TestLossInputChecks:
+    @staticmethod
+    def losses():
+        rng = np.random.default_rng(10)
+        c51 = CategoricalCritic.create(DS, DA, 5, Z_LO, Z_HI, rng, hidden=(4,))
+        iqn = QuantileCritic.create(DS, DA, rng, hidden=(4,))
+        batch = make_batch(rng)
+        return {
+            "c51": lambda gamma: c51_project_and_loss(c51, c51, sampler, batch,
+                                                      np.random.default_rng(11), gamma=gamma),
+            "iqn": lambda gamma: quantile_huber_loss(iqn, iqn, sampler, batch,
+                                                     np.random.default_rng(11), gamma=gamma,
+                                                     kappa=1.0, n_quantiles=4),
+        }
+
+    @pytest.mark.parametrize("kind", ["c51", "iqn"])
+    @pytest.mark.parametrize("gamma", [1.5, 1.0, -0.1])
+    def test_gamma_outside_the_unit_interval_rejected(self, kind, gamma):
+        loss = self.losses()[kind]
+        assert np.isfinite(float(loss(0.9)[0].data))
+        with pytest.raises(ConfigError):
+            loss(gamma)
+
+    @pytest.mark.parametrize("n_quantiles", [0, -1])
+    def test_iqn_needs_at_least_one_quantile(self, n_quantiles):
+        rng = np.random.default_rng(12)
+        iqn = QuantileCritic.create(DS, DA, rng, hidden=(4,))
+        with pytest.raises(ContractError):
+            quantile_huber_loss(iqn, iqn, sampler, make_batch(rng), rng, gamma=0.9, kappa=1.0,
+                                n_quantiles=n_quantiles)
 
 
 class TestCriticHistogram:

@@ -10,8 +10,8 @@ from flowrl.critic import (
     ReturnField,
     antithetic_noises,
     critic_ensemble_q,
+    ensemble_q_and_action_grad,
     q_estimate,
-    q_values_tensor,
     sample_return,
     value_flow_loss,
     variance_estimate,
@@ -19,15 +19,13 @@ from flowrl.critic import (
     _draw_loss_quantities,
     _weight_from_jac,
 )
-from flowrl.diffcore import MlpSpec, Tensor, mlp_forward
-from flowrl.diffcore.nn import MlpTape
+from flowrl.diffcore import MlpSpec, MlpTape, input_vjp, mlp_forward
 from flowrl.envs import BranchingTree
 from flowrl.errors import ConfigError, ContractError
-from flowrl.flowkit import FuncField, IntegrationConfig, euler_integrate_with_derivative, \
-    euler_trajectory
+from flowrl.flowkit import IntegrationConfig, euler_integrate_with_derivative, euler_trajectory
 from scipy.stats import norm
 
-from helpers import loss_grad_match, random_params_like, ref_mlp
+from helpers import FuncField, loss_grad_match, random_params_like, ref_mlp
 
 DS, DA = 2, 1
 STATE = np.array([0.3, -0.7])
@@ -362,7 +360,7 @@ class _AnalyticTerminalField(ReturnField):
     def forward_tape(self, x):
         z, t = x[:, 0], x[:, 1]
         eps = (z - t * self._r) / (1.0 - t)
-        return MlpTape(output=Tensor((self._r - eps)[:, None]), params={})
+        return MlpTape(output=(self._r - eps)[:, None], params={}, cache=[])
 
 
 class TestBcfmLoss:
@@ -419,6 +417,27 @@ class TestValueFlowLoss:
                                         cfg, np.random.default_rng(31))
         assert loss.data == pytest.approx(diag["dcfm"] + diag["bcfm"], rel=1e-12)
         assert 0.5 <= diag["mean_weight"] <= 1.0
+
+    @pytest.mark.parametrize("tau,flat_weight,share", [(TAU_HALF_WEIGHTS, 0.5, 0.0),
+                                                        (TAU_UNIT_WEIGHTS, 1.0, 1.0)])
+    def test_weight_spread_of_a_flat_weight(self, tau, flat_weight, share):
+        _, _, diag = value_flow_loss(random_field(12), random_field(13), uniform_action_sampler,
+                                     make_batch(n=9), wide_config(tau=tau),
+                                     np.random.default_rng(32))
+        assert diag["mean_weight"] == flat_weight
+        assert (diag["weight_p10"], diag["weight_p50"], diag["weight_p90"]) == (flat_weight,) * 3
+        assert diag["weight_share_above_0.55"] == share
+
+    def test_weight_spread_matches_recomputed_weights(self):
+        target, batch, cfg = random_field(13), make_batch(n=40, seed=5), wide_config(tau=3.0)
+        _, _, diag = value_flow_loss(random_field(12), target, uniform_action_sampler, batch,
+                                     cfg, np.random.default_rng(33))
+        d = _draw_loss_quantities(target, uniform_action_sampler, batch, cfg,
+                                  np.random.default_rng(33))
+        w = _weight_from_jac(d.jac1, cfg.tau)
+        assert [diag[f"weight_p{q}"] for q in (10, 50, 90)] == list(np.percentile(w, [10, 50, 90]))
+        assert diag["weight_share_above_0.55"] == np.count_nonzero(w > 0.55) / w.size
+        assert 0.0 < diag["weight_share_above_0.55"] < 1.0
 
     def test_gradients_flow_only_through_online(self):
         online, target = random_field(14), random_field(15)
@@ -514,39 +533,67 @@ class TestEnsemble:
         assert critic_ensemble_q([f, f], STATE, ACTION, noises) == pytest.approx(
             q_estimate(f, STATE, ACTION, noises))
 
-    def test_q_values_tensor_matches_and_differentiates(self):
-        fields = [random_field(20), random_field(21)]
-        s = np.random.default_rng(0).normal(size=(3, DS))
-        a = np.random.default_rng(1).uniform(-1, 1, size=(3, DA))
-        noises = np.array([0.4, -0.4])
-        a_tensor = Tensor(a, requires_grad=True)
-        q = q_values_tensor(fields, s, a_tensor, noises)
-        for i in range(3):
-            direct = critic_ensemble_q(fields, s[i], a[i], noises)
-            assert q.data[i, 0] == pytest.approx(direct, rel=1e-12)
-        q.sum().backward()
+    @staticmethod
+    def batch(n, seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(n, DS)), rng.uniform(-1, 1, size=(n, DA))
+
+    def test_q_matches_critic_ensemble_q_and_dq_da_central_differences(self):
+        fields = [random_field(20), random_field(21), random_field(26)]
+        s, a = self.batch(4, 0)
+        noises = np.array([0.4, -0.4, 1.1])
+        q, dq_da = ensemble_q_and_action_grad(fields, s, a, noises)
+        assert q.shape == (4, 1) and dq_da.shape == a.shape
         h = 1e-5
-        a_hi, a_lo = a.copy(), a.copy()
-        a_hi[0, 0] += h
-        a_lo[0, 0] -= h
-        fd = (critic_ensemble_q(fields, s[0], a_hi[0], noises)
-              - critic_ensemble_q(fields, s[0], a_lo[0], noises)) / (2 * h)
-        assert a_tensor.grad[0, 0] == pytest.approx(fd, abs=1e-6)
+        for i in range(4):
+            assert q[i, 0] == pytest.approx(critic_ensemble_q(fields, s[i], a[i], noises),
+                                            rel=1e-12)
+            fd = (critic_ensemble_q(fields, s[i], a[i] + h, noises)
+                  - critic_ensemble_q(fields, s[i], a[i] - h, noises)) / (2 * h)
+            assert dq_da[i, 0] == pytest.approx(fd, abs=1e-6)
 
-    def test_q_values_tensor_runs_one_pass_per_field(self, monkeypatch):
-        passes = []
+    @staticmethod
+    def action_slope_field(slope) -> ReturnField:
+        """v = slope * a: at a = 0 every such field gives q = 0, with dq/da = slope."""
+        spec = MlpSpec(in_dim=2 + DS + DA, hidden=(), out_dim=1, layer_norm=False)
+        w = np.zeros((2 + DS + DA, 1))
+        w[-1, 0] = slope
+        return ReturnField(DS, DA, {"w0": w, "b0": np.zeros(1)}, spec)
 
-        def counting_forward(params, x, spec, **kw):
-            passes.append(np.shape(x.data)[0])
-            return mlp_forward(params, x, spec, **kw)
+    @pytest.mark.parametrize("slopes", [(1.0, -1.0), (-1.0, 1.0), (2.0, 3.0, -5.0)])
+    def test_a_tie_routes_the_gradient_to_the_first_field(self, slopes):
+        fields = [self.action_slope_field(k) for k in slopes]
+        s, a = self.batch(3, 1)
+        q, dq_da = ensemble_q_and_action_grad(fields, s, np.zeros_like(a), np.array([0.5, -0.5]))
+        assert np.array_equal(q, np.zeros((3, 1)))
+        assert np.array_equal(dq_da, np.full((3, DA), slopes[0]))
+
+    def test_runs_one_pass_per_field(self, monkeypatch):
+        passes, seeded = [], []
+
+        def counting_forward(params, x, spec):
+            passes.append(x.shape[0])
+            return mlp_forward(params, x, spec)
+
+        def counting_vjp(tape, output_grad):
+            seeded.append(np.count_nonzero(output_grad))
+            return input_vjp(tape, output_grad)
 
         monkeypatch.setattr(critic_module, "mlp_forward", counting_forward)
+        monkeypatch.setattr(critic_module, "input_vjp", counting_vjp)
         fields = [random_field(24), random_field(25)]
-        s = np.random.default_rng(2).normal(size=(5, DS))
-        a = np.random.default_rng(3).uniform(-1, 1, size=(5, DA))
+        s, a = self.batch(5, 2)
         noises = np.array([0.9, -0.3, 0.1])
-        q = q_values_tensor(fields, s, Tensor(a, requires_grad=True), noises)
+        q, _ = ensemble_q_and_action_grad(fields, s, a, noises)
         assert passes == [15, 15]  # 3 noises x 5 rows, once per field
+        assert sum(seeded) == 15 and len(seeded) <= 2  # each row seeded once, by its minimum
         for i in range(5):
-            assert q.data[i, 0] == pytest.approx(
-                critic_ensemble_q(fields, s[i], a[i], noises), rel=1e-12)
+            assert q[i, 0] == pytest.approx(critic_ensemble_q(fields, s[i], a[i], noises),
+                                            rel=1e-12)
+
+    @pytest.mark.parametrize("fields,noises", [([], [0.1]), ([0], []), ([0], [[0.1, 0.2]])])
+    def test_rejects_no_field_and_no_noise(self, fields, noises):
+        s, a = self.batch(2, 3)
+        with pytest.raises(ContractError):
+            ensemble_q_and_action_grad([random_field(27) for _ in fields], s, a,
+                                       np.array(noises))

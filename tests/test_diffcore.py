@@ -1,4 +1,4 @@
-"""Tests for the autodiff engine, MLP, optimizer, EMA, and serialization."""
+"""Tests for the MLP and its closed-form reverse pass, optimizer, EMA, and serialization."""
 
 import base64
 import tracemalloc
@@ -9,14 +9,13 @@ import pytest
 from flowrl.diffcore import (
     AdamState,
     MlpSpec,
-    Tensor,
     adam_step,
     backward,
     clone_params,
-    concat,
     ema_update,
     init_mlp,
     input_derivative,
+    input_vjp,
     mlp_forward,
     mlp_value,
     mlp_value_and_input_jvp,
@@ -36,37 +35,9 @@ def small_spec(layer_norm=True):
     return MlpSpec(in_dim=3, hidden=(5, 4), out_dim=1, layer_norm=layer_norm)
 
 
-class TestTensorBasics:
-    def test_identity_gradient(self):
-        x = Tensor(np.array([[2.0]]), requires_grad=True)
-        y = x * 1.0
-        y.backward(np.ones((1, 1)))
-        assert x.grad[0, 0] == 1.0
-
-    def test_square_gradient(self):
-        w = Tensor(np.array([[3.0]]), requires_grad=True)
-        (w**2).backward(np.ones((1, 1)))
-        assert w.grad[0, 0] == pytest.approx(6.0)
-
-    def test_broadcast_add_unbroadcasts(self):
-        x = Tensor(np.ones((4, 3)), requires_grad=True)
-        b = Tensor(np.ones(3), requires_grad=True)
-        (x + b).sum().backward()
-        assert np.array_equal(b.grad, np.full(3, 4.0))
-        assert np.array_equal(x.grad, np.ones((4, 3)))
-
-    def test_diamond_graph_accumulates(self):
-        x = Tensor(np.array([2.0]), requires_grad=True)
-        y = x * x + x  # dy/dx = 2x + 1 = 5
-        y.backward(np.ones(1))
-        assert x.grad[0] == pytest.approx(5.0)
-
-    def test_min_elem_routes_gradient(self):
-        a = Tensor(np.array([1.0, 5.0]), requires_grad=True)
-        b = Tensor(np.array([2.0, 3.0]), requires_grad=True)
-        a.min_elem(b).sum().backward()
-        assert np.array_equal(a.grad, np.array([1.0, 0.0]))
-        assert np.array_equal(b.grad, np.array([0.0, 1.0]))
+def mean_square_grad(out: np.ndarray) -> np.ndarray:
+    """d/d(out) of mean(out ** 2)."""
+    return 2.0 * out / out.size
 
 
 class TestMlpForward:
@@ -91,7 +62,7 @@ class TestMlpForward:
         want = ref_mlp(params, x, spec)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
         tape = mlp_forward(params, x, spec)
-        np.testing.assert_allclose(tape.output.data, want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(tape.output, want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("layer_norm", [False, True])
     def test_value_jvp_and_tape_outputs_bit_identical(self, layer_norm):
@@ -101,7 +72,7 @@ class TestMlpForward:
         x = rng.normal(size=(7, 3))
         value = mlp_value(params, x, spec)
         assert np.array_equal(mlp_value_and_input_jvp(params, x, spec, np.ones_like(x))[0], value)
-        assert np.array_equal(mlp_forward(params, x, spec).output.data, value)
+        assert np.array_equal(mlp_forward(params, x, spec).output, value)
 
     def test_shape_mismatch_raises(self):
         spec = small_spec()
@@ -128,31 +99,40 @@ class TestBackward:
             return float((mlp_value(ps, x, spec) ** 2).mean())
 
         tape = mlp_forward(params, x, spec)
-        scalar = (tape.output**2).mean()
-        scalar.backward()
-        analytic = {n: leaf.grad for n, leaf in tape.params.items()}
+        grads = backward(tape, mean_square_grad(tape.output))
+        assert all(grads[n] is leaf.grad for n, leaf in tape.params.items())
         numeric = finite_diff_param_grads(loss, clone_params(params))
-        assert grad_match_fraction(analytic, numeric) >= 0.95
+        assert grad_match_fraction(grads, numeric) >= 0.95
 
     def test_graph_tensor_input_gets_gradients(self):
+        # input_vjp differentiates part of the input (here its last two columns)
         rng = np.random.default_rng(13)
         spec = small_spec()
         params = random_params_like(init_mlp(spec, rng), rng)
         const = rng.normal(size=(4, 1))
-        x_leaf = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        tape = mlp_forward(params, concat([const, x_leaf], axis=1), spec)
-        (tape.output**2).mean().backward()
+        x2 = rng.normal(size=(4, 2))
+        tape = mlp_forward(params, np.concatenate([const, x2], axis=1), spec)
+        seed = mean_square_grad(tape.output)
+        gx = input_vjp(tape, seed)
+        assert all(leaf.grad is None for leaf in tape.params.values())
+        analytic = backward(tape, seed)
 
         def loss(ps, x2):
             x = np.concatenate([const, x2], axis=1)
             return float((mlp_value(ps, x, spec) ** 2).mean())
 
-        analytic = {n: leaf.grad for n, leaf in tape.params.items()}
-        numeric = finite_diff_param_grads(lambda ps: loss(ps, x_leaf.data), clone_params(params))
+        numeric = finite_diff_param_grads(lambda ps: loss(ps, x2), clone_params(params))
         assert grad_match_fraction(analytic, numeric) >= 0.95
-        numeric_x = finite_diff_param_grads(lambda xs: loss(params, xs["x"]),
-                                            {"x": x_leaf.data.copy()})
-        assert grad_match_fraction({"x": x_leaf.grad}, numeric_x) >= 0.95
+        numeric_x = finite_diff_param_grads(lambda xs: loss(params, xs["x"]), {"x": x2.copy()})
+        assert grad_match_fraction({"x": gx[:, 1:]}, numeric_x) >= 0.95
+
+    def test_output_grad_of_the_wrong_shape_is_rejected(self):
+        spec = small_spec()
+        tape = mlp_forward(init_mlp(spec, np.random.default_rng(0)), np.zeros((4, 3)), spec)
+        with pytest.raises(ContractError):
+            backward(tape, np.ones((4, 2)))
+        with pytest.raises(ContractError):
+            input_vjp(tape, np.ones((3, 1)))
 
     def test_untouched_params_get_zero_gradient(self):
         spec = MlpSpec(in_dim=1, hidden=(), out_dim=1, layer_norm=False)
@@ -198,9 +178,7 @@ class TestWorkspace:
                 value, jvp = mlp_value_and_input_jvp(params, x, spec, tangent)
                 assert np.array_equal(value, want_value) and np.array_equal(jvp, want_jvp)
                 assert _bit_equal(backward(mlp_forward(params, x, spec), seed), want_grads)
-                x_t = Tensor(x, requires_grad=True)
-                mlp_forward(params, x_t, spec, params_need_grad=False).output.backward(seed)
-                assert np.array_equal(x_t.grad, want_gx)
+                assert np.array_equal(input_vjp(mlp_forward(params, x, spec), seed), want_gx)
                 _, _, own_cache = nn._walk(params, x, spec, keep=True)
                 grads, gx = nn._vjp(params, own_cache, seed, True, True)
                 assert _bit_equal(grads, want_grads) and np.array_equal(gx, want_gx)
@@ -223,21 +201,22 @@ class TestWorkspace:
         assert all(np.array_equal(a, c) for a, c in zip(held, copies))
 
     def test_two_live_tapes_of_one_shape_backprop_correctly(self):
-        # the q_values_tensor pattern: two nets of one spec on one graph input, min of both
+        # the ensemble_q_and_action_grad pattern: two nets of one spec on one input, the
+        # gradient of their minimum seeded in each net on the rows where it is the minimum
         rng = np.random.default_rng(24)
         spec = MlpSpec(in_dim=6, hidden=(64, 64), out_dim=1)
         params = [random_params_like(init_mlp(spec, rng), rng) for _ in range(2)]
         x = rng.normal(size=(300, 6))
-        x_t = Tensor(x, requires_grad=True)
-        tapes = [mlp_forward(p, x_t, spec, params_need_grad=False) for p in params]
+        tapes = [mlp_forward(p, x, spec) for p in params]
         mlp_value_and_input_jvp(params[0], rng.normal(size=x.shape), spec, np.ones_like(x))
-        tapes[0].output.min_elem(tapes[1].output).sum().backward()
+        first = (tapes[0].output <= tapes[1].output)[:, 0]
+        got = sum(input_vjp(tape, mask[:, None].astype(float))
+                  for tape, mask in zip(tapes, (first, ~first)))
 
         walks = [fresh_walk(p, x, spec, keep=True) for p in params]
-        first = walks[0][0] <= walks[1][0]
-        want = sum(fresh_vjp(p, walk[2], mask.astype(float))[1]
+        want = sum(fresh_vjp(p, walk[2], mask[:, None].astype(float))[1]
                    for p, walk, mask in zip(params, walks, (first, ~first)))
-        assert np.array_equal(x_t.grad, want)
+        assert np.array_equal(got, want)
 
     def test_workspace_reuses_within_capacity_and_never_pools_past_its_bound(self):
         ws = nn._Workspace()
@@ -304,10 +283,9 @@ class TestInputDerivative:
         tangent[:, 1] = 1.0
         value, jvp = mlp_value_and_input_jvp(params, x, spec, tangent)
         np.testing.assert_allclose(value, mlp_value(params, x, spec), atol=1e-14)
-        x_t = Tensor(x, requires_grad=True)
-        mlp_forward(params, x_t, spec, params_need_grad=False).output.backward(np.ones((6, 1)))
+        gx = input_vjp(mlp_forward(params, x, spec), np.ones((6, 1)))
         for row in range(x.shape[0]):
-            assert jvp[row, 0] == pytest.approx(x_t.grad[row, 1], rel=1e-10, abs=1e-12)
+            assert jvp[row, 0] == pytest.approx(gx[row, 1], rel=1e-10, abs=1e-12)
 
     def test_non_scalar_output_rejected(self):
         spec = MlpSpec(in_dim=2, hidden=(), out_dim=2, layer_norm=False)
@@ -416,8 +394,7 @@ class TestDeterminism:
             for _ in range(5):
                 x = rng.normal(size=(8, 3))
                 tape = mlp_forward(params, x, spec)
-                (tape.output**2).mean().backward()
-                grads = {n: leaf.grad for n, leaf in tape.params.items()}
+                grads = backward(tape, mean_square_grad(tape.output))
                 params, state = adam_step(params, grads, state, lr=1e-3)
             return params
 

@@ -1,20 +1,20 @@
-"""Tests for Euler integration, derivative co-integration, and the CFM loss."""
+"""Tests for Euler integration, derivative co-integration, and flow training."""
 
 import numpy as np
 import pytest
 
-from flowrl.diffcore import AdamState, MlpSpec, Tensor, adam_step, init_mlp, mlp_forward, mlp_value
+from flowrl.diffcore import AdamState, adam_step
 from flowrl.errors import ConfigError, ContractError, IntegrationError
 from flowrl.flowkit import (
-    FuncField,
     IntegrationConfig,
-    cfm_loss,
     euler_integrate,
-    euler_integrate_to_times,
     euler_integrate_with_derivative,
     euler_trajectory,
     sample_times,
 )
+from flowrl.policies import BcFlowPolicy, bc_flow_loss
+
+from helpers import FuncField
 
 # frozen from the closed-form Euler recurrence (1 + 1/T)^T at T=10
 EULER_EXP_T10 = 2.5937424601
@@ -100,24 +100,6 @@ class TestEulerWithDerivative:
         np.testing.assert_allclose(jac, (hi - lo) / (2 * h), atol=1e-3)
 
 
-class TestPartialTimes:
-    def test_matches_scalar_config_on_shared_time(self):
-        field = FuncField(lambda x, t: x * 0.5 + 1.0)
-        noise = np.array([0.2, -0.4])
-        t = 0.35
-        a = euler_integrate(field, noise, IntegrationConfig(10, 0.0, t))
-        b = euler_integrate_to_times(field, noise, np.full(2, t), 10)
-        np.testing.assert_allclose(a, b, atol=1e-15)
-
-    def test_per_row_times(self):
-        # constant field: x(t) = eps + c * t exactly, per row
-        c = 3.0
-        field = FuncField(lambda x, t: np.full_like(x, c))
-        times = np.array([0.1, 0.5, 1.0])
-        out = euler_integrate_to_times(field, np.zeros(3), times, 7)
-        np.testing.assert_allclose(out, c * times, atol=1e-12)
-
-
 def _sine_field():
     return FuncField(lambda x, t: np.sin(x) + np.asarray(t) * 0.3, lambda x, t: np.cos(x))
 
@@ -199,82 +181,26 @@ class TestSampleTimes:
         assert t.max() <= 1.0
 
 
-class _MlpField:
-    """Unconditional scalar field v(x | t) backed by a tiny MLP, for tests."""
-
-    def __init__(self, rng, hidden=(32, 32)):
-        self.spec = MlpSpec(in_dim=2, hidden=hidden, out_dim=1, layer_norm=True)
-        self.params = init_mlp(self.spec, rng)
-
-    def _inputs(self, x, t):
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        t = np.broadcast_to(np.asarray(t, dtype=np.float64), x.shape)
-        return np.stack([x, t], axis=1)
-
-    def velocity(self, x, t):
-        return mlp_value(self.params, self._inputs(x, t), self.spec)[:, 0]
-
-    def velocity_tensor(self, x, t):
-        x2 = np.asarray(x, dtype=np.float64)
-        tape = mlp_forward(self.params, self._inputs(x2[:, 0], t), self.spec)
-        self._tape = tape
-        return tape.output
-
-
-class TestCfmLoss:
-    def test_perfect_field_gives_zero(self):
-        x = np.array([[2.0]])
-        eps = np.array([[0.5]])
-        field = FuncField(lambda xt, t: np.full_like(xt, 1.5))  # x - eps
-        loss = cfm_loss(field, x, eps, np.array([0.3]))
-        assert loss.data == pytest.approx(0.0, abs=1e-15)
-
-    def test_zero_field_unit_loss(self):
-        field = FuncField(lambda xt, t: np.zeros_like(xt))
-        loss = cfm_loss(field, np.array([[1.0]]), np.array([[0.0]]), np.array([0.7]))
-        assert loss.data == pytest.approx(1.0)
-
-    def test_empty_batch_rejected(self):
-        field = FuncField(lambda xt, t: np.zeros_like(xt))
-        with pytest.raises(ContractError):
-            cfm_loss(field, np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0))
-
-    def test_value_matches_straight_line_recomputation(self):
-        rng = np.random.default_rng(9)
-        field = _MlpField(rng)
-        data = rng.normal(size=(16, 1))
-        noise = rng.normal(size=(16, 1))
-        times = sample_times(rng, 16)
-        loss = cfm_loss(field, data, noise, times)
-        # independent straight-line recomputation
-        x_t = times[:, None] * data + (1 - times[:, None]) * noise
-        v = mlp_value(field.params, np.stack([x_t[:, 0], times], axis=1), field.spec)
-        expected = float(((v - (data - noise)) ** 2).sum(axis=1).mean())
-        assert loss.data == pytest.approx(expected, rel=1e-12)
-
-
 @pytest.mark.slow
 def test_trained_flow_fits_gaussian_mixture():
-    """CFM-trained field pushes noise onto a bimodal target with small W1."""
+    """A flow trained by bc_flow_loss (no state) pushes noise onto a bimodal target."""
     rng = np.random.default_rng(7)
-    field = _MlpField(rng)
-    state = AdamState.for_params(field.params)
+    flow = BcFlowPolicy.create(0, 1, rng, hidden=(32, 32))
+    state = AdamState.for_params(flow.params)
 
     def draw_mixture(n):
         comp = rng.random(n) < 0.5
         return np.where(comp, rng.normal(-1.0, 0.15, n), rng.normal(1.0, 0.2, n))
 
     for _ in range(1500):
-        data = draw_mixture(256)[:, None]
-        noise = rng.normal(size=(256, 1))
-        times = sample_times(rng, 256)
-        loss = cfm_loss(field, data, noise, times)
+        loss, tape = bc_flow_loss(flow, np.zeros((256, 0)), draw_mixture(256)[:, None], rng)
         loss.backward()
-        grads = {n: leaf.grad for n, leaf in field._tape.params.items()}
-        field.params, state = adam_step(field.params, grads, state, lr=1e-3)
+        grads = {n: leaf.grad for n, leaf in tape.params.items()}
+        flow.params, state = adam_step(flow.params, grads, state, lr=1e-3)
 
     n = 4000
-    samples = euler_integrate(field, rng.normal(size=n), IntegrationConfig(10))
+    samples = euler_integrate(flow.velocity_given(np.zeros((n, 0))), rng.normal(size=(n, 1)),
+                              IntegrationConfig(10))[:, 0]
     target = draw_mixture(n)
     w1 = np.abs(np.sort(samples) - np.sort(target)).mean()
     assert w1 < 0.05

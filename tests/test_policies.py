@@ -175,6 +175,16 @@ class TestRejectionSampling:
             rejection_sample_action([], linear_policy(), STATE, 4, np.array([0.0]),
                                     np.random.default_rng(0))
 
+    def test_empty_noise_set_rejected_when_candidates_are_scored(self):
+        field, policy = q_field_on_action([1.0, 0.0]), linear_policy(bias=[0.9, 0.9])
+        with pytest.raises(ContractError):
+            rejection_sample_action([field], policy, STATE, 4, np.array([]),
+                                    np.random.default_rng(0))
+        # one candidate is never scored, so it needs no noise
+        got = rejection_sample_action([field], policy, STATE, 1, np.array([]),
+                                      np.random.default_rng(0))
+        assert got.shape == (DA,)
+
     def test_snap_to_atoms(self):
         atoms = [np.array([-1.0, 0.0]), np.array([1.0, 0.0])]
         snapped = snap_to_atoms(np.array([[0.2, 0.7], [-0.9, 0.1]]), atoms)
@@ -257,6 +267,14 @@ class TestOneStepPolicy:
         bc_a = sample_bc_action(bc, s, eps_d, 10)
         expected = float((-q + alpha * ((actions - bc_a) ** 2).sum(axis=1, keepdims=True)).mean())
         assert loss.data == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("q_noises", [0, -1])
+    def test_rejects_fewer_than_one_q_noise(self, q_noises):
+        one_step = OneStepPolicy.create(DS, DA, np.random.default_rng(0), hidden=(8,))
+        with pytest.raises(ContractError):
+            one_step_policy_loss(one_step, linear_policy(), [q_field_on_action([1.0, 1.0])],
+                                 np.zeros((3, DS)), 1.0, np.random.default_rng(1),
+                                 q_noises=q_noises)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(16)

@@ -1,9 +1,16 @@
 """The training-update contract that ``perfbench/workloads.py`` is written against.
 
-Every loss returns ``(loss, tape, ...)``; an update calls ``loss.backward()``,
-reads ``tape.params[name].grad`` (None meaning zero), then ``adam_step`` and
-``ema_update``. The MLP layer probe calls ``backward(mlp_forward(...), seed)``.
+Every loss returns ``(loss, tape, ...)``. An update reads ``loss.data`` (a
+0-d float array), calls ``loss.backward()``, reads ``tape.params[name].grad``
+(None meaning zero), then runs ``adam_step`` and ``ema_update``. The MLP
+layer probe calls ``backward(mlp_forward(...), seed)``. The benchmark also
+imports names from ``flowrl``; each of them must exist.
 """
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +18,13 @@ import pytest
 from flowrl.baselines import CategoricalCritic, QuantileCritic, c51_project_and_loss, \
     quantile_huber_loss
 from flowrl.critic import CriticBatch, CriticConfig, ReturnField, value_flow_loss
-from flowrl.diffcore import AdamState, Tensor, adam_step, backward, clone_params, ema_update, \
+from flowrl.diffcore import AdamState, adam_step, backward, clone_params, ema_update, \
     mlp_forward
 from flowrl.policies import BcFlowPolicy, OneStepPolicy, bc_flow_loss, one_step_policy_loss
 
 DS, DA = 3, 1
 HIDDEN = (8, 8)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def sampler(s_next, rng):
@@ -55,7 +63,8 @@ def loss_cases() -> dict:
 def test_update_path(name):
     net, loss_fn = loss_cases()[name]
     loss, tape = loss_fn(np.random.default_rng(1))[:2]
-    assert isinstance(loss, Tensor) and loss.data.shape == ()
+    assert loss.data.shape == () and np.isfinite(float(loss.data))
+    assert all(leaf.grad is None for leaf in tape.params.values())
     loss.backward()
     grads = {k: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
              for k, leaf in tape.params.items()}
@@ -69,13 +78,29 @@ def test_update_path(name):
 
 
 def test_seeded_backward_equals_loss_backward():
-    rng = np.random.default_rng(2)
-    field = ReturnField.create(DS, DA, rng, HIDDEN)
-    x = rng.normal(size=(10, 2 + DS + DA))
-    seed = np.ones((10, 1))
-    grads = backward(mlp_forward(field.params, x, field.spec), seed)
-    tape = mlp_forward(field.params, x, field.spec)
-    tape.output.sum().backward()
-    assert set(grads) == set(field.params)
-    for name, leaf in tape.params.items():
-        assert np.array_equal(grads[name], leaf.grad)
+    for net, loss_fn in loss_cases().values():
+        loss, tape = loss_fn(np.random.default_rng(2))[:2]
+        loss.backward()
+        x = tape.cache[0][0]      # the first layer's input is the network's input
+        grads = backward(mlp_forward(net.params, x, net.spec), loss.output_grad)
+        assert set(grads) == set(tape.params)
+        for name, leaf in tape.params.items():
+            assert np.array_equal(grads[name], leaf.grad)
+
+
+def _flowrl_imports(path: Path):
+    """(module, name, line) of every ``from flowrl... import name`` in a file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "flowrl":
+            for alias in node.names:
+                yield node.module, alias.name, node.lineno
+
+
+def test_every_name_the_benchmark_imports_exists():
+    found = [(p.name, *imp) for p in sorted(PERFBENCH.glob("*.py")) for imp in _flowrl_imports(p)]
+    assert found, "no flowrl import found under perfbench/"
+    missing = [f"{file}:{line} from {module} import {name}"
+               for file, module, name, line in found
+               if not hasattr(importlib.import_module(module), name)
+               and importlib.util.find_spec(f"{module}.{name}") is None]
+    assert not missing, missing
