@@ -1,63 +1,55 @@
 """Categorical and quantile return critics, plus the shared histogram view.
 
 Desk-scale re-implementations of the two classic distributional critics,
-built on the same MLP trunk, optimizer, and batch pipeline as the flow
-critic so that distribution-quality comparisons isolate the representation.
+C51 (arXiv 1707.06887) and IQN (arXiv 1806.06923). Both are ``diffcore.Net``
+subclasses, like the flow critic: the same MLP trunk, optimizer and batch
+pipeline, so that distribution-quality comparisons isolate the
+representation. Each class adds only its input layout and its own methods;
+C51 also keeps its atom support.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from flowrl.critic import CriticConfig, ReturnField, _rows, sample_return
-from flowrl.diffcore import Loss, MlpSpec, MlpTape, ParamSet, init_mlp, mlp_forward, mlp_value
+from flowrl.critic import CriticConfig, ReturnField, sample_return
+from flowrl.diffcore import Loss, MlpSpec, MlpTape, Net, ParamSet, init_mlp, mlp_forward, \
+    mlp_value
 from flowrl.errors import ConfigError, ContractError
 from flowrl.metrics import ReturnHistogram, histogram_edges, histogram_from_atoms, \
     histogram_from_samples
 
 
-class CategoricalCritic:
-    """Fixed-support categorical return model: (s, a) -> atom logits."""
+class CategoricalCritic(Net):
+    """Fixed-support categorical return model: (s, a) -> one logit per atom of ``support``."""
 
     def __init__(self, state_dim: int, action_dim: int, params: ParamSet, spec: MlpSpec,
                  support: np.ndarray):
         support = np.asarray(support, dtype=np.float64)
         if support.ndim != 1 or support.size < 2 or np.any(np.diff(support) <= 0):
             raise ConfigError("support must be >= 2 ascending atoms")
-        if spec.out_dim != support.size:
-            raise ConfigError("logit head size must equal the atom count")
-        self.state_dim = state_dim
-        self.action_dim = action_dim
-        self.params = params
-        self.spec = spec
         self.support = support
+        super().__init__(state_dim, action_dim, params, spec)
+
+    def widths(self, state_dim: int, action_dim: int) -> tuple[int, int]:
+        return state_dim + action_dim, self.support.size
 
     @classmethod
     def create(cls, state_dim: int, action_dim: int, n_atoms: int, z_lo: float, z_hi: float,
-               rng: np.random.Generator, hidden: tuple[int, ...] = (64, 64),
-               layer_norm: bool = True) -> "CategoricalCritic":
-        spec = MlpSpec(in_dim=state_dim + action_dim, hidden=hidden, out_dim=n_atoms,
-                       layer_norm=layer_norm)
+               rng: np.random.Generator, hidden: tuple[int, ...] = (64, 64)
+               ) -> "CategoricalCritic":
+        spec = MlpSpec(in_dim=state_dim + action_dim, hidden=hidden, out_dim=n_atoms)
         support = np.linspace(z_lo, z_hi, n_atoms)
         return cls(state_dim, action_dim, init_mlp(spec, rng), spec, support)
 
-    def with_params(self, params: ParamSet) -> "CategoricalCritic":
-        return CategoricalCritic(self.state_dim, self.action_dim, params, self.spec,
-                                 self.support)
-
     def _inputs(self, s, a) -> np.ndarray:
-        s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        return np.concatenate([s, a], axis=1)
+        return np.concatenate(self._rows((s, self.state_dim), (a, self.action_dim)), axis=1)
 
     def probs(self, s, a) -> np.ndarray:
         logits = mlp_value(self.params, self._inputs(s, a), self.spec)
         shifted = logits - logits.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=1, keepdims=True)
-
-    def q_values(self, s, a) -> np.ndarray:
-        return self.probs(s, a) @ self.support
 
 
 def c51_project(values: np.ndarray, masses: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -115,46 +107,25 @@ def c51_project_and_loss(online: CategoricalCritic, target: CategoricalCritic,
     return Loss(value, tape, g - np.exp(log_probs) * g.sum(axis=1, keepdims=True)), tape
 
 
-class QuantileCritic:
+class QuantileCritic(Net):
     """Implicit quantile model: (s, a, fraction u) -> quantile value."""
 
-    def __init__(self, state_dim: int, action_dim: int, params: ParamSet, spec: MlpSpec):
-        if spec.in_dim != state_dim + action_dim + 1 or spec.out_dim != 1:
-            raise ConfigError("QuantileCritic spec must map (s, a, u) to a scalar")
-        self.state_dim = state_dim
-        self.action_dim = action_dim
-        self.params = params
-        self.spec = spec
+    @staticmethod
+    def widths(state_dim: int, action_dim: int) -> tuple[int, int]:
+        return state_dim + action_dim + 1, 1
 
-    @classmethod
-    def create(cls, state_dim: int, action_dim: int, rng: np.random.Generator,
-               hidden: tuple[int, ...] = (64, 64), layer_norm: bool = True) -> "QuantileCritic":
-        spec = MlpSpec(in_dim=state_dim + action_dim + 1, hidden=hidden, out_dim=1,
-                       layer_norm=layer_norm)
-        return cls(state_dim, action_dim, init_mlp(spec, rng), spec)
+    def _inputs(self, s, a, u) -> np.ndarray:
+        """Rows = batch x fractions, for u of shape (batch, k); one row of s, a or u broadcasts."""
+        k = np.shape(u)[-1]
+        s, a, u = self._rows((s, self.state_dim), (a, self.action_dim), (u, k))
+        return np.concatenate([np.repeat(s, k, axis=0), np.repeat(a, k, axis=0),
+                               u.reshape(-1, 1)], axis=1)
 
-    def with_params(self, params: ParamSet) -> "QuantileCritic":
-        return QuantileCritic(self.state_dim, self.action_dim, params, self.spec)
-
-    def _inputs(self, s, a, u: np.ndarray) -> np.ndarray:
-        """Rows = batch x fractions; u has shape (batch, k)."""
-        s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        b, k = u.shape
-        s_rep = np.repeat(s, k, axis=0)
-        a_rep = np.repeat(a, k, axis=0)
-        return np.concatenate([s_rep, a_rep, u.reshape(-1, 1)], axis=1)
-
-    def quantiles(self, s, a, u: np.ndarray) -> np.ndarray:
+    def quantiles(self, s, a, u) -> np.ndarray:
+        """(batch, k) quantile values at the fractions u of shape (batch, k)."""
         u = np.atleast_2d(np.asarray(u, dtype=np.float64))
         vals = mlp_value(self.params, self._inputs(s, a, u), self.spec)
-        return vals.reshape(u.shape)
-
-    def q_values(self, s, a, n_fractions: int = 32) -> np.ndarray:
-        s2 = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        u = np.broadcast_to((np.arange(n_fractions) + 0.5) / n_fractions,
-                            (s2.shape[0], n_fractions))
-        return self.quantiles(s2, a, u).mean(axis=1)
+        return vals.reshape(-1, u.shape[1])
 
 
 def quantile_huber_loss(online: QuantileCritic, target: QuantileCritic,
@@ -170,7 +141,7 @@ def quantile_huber_loss(online: QuantileCritic, target: QuantileCritic,
     weighted Huber slope summed over the target samples, over the pair count.
     """
     _check_gamma(gamma)
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ContractError(f"kappa must be positive, got {kappa}")
     if n_quantiles < 1:
         raise ContractError(f"n_quantiles must be >= 1, got {n_quantiles}")
@@ -210,7 +181,9 @@ def critic_histogram(critic, s, a, n_samples: int, n_bins: int,
         raise ContractError(f"unsupported critic type: {type(critic).__name__}")
     if n_samples < 1:
         raise ContractError("n_samples must be >= 1")
-    s, a = _rows(s, 1, critic.state_dim), _rows(a, 1, critic.action_dim)
+    s, a = critic._rows((s, critic.state_dim), (a, critic.action_dim))
+    if s.shape[0] != 1:
+        raise ContractError(f"critic_histogram takes one (s, a) pair, got {s.shape[0]} rows")
     edges = histogram_edges(support, n_bins)
     if isinstance(critic, ReturnField):
         if critic_cfg is None:

@@ -7,6 +7,10 @@ co-integrated noise sensitivity estimates the return variance. Training
 regresses the online field onto a target-network field through the
 distributional TD construction, optionally weighted by a per-transition
 confidence weight that grows with return uncertainty.
+
+``ReturnField`` is a ``diffcore.Net``: it adds only its (z, t, s, a) input
+layout and the field's methods. Every (z, t, s, a) row in the package,
+including those of the ensemble Q gradient, is built by its ``_inputs``.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowrl.diffcore import Loss, MlpSpec, MlpTape, ParamSet, init_mlp, input_vjp, mlp_forward, \
-    mlp_value, mlp_value_and_input_jvp
+from flowrl.diffcore import Loss, MlpTape, Net, input_vjp, mlp_forward, mlp_value, \
+    mlp_value_and_input_jvp
 from flowrl.errors import ConfigError, ContractError
 from flowrl.flowkit import IntegrationConfig, euler_integrate, euler_integrate_with_derivative, \
     euler_trajectory, sample_times
@@ -38,10 +42,11 @@ class CriticConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
-        if self.lam < 0.0 or self.tau <= 0.0 or self.flow_steps < 1:
-            raise ConfigError(f"invalid critic config: {self}")
-        if self.z_lo > self.z_hi:
-            raise ConfigError(f"z_lo {self.z_lo} > z_hi {self.z_hi}")
+        if not (self.lam >= 0.0 and self.tau > 0.0):
+            raise ConfigError(f"need lam >= 0 and tau > 0, got {self}")
+        if not self.z_lo <= self.z_hi:
+            raise ConfigError(f"need z_lo <= z_hi, got {self.z_lo}, {self.z_hi}")
+        IntegrationConfig(self.flow_steps)   # rejects a step count that is not an int >= 1
 
     @classmethod
     def for_env(cls, env, **overrides) -> "CriticConfig":
@@ -49,44 +54,16 @@ class CriticConfig:
         return cls(gamma=env.gamma, z_lo=z_lo, z_hi=z_hi, **overrides)
 
 
-def _rows(x, n: int, dim: int) -> np.ndarray:
-    """Coerce one row, as (dim,) or (1, dim), or an (n, dim) batch to (n, dim) floats."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != dim or x.shape[0] not in (1, n):
-        raise ContractError(f"expected 1 or {n} rows of width {dim}, got shape {x.shape}")
-    return np.ascontiguousarray(np.broadcast_to(x, (n, dim)))
+class ReturnField(Net):
+    """Scalar vector field over inputs concat(z, t, s, a); z and t are flat per-row values."""
 
-
-class ReturnField:
-    """Scalar vector field over inputs concat(z, t, s, a)."""
-
-    def __init__(self, state_dim: int, action_dim: int, params: ParamSet, spec: MlpSpec):
-        if spec.in_dim != 2 + state_dim + action_dim or spec.out_dim != 1:
-            raise ConfigError("ReturnField spec must map (z, t, s, a) to a scalar")
-        self.state_dim = state_dim
-        self.action_dim = action_dim
-        self.params = params
-        self.spec = spec
-
-    @classmethod
-    def create(cls, state_dim: int, action_dim: int, rng: np.random.Generator,
-               hidden: tuple[int, ...] = (64, 64), layer_norm: bool = True) -> "ReturnField":
-        spec = MlpSpec(in_dim=2 + state_dim + action_dim, hidden=hidden, out_dim=1,
-                       layer_norm=layer_norm)
-        return cls(state_dim, action_dim, init_mlp(spec, rng), spec)
-
-    def with_params(self, params: ParamSet) -> "ReturnField":
-        return ReturnField(self.state_dim, self.action_dim, params, self.spec)
+    @staticmethod
+    def widths(state_dim: int, action_dim: int) -> tuple[int, int]:
+        return 2 + state_dim + action_dim, 1
 
     def _inputs(self, z, t, s, a) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64).reshape(-1)
-        n = z.size
-        t = np.broadcast_to(np.asarray(t, dtype=np.float64), (n,))
-        return np.concatenate([z[:, None], t[:, None],
-                               _rows(s, n, self.state_dim),
-                               _rows(a, n, self.action_dim)], axis=1)
+        return np.concatenate(self._rows((np.reshape(z, (-1, 1)), 1), (np.reshape(t, (-1, 1)), 1),
+                                         (s, self.state_dim), (a, self.action_dim)), axis=1)
 
     def velocity(self, z, t, s, a) -> np.ndarray:
         return mlp_value(self.params, self._inputs(z, t, s, a), self.spec)[:, 0]
@@ -209,11 +186,6 @@ class CriticBatch:
     def __len__(self):
         return self.r.size
 
-    @classmethod
-    def from_arrays(cls, arrays: dict) -> "CriticBatch":
-        return cls(arrays["s"], arrays["a"], arrays["r"], arrays["s_next"],
-                   arrays["terminal"])
-
 
 @dataclass
 class _LossDraws:
@@ -302,8 +274,8 @@ def value_flow_loss(online: ReturnField, target: ReturnField, next_action_sample
     z_bc, tgt_bc = _bcfm_rows(batch, d, cfg)
     z_in = np.concatenate([z_dc, z_bc])
     t_in = np.concatenate([d.t, d.t])
-    s_in = np.concatenate([_rows(batch.s, n, online.state_dim)] * 2)
-    a_in = np.concatenate([_rows(batch.a, n, online.action_dim)] * 2)
+    s_in = np.concatenate([batch.s, batch.s])
+    a_in = np.concatenate([batch.a, batch.a])
     targets = np.concatenate([tgt_dc, tgt_bc])
     coeffs = np.concatenate([weights / n, cfg.lam * weights / n])
 
@@ -344,8 +316,7 @@ def ensemble_q_and_action_grad(fields: list[ReturnField], s: np.ndarray, actions
     if noises.ndim != 1 or noises.size < 1:
         raise ContractError(f"need a 1-d set of at least one Q noise, got shape {noises.shape}")
     n, m = s.shape[0], noises.size
-    x = np.concatenate([np.repeat(noises, n)[:, None], np.zeros((m * n, 1)), np.tile(s, (m, 1)),
-                        np.tile(actions, (m, 1))], axis=1)
+    x = fields[0]._inputs(np.repeat(noises, n), 0.0, np.tile(s, (m, 1)), np.tile(actions, (m, 1)))
     tapes = [mlp_forward(field.params, x, field.spec) for field in fields]
     per_field = np.stack([tape.output.reshape(m, n).sum(axis=0) * (1.0 / m) for tape in tapes])
     owner = np.argmin(per_field, axis=0)    # the first field on ties
@@ -354,10 +325,9 @@ def ensemble_q_and_action_grad(fields: list[ReturnField], s: np.ndarray, actions
     # is the minimum: a row's rounding in the BLAS product depends on the rows it is
     # batched with, so a pass over only the rows a field owns moves dq/da by an ulp
     dq_da = np.zeros_like(actions)
-    first_action_col = x.shape[1] - actions.shape[1]
     for j, tape in enumerate(tapes):
         mine = owner == j
         if mine.any():
             gx = input_vjp(tape, np.tile(np.where(mine, 1.0 / m, 0.0), m)[:, None])
-            dq_da += gx[:, first_action_col:].reshape(m, n, -1).sum(axis=0)
+            dq_da += gx[:, -fields[0].action_dim:].reshape(m, n, -1).sum(axis=0)  # a is last
     return q, dq_da

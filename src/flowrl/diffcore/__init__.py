@@ -3,7 +3,8 @@
 ``nn`` walks a GELU/LayerNorm MLP once for values, input JVPs and the
 closed-form parameter/input VJP. A loss head returns a ``Loss``: its value,
 the network's ``MlpTape`` and d(loss)/d(output), which ``backward`` carries
-to the parameters.
+to the parameters. ``Net`` is the base class of every network: dims,
+parameters, spec, ``create``, ``with_params`` and the input-row check.
 """
 
 from flowrl.diffcore.nn import (
@@ -11,6 +12,7 @@ from flowrl.diffcore.nn import (
     Loss,
     MlpSpec,
     MlpTape,
+    Net,
     ParamSet,
     backward,
     clone_params,
@@ -26,7 +28,7 @@ from flowrl.diffcore.optim import AdamState, adam_step, ema_update
 from flowrl.diffcore.serialize import load_params, params_from_obj, params_to_obj, save_params
 
 __all__ = [
-    "Leaf", "Loss", "MlpSpec", "MlpTape", "ParamSet",
+    "Leaf", "Loss", "MlpSpec", "MlpTape", "Net", "ParamSet",
     "backward", "clone_params", "init_mlp", "input_derivative", "input_vjp",
     "mlp_forward", "mlp_value", "mlp_value_and_input_jvp", "param_count",
     "AdamState", "adam_step", "ema_update",

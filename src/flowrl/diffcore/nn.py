@@ -1,8 +1,10 @@
 """GELU/LayerNorm MLPs: one layer walk for values, input JVPs and gradients.
 
-Networks are GELU MLPs with optional per-layer layer normalization, matching
-the critic/policy trunks used throughout the package. A ``ParamSet`` is a
-plain dict of named float64 arrays; shapes are fixed at init time.
+Every network in the package is a GELU MLP with a layer normalization after
+each hidden layer. A ``ParamSet`` is a plain dict of named float64 arrays;
+shapes are fixed at init time. ``Net`` is the base of the package's five
+networks: it holds their dims, parameters and spec, creates them, swaps
+their parameters and builds their input rows.
 
 ``_walk`` is the only forward pass. It returns the output and, on request,
 the input JVP J @ tangent and a per-layer cache, over which ``_vjp`` runs the
@@ -21,6 +23,7 @@ same order as with fresh temporaries, so every result is bit-identical.
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass
 
@@ -38,12 +41,11 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Architecture of one MLP: sizes plus the layer-norm switch."""
+    """Architecture of one MLP: input width, hidden widths, output width."""
 
     in_dim: int
     hidden: tuple[int, ...]
     out_dim: int
-    layer_norm: bool = True
 
     def __post_init__(self):
         if self.in_dim < 1 or self.out_dim < 1 or any(h < 1 for h in self.hidden):
@@ -62,7 +64,7 @@ def init_mlp(spec: MlpSpec, rng: np.random.Generator) -> ParamSet:
         bound = 1.0 / np.sqrt(fan_in)
         params[f"w{i}"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         params[f"b{i}"] = np.zeros(fan_out)
-        if spec.layer_norm and i < len(spec.layer_dims) - 1:
+        if i < len(spec.layer_dims) - 1:
             params[f"ln{i}_scale"] = np.ones(fan_out)
             params[f"ln{i}_offset"] = np.zeros(fan_out)
     return params
@@ -161,23 +163,22 @@ def _walk(params: ParamSet, x, spec: MlpSpec, tangent=None, keep: bool = False):
         xhat = inv_std = slope = None
         if hidden:
             tmp = ws.take(_TMP, rows, width)
-            if spec.layer_norm:
-                h -= _row_mean(h)
-                np.multiply(h, h, out=tmp)
-                inv_std = 1.0 / np.sqrt(_row_mean(tmp) + _LN_EPS)
-                h *= inv_std
-                scale = params[f"ln{i}_scale"]
-                if dh is not None:   # d(xhat) = inv_std * (dc - xhat * mean(xhat * dc))
-                    dh -= _row_mean(dh)
-                    np.multiply(h, dh, out=tmp)
-                    np.multiply(h, _row_mean(tmp), out=tmp)
-                    dh -= tmp
-                    dh *= inv_std
-                    dh *= scale
-                if keep:
-                    xhat = h.copy()
-                h *= scale
-                h += params[f"ln{i}_offset"]
+            h -= _row_mean(h)
+            np.multiply(h, h, out=tmp)
+            inv_std = 1.0 / np.sqrt(_row_mean(tmp) + _LN_EPS)
+            h *= inv_std
+            scale = params[f"ln{i}_scale"]
+            if dh is not None:   # d(xhat) = inv_std * (dc - xhat * mean(xhat * dc))
+                dh -= _row_mean(dh)
+                np.multiply(h, dh, out=tmp)
+                np.multiply(h, _row_mean(tmp), out=tmp)
+                dh -= tmp
+                dh *= inv_std
+                dh *= scale
+            if keep:
+                xhat = h.copy()
+            h *= scale
+            h += params[f"ln{i}_offset"]
             np.divide(h, _SQRT2, out=tmp)
             erf(tmp, out=tmp)
             tmp += 1.0
@@ -213,19 +214,18 @@ def _vjp(params: ParamSet, cache: list, out_grad: np.ndarray, param_grads: bool,
         layer_in, xhat, inv_std, slope = cache[i]
         if slope is not None:       # a hidden layer: g came from the workspace
             g *= slope
-            if xhat is not None:
-                tmp = ws.take(_TMP, rows, g.shape[1])
-                if param_grads:
-                    np.multiply(g, xhat, out=tmp)
-                    grads[f"ln{i}_scale"] = tmp.sum(axis=0)
-                    grads[f"ln{i}_offset"] = g.sum(axis=0)
-                g *= params[f"ln{i}_scale"]
-                g_mean = _row_mean(g)  # g -= mean(g) + xhat * mean(g * xhat)
+            tmp = ws.take(_TMP, rows, g.shape[1])
+            if param_grads:
                 np.multiply(g, xhat, out=tmp)
-                np.multiply(xhat, _row_mean(tmp), out=tmp)
-                tmp += g_mean
-                g -= tmp
-                g *= inv_std
+                grads[f"ln{i}_scale"] = tmp.sum(axis=0)
+                grads[f"ln{i}_offset"] = g.sum(axis=0)
+            g *= params[f"ln{i}_scale"]
+            g_mean = _row_mean(g)  # g -= mean(g) + xhat * mean(g * xhat)
+            np.multiply(g, xhat, out=tmp)
+            np.multiply(xhat, _row_mean(tmp), out=tmp)
+            tmp += g_mean
+            g -= tmp
+            g *= inv_std
         if param_grads:
             grads[f"w{i}"] = layer_in.T @ g
             grads[f"b{i}"] = g.sum(axis=0)
@@ -332,3 +332,58 @@ def input_derivative(params: ParamSet, x: np.ndarray, spec: MlpSpec, component: 
     tangent = np.zeros_like(x)
     tangent[0, component] = 1.0
     return float(_walk(params, x, spec, tangent)[1][0, 0])
+
+
+class Net:
+    """One network of the package: an MLP over rows built from states, actions and more.
+
+    A subclass declares its MLP's (input, output) widths for given state and
+    action dims in ``widths`` and lays out its input rows in ``_inputs`` with
+    ``_rows``. ``params`` may be reassigned; dims and ``spec`` are fixed.
+    """
+
+    def __init__(self, state_dim: int, action_dim: int, params: ParamSet, spec: MlpSpec):
+        want = self.widths(state_dim, action_dim)
+        if (spec.in_dim, spec.out_dim) != want:
+            raise ConfigError(f"{type(self).__name__} needs MLP widths (in, out) = {want}, "
+                              f"got {(spec.in_dim, spec.out_dim)}")
+        self.state_dim = state_dim
+        self.action_dim = action_dim
+        self.params = params
+        self.spec = spec
+
+    @staticmethod
+    def widths(state_dim: int, action_dim: int) -> tuple[int, int]:
+        """(input width, output width) of the MLP for these dims."""
+        raise NotImplementedError
+
+    @classmethod
+    def create(cls, state_dim: int, action_dim: int, rng: np.random.Generator,
+               hidden: tuple[int, ...] = (64, 64)):
+        """A network with ``init_mlp`` parameters and these hidden widths."""
+        in_dim, out_dim = cls.widths(state_dim, action_dim)
+        spec = MlpSpec(in_dim=in_dim, hidden=hidden, out_dim=out_dim)
+        return cls(state_dim, action_dim, init_mlp(spec, rng), spec)
+
+    def with_params(self, params: ParamSet):
+        """A copy of this network, every other field kept, holding ``params``."""
+        net = copy.copy(self)
+        net.params = params
+        return net
+
+    @staticmethod
+    def _rows(*blocks: tuple[object, int]) -> list[np.ndarray]:
+        """Input blocks, given as (array, width) pairs, as float arrays of n rows each.
+
+        A block of one row, as (width,) or (1, width), is broadcast to n rows;
+        every other block has the same n rows. Any other row count, or a
+        wrong width, raises ContractError.
+        """
+        arrays = [np.atleast_2d(np.asarray(x, dtype=np.float64)) for x, _ in blocks]
+        counts = {x.shape[0] for x in arrays} - {1}
+        if len(counts) > 1 or any(x.ndim != 2 or x.shape[1] != width
+                                  for x, (_, width) in zip(arrays, blocks)):
+            raise ContractError(f"input blocks of widths {[width for _, width in blocks]} need "
+                                f"1 or n rows each, got shapes {[x.shape for x in arrays]}")
+        n = counts.pop() if counts else 1
+        return [x if x.shape[0] == n else np.broadcast_to(x, (n, x.shape[1])) for x in arrays]

@@ -9,6 +9,8 @@ import numpy as np
 from flowrl.errors import ConfigError, TrainingError
 from flowrl.diffcore.nn import ParamSet
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8   # Adam's moment decays and denominator guard
+
 
 @dataclass
 class AdamState:
@@ -25,8 +27,7 @@ class AdamState:
                    step=0)
 
 
-def adam_step(params: ParamSet, grads: ParamSet, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+def adam_step(params: ParamSet, grads: ParamSet, state: AdamState, lr: float
               ) -> tuple[ParamSet, AdamState]:
     """One bias-corrected Adam update. Raises on non-finite gradients."""
     if set(grads) != set(params):
@@ -41,15 +42,15 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState, lr: float,
     new_params: ParamSet = {}
     new_m: dict[str, np.ndarray] = {}
     new_v: dict[str, np.ndarray] = {}
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - _BETA1**t
+    bc2 = 1.0 - _BETA2**t
     for name, p in params.items():
         g = grads[name]
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * g * g
+        m = _BETA1 * state.m[name] + (1.0 - _BETA1) * g
+        v = _BETA2 * state.v[name] + (1.0 - _BETA2) * g * g
         new_m[name] = m
         new_v[name] = v
-        new_params[name] = p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        new_params[name] = p - lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
     return new_params, AdamState(m=new_m, v=new_v, step=t)
 
 

@@ -7,11 +7,13 @@ Format (one JSON object per file)::
 
 ``data`` is the base64 of the array's little-endian float64 bytes in row-major
 order, so a save/load round trip reproduces every parameter bit for bit.
+Input that does not follow this format raises ``ConfigError``.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 from pathlib import Path
 
@@ -36,16 +38,29 @@ def params_to_obj(params: ParamSet) -> dict:
 
 
 def params_from_obj(obj: dict) -> ParamSet:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"a parameter file holds one JSON object, got {type(obj).__name__}")
     if obj.get("format") != FORMAT_TAG:
         raise ConfigError(f"unknown parameter file format: {obj.get('format')!r}")
+    entries = obj.get("params")
+    if not isinstance(entries, dict):
+        raise ConfigError(f"'params' must be an object of named arrays, got {entries!r:.80}")
     params: ParamSet = {}
-    for name, entry in obj["params"].items():
+    for name, entry in entries.items():
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{name}: entry must be an object, got {type(entry).__name__}")
         if entry.get("dtype") != "float64":
             raise ConfigError(f"unsupported dtype for {name}: {entry.get('dtype')!r}")
-        raw = base64.b64decode(entry["data"])
-        if len(raw) != 8 * np.prod(entry["shape"], dtype=np.int64):
-            raise ConfigError(f"{name}: {len(raw)} data bytes for float64 shape {entry['shape']}")
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(entry["shape"])
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or not all(isinstance(d, int) and d >= 0 for d in shape):
+            raise ConfigError(f"{name}: shape must be a list of sizes, got {shape!r}")
+        try:
+            raw = base64.b64decode(entry["data"], validate=True)
+        except (KeyError, TypeError, binascii.Error) as exc:
+            raise ConfigError(f"{name}: data missing or not base64 ({exc!r})") from None
+        if len(raw) != 8 * np.prod(shape, dtype=np.int64):
+            raise ConfigError(f"{name}: {len(raw)} data bytes for float64 shape {shape}")
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
         params[name] = arr.copy()
     return params
 
@@ -55,4 +70,8 @@ def save_params(params: ParamSet, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> ParamSet:
-    return params_from_obj(json.loads(Path(path).read_text()))
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path} is not a JSON parameter file: {exc}") from None
+    return params_from_obj(obj)

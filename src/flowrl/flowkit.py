@@ -5,17 +5,19 @@ over t in [0, 1]. Scalar fields can co-integrate the sensitivity of the
 generated sample to its starting noise: dJ/dt = (dv/dx) * J with J(0) = 1,
 on the same grid as the sample itself.
 
-That co-integration keeps its grid as an :class:`EulerTrajectory`: the node
-states x_k and velocities v_k. Reading the flow off at an intermediate time
-t then costs no further field evaluation: with k the node at or before t,
-x(t) = x_k + (t - t_k) * v_k, the Euler step from node k cut short at t.
-The critic takes both its t = 1 targets and its per-row z_t from one
-trajectory this way.
+Every solve runs ``steps`` equal steps over the whole of [0, 1], the one
+grid the critic and the policies use. The co-integration keeps its grid as
+an :class:`EulerTrajectory`: the node states x_k and velocities v_k. Reading
+the flow off at an intermediate time t then costs no further field
+evaluation: with k the node at or before t, x(t) = x_k + (t - t_k) * v_k,
+the Euler step from node k cut short at t. The critic takes both its t = 1
+targets and its per-row z_t from one trajectory this way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -43,17 +45,13 @@ class ScalarFlowField(FlowField, Protocol):
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Euler grid: ``steps`` equal steps from ``t_init`` to ``t_final``."""
+    """Euler grid: ``steps`` equal steps from t = 0 to t = 1."""
 
     steps: int
-    t_init: float = 0.0
-    t_final: float = 1.0
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if not (0.0 <= self.t_init <= self.t_final <= 1.0):
-            raise ConfigError(f"need 0 <= t_init <= t_final <= 1, got {self}")
+        if not isinstance(self.steps, Integral) or self.steps < 1:
+            raise ConfigError(f"steps must be an integer >= 1, got {self.steps!r}")
 
 
 def _check_finite(v: np.ndarray, k: int) -> None:
@@ -62,15 +60,15 @@ def _check_finite(v: np.ndarray, k: int) -> None:
 
 
 def euler_integrate(field: FlowField, noise: np.ndarray, cfg: IntegrationConfig) -> np.ndarray:
-    """Solve the flow ODE with the forward Euler method; returns x(t_final)."""
+    """Solve the flow ODE with the forward Euler method; returns x(1)."""
     x = np.asarray(noise, dtype=np.float64).copy()
-    dt = (cfg.t_final - cfg.t_init) / cfg.steps
-    t = cfg.t_init
+    dt = 1.0 / cfg.steps
+    t = 0.0
     for k in range(cfg.steps):
         v = field.velocity(x, t)
         _check_finite(v, k)
         x = x + v * dt
-        t = cfg.t_init + (k + 1) * dt
+        t = (k + 1) * dt
     return x
 
 
@@ -79,8 +77,8 @@ class EulerTrajectory:
     """One Euler solve with its noise sensitivity, kept node by node.
 
     ``nodes[k]`` and ``velocities[k]`` are x and v(x | t_k) at the grid node
-    t_k = t_init + k * dt, k < steps; ``x`` and ``jac`` are the sample and
-    its noise sensitivity at ``t_final``.
+    t_k = k * dt, k < steps; ``x`` and ``jac`` are the sample and its noise
+    sensitivity at t = 1.
     """
 
     cfg: IntegrationConfig
@@ -90,26 +88,24 @@ class EulerTrajectory:
     jac: np.ndarray
 
     def at(self, times: np.ndarray) -> np.ndarray:
-        """Per-row read-off: row i at its own time t_i in [t_init, t_final].
+        """Per-row read-off: row i at its own time t_i in [0, 1].
 
-        Takes k = min(floor((t_i - t_init) / dt), steps - 1) and returns
+        Takes k = min(floor(t_i / dt), steps - 1) and returns
         x_k + (t_i - t_k) * v_k, the piecewise-linear Euler path through the
-        nodes. A time on a node returns that node, and ``t_final`` returns
-        ``x`` (bit for bit on the [0, 1] grid). Calls no field.
+        nodes. A time on a node returns that node, and t = 1 returns ``x``
+        bit for bit. Calls no field.
         """
-        cfg = self.cfg
+        steps = self.cfg.steps
         times = np.asarray(times, dtype=np.float64)
         if times.shape != self.x.shape:
             raise ContractError(f"times shape {times.shape} != noise shape {self.x.shape}")
-        if not np.all((times >= cfg.t_init) & (times <= cfg.t_final)):
-            raise ContractError(f"times must lie in [{cfg.t_init}, {cfg.t_final}]")
-        span = cfg.t_final - cfg.t_init
-        # in units of steps; t_final lands on exactly ``steps`` when the grid is [0, 1]
-        u = (times - cfg.t_init) * (cfg.steps / span) if span > 0.0 else np.zeros_like(times)
-        k = np.minimum(np.floor(u).astype(np.intp), cfg.steps - 1)
+        if not np.all((times >= 0.0) & (times <= 1.0)):
+            raise ContractError("times must lie in [0, 1]")
+        u = times * steps                   # in units of steps: t = 1 lands on exactly ``steps``
+        k = np.minimum(np.floor(u).astype(np.intp), steps - 1)
         x_k = np.take_along_axis(self.nodes, k[None], axis=0)[0]
         v_k = np.take_along_axis(self.velocities, k[None], axis=0)[0]
-        return x_k + (u - k) * (v_k * (span / cfg.steps))
+        return x_k + (u - k) * (v_k * (1.0 / steps))
 
 
 def euler_trajectory(field: ScalarFlowField, noise: np.ndarray,
@@ -117,14 +113,14 @@ def euler_trajectory(field: ScalarFlowField, noise: np.ndarray,
     """Co-integrate the sample and its noise sensitivity, keeping every node.
 
     J is updated as J <- J + (dv/dx at the current node) * J * dt with
-    J(t_init) = 1. The sample component performs bitwise the same arithmetic
+    J(0) = 1. The sample component performs bitwise the same arithmetic
     as :func:`euler_integrate`.
     """
     x = np.asarray(noise, dtype=np.float64).copy()
     jac = np.ones_like(x)
     nodes, velocities = [], []
-    dt = (cfg.t_final - cfg.t_init) / cfg.steps
-    t = cfg.t_init
+    dt = 1.0 / cfg.steps
+    t = 0.0
     for k in range(cfg.steps):
         v, dv = field.velocity_and_derivative(x, t)
         _check_finite(v, k)
@@ -133,13 +129,13 @@ def euler_trajectory(field: ScalarFlowField, noise: np.ndarray,
         velocities.append(v)
         x = x + v * dt
         jac = jac + dv * jac * dt
-        t = cfg.t_init + (k + 1) * dt
+        t = (k + 1) * dt
     return EulerTrajectory(cfg, np.stack(nodes), np.stack(velocities), x, jac)
 
 
 def euler_integrate_with_derivative(field: ScalarFlowField, noise: np.ndarray,
                                     cfg: IntegrationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``(x(t_final), J(t_final))`` of :func:`euler_trajectory`."""
+    """``(x(1), J(1))`` of :func:`euler_trajectory`."""
     traj = euler_trajectory(field, noise, cfg)
     return traj.x, traj.jac
 

@@ -54,19 +54,24 @@ class ReturnHistogram:
     masses: np.ndarray
 
     def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=np.float64)
+        self.edges = _checked_edges(self.edges)
         self.masses = np.asarray(self.masses, dtype=np.float64)
-        if self.edges.ndim != 1 or np.any(np.diff(self.edges) <= 0):
-            raise ContractError("histogram edges must be strictly ascending")
         if self.masses.shape != (self.edges.size - 1,):
             raise ContractError("masses length must be len(edges) - 1")
-        if np.any(self.masses < -1e-12) or abs(self.masses.sum() - 1.0) > 1e-9:
-            raise ContractError(f"masses must be nonnegative and sum to 1, "
+        if not (np.all(self.masses >= -1e-12) and abs(self.masses.sum() - 1.0) <= 1e-9):
+            raise ContractError(f"masses must be finite, nonnegative and sum to 1, "
                                 f"got sum {self.masses.sum()}")
 
     @property
     def centers(self) -> np.ndarray:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
+
+
+def _checked_edges(edges) -> np.ndarray:
+    edges = np.asarray(edges, dtype=np.float64)
+    if edges.ndim != 1 or not np.all(np.isfinite(edges)) or np.any(np.diff(edges) <= 0):
+        raise ContractError(f"histogram edges must be finite and strictly ascending: {edges}")
+    return edges
 
 
 def histogram_edges(support: tuple[float, float], n_bins: int) -> np.ndarray:
@@ -77,10 +82,12 @@ def histogram_edges(support: tuple[float, float], n_bins: int) -> np.ndarray:
 
 
 def histogram_from_samples(samples: np.ndarray, edges: np.ndarray) -> tuple[ReturnHistogram, int]:
-    """Bin samples (clipped into the support); also returns the clip count."""
+    """Bin finite samples (clipped into the support); also returns the clip count."""
     samples = np.asarray(samples, dtype=np.float64).reshape(-1)
-    if samples.size == 0:
-        raise ContractError("need at least one sample")
+    edges = _checked_edges(edges)
+    if samples.size == 0 or not np.all(np.isfinite(samples)):
+        raise ContractError(f"need at least one sample, all finite; got {samples.size} "
+                            f"with {np.count_nonzero(~np.isfinite(samples))} non-finite")
     clipped = np.clip(samples, edges[0], edges[-1])
     n_clipped = int((samples < edges[0]).sum() + (samples > edges[-1]).sum())
     counts, _ = np.histogram(clipped, bins=edges)
@@ -89,8 +96,11 @@ def histogram_from_samples(samples: np.ndarray, edges: np.ndarray) -> tuple[Retu
 
 def histogram_from_atoms(values: np.ndarray, masses: np.ndarray,
                          edges: np.ndarray) -> ReturnHistogram:
-    """Bin an exact atom set (e.g. an enumeration oracle) onto a grid."""
-    values = np.clip(np.asarray(values, dtype=np.float64), edges[0], edges[-1])
+    """Bin an exact atom set (e.g. an enumeration oracle) of finite values onto a grid."""
+    values, edges = np.asarray(values, dtype=np.float64), _checked_edges(edges)
+    if not np.all(np.isfinite(values)):
+        raise ContractError("atom values must be finite")
+    values = np.clip(values, edges[0], edges[-1])
     idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, edges.size - 2)
     out = np.zeros(edges.size - 1)
     np.add.at(out, idx, masses)

@@ -4,6 +4,8 @@ The BC flow policy is a conditional flow over actions trained by plain flow
 matching on the dataset. Offline action selection samples N candidates from it
 and takes the ensemble-Q argmax. Online fine-tuning trains a one-step policy
 to maximize Q while staying close to the BC flow via an L2 distillation term.
+Both policies are ``diffcore.Net`` subclasses that add only their input
+layout and their own methods; a state of one row broadcasts over a batch.
 """
 
 from __future__ import annotations
@@ -11,37 +13,21 @@ from __future__ import annotations
 import numpy as np
 
 from flowrl.critic import ReturnField, ensemble_q_and_action_grad
-from flowrl.diffcore import Loss, MlpSpec, MlpTape, ParamSet, init_mlp, mlp_forward, mlp_value
-from flowrl.errors import ConfigError, ContractError
+from flowrl.diffcore import Loss, MlpTape, Net, mlp_forward, mlp_value
+from flowrl.errors import ContractError
 from flowrl.flowkit import IntegrationConfig, euler_integrate, sample_times
 
 
-class BcFlowPolicy:
-    """Flow field over actions: inputs concat(a^t, t, s) -> d-dim velocity."""
+class BcFlowPolicy(Net):
+    """Flow field over actions: inputs concat(a^t, t, s) -> d-dim velocity; t is flat per row."""
 
-    def __init__(self, state_dim: int, action_dim: int, params: ParamSet, spec: MlpSpec):
-        if spec.in_dim != action_dim + 1 + state_dim or spec.out_dim != action_dim:
-            raise ConfigError("BcFlowPolicy spec must map (a^t, t, s) to an action velocity")
-        self.state_dim = state_dim
-        self.action_dim = action_dim
-        self.params = params
-        self.spec = spec
+    @staticmethod
+    def widths(state_dim: int, action_dim: int) -> tuple[int, int]:
+        return action_dim + 1 + state_dim, action_dim
 
-    @classmethod
-    def create(cls, state_dim: int, action_dim: int, rng: np.random.Generator,
-               hidden: tuple[int, ...] = (64, 64), layer_norm: bool = True) -> "BcFlowPolicy":
-        spec = MlpSpec(in_dim=action_dim + 1 + state_dim, hidden=hidden,
-                       out_dim=action_dim, layer_norm=layer_norm)
-        return cls(state_dim, action_dim, init_mlp(spec, rng), spec)
-
-    def with_params(self, params: ParamSet) -> "BcFlowPolicy":
-        return BcFlowPolicy(self.state_dim, self.action_dim, params, self.spec)
-
-    def _inputs(self, a_t: np.ndarray, t, s: np.ndarray) -> np.ndarray:
-        n = a_t.shape[0]
-        t = np.broadcast_to(np.asarray(t, dtype=np.float64), (n,))
-        s = np.broadcast_to(np.asarray(s, dtype=np.float64), (n, self.state_dim))
-        return np.concatenate([a_t, t[:, None], s], axis=1)
+    def _inputs(self, a_t, t, s) -> np.ndarray:
+        return np.concatenate(self._rows((a_t, self.action_dim), (np.reshape(t, (-1, 1)), 1),
+                                         (s, self.state_dim)), axis=1)
 
     def velocity_given(self, s: np.ndarray):
         """flowkit-compatible conditioned field over the action space."""
@@ -121,10 +107,8 @@ def rejection_sample_action(critic_fields: list[ReturnField], bc_policy: BcFlowP
     if n_candidates == 1:
         return candidates[0]
     k = noise_set.size
-    s_flat = np.asarray(s, dtype=np.float64).reshape(-1)
-    s_rows = np.broadcast_to(s_flat, (n_candidates * k, s_flat.size))
     # the (z, t=0, s, a) rows are the same for every ensemble member: build them once
-    x = critic_fields[0]._inputs(np.tile(noise_set, n_candidates), 0.0, s_rows,
+    x = critic_fields[0]._inputs(np.tile(noise_set, n_candidates), 0.0, s,
                                  np.repeat(candidates, k, axis=0))
     q = None
     for field in critic_fields:
@@ -134,34 +118,18 @@ def rejection_sample_action(critic_fields: list[ReturnField], bc_policy: BcFlowP
     return candidates[best]
 
 
-class OneStepPolicy:
-    """Single-forward-pass stochastic policy: (s, eps_d) -> action."""
+class OneStepPolicy(Net):
+    """Single-forward-pass stochastic policy: inputs concat(eps_d, s) -> action."""
 
-    def __init__(self, state_dim: int, action_dim: int, params: ParamSet, spec: MlpSpec):
-        if spec.in_dim != action_dim + state_dim or spec.out_dim != action_dim:
-            raise ConfigError("OneStepPolicy spec must map (eps_d, s) to an action")
-        self.state_dim = state_dim
-        self.action_dim = action_dim
-        self.params = params
-        self.spec = spec
+    @staticmethod
+    def widths(state_dim: int, action_dim: int) -> tuple[int, int]:
+        return action_dim + state_dim, action_dim
 
-    @classmethod
-    def create(cls, state_dim: int, action_dim: int, rng: np.random.Generator,
-               hidden: tuple[int, ...] = (64, 64), layer_norm: bool = True) -> "OneStepPolicy":
-        spec = MlpSpec(in_dim=action_dim + state_dim, hidden=hidden,
-                       out_dim=action_dim, layer_norm=layer_norm)
-        return cls(state_dim, action_dim, init_mlp(spec, rng), spec)
-
-    def with_params(self, params: ParamSet) -> "OneStepPolicy":
-        return OneStepPolicy(self.state_dim, self.action_dim, params, self.spec)
-
-    def _inputs(self, eps_d: np.ndarray, s: np.ndarray) -> np.ndarray:
-        n = eps_d.shape[0]
-        s = np.broadcast_to(np.asarray(s, dtype=np.float64), (n, self.state_dim))
-        return np.concatenate([eps_d, s], axis=1)
+    def _inputs(self, eps_d, s) -> np.ndarray:
+        return np.concatenate(self._rows((eps_d, self.action_dim), (s, self.state_dim)), axis=1)
 
     def act(self, s: np.ndarray, eps_d: np.ndarray, clip: bool = True) -> np.ndarray:
-        eps_d = np.atleast_2d(np.asarray(eps_d, dtype=np.float64))
+        """(n, d) actions for one noise row per action; one row of s or eps_d broadcasts."""
         a = mlp_value(self.params, self._inputs(eps_d, s), self.spec)
         return np.clip(a, -1.0, 1.0) if clip else a
 
@@ -177,7 +145,7 @@ def one_step_policy_loss(one_step: OneStepPolicy, bc_policy: BcFlowPolicy,
     the BC policy are constants), whose output gradient is
     -dq/da / n + 2 * alpha * (a - a_bc) / n.
     """
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise ContractError(f"alpha must be >= 0, got {alpha}")
     if q_noises < 1:
         raise ContractError(f"q_noises must be >= 1, got {q_noises}")

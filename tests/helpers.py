@@ -59,9 +59,7 @@ def ref_mlp(params: ParamSet, x: np.ndarray, spec: MlpSpec) -> np.ndarray:
     for i in range(len(spec.layer_dims)):
         h = h @ params[f"w{i}"] + params[f"b{i}"]
         if i < last:
-            if spec.layer_norm:
-                h = ref_layer_norm(h, params[f"ln{i}_scale"], params[f"ln{i}_offset"])
-            h = ref_gelu(h)
+            h = ref_gelu(ref_layer_norm(h, params[f"ln{i}_scale"], params[f"ln{i}_offset"]))
     return h
 
 
@@ -85,19 +83,18 @@ def fresh_walk(params: ParamSet, x: np.ndarray, spec: MlpSpec, tangent=None, kee
             dh = dh @ w
         xhat = inv_std = slope = None
         if i < last:
-            if spec.layer_norm:
-                h = h - h.mean(axis=1, keepdims=True)
-                inv_std = 1.0 / np.sqrt((h * h).mean(axis=1, keepdims=True) + 1e-6)
-                h = h * inv_std
-                scale = params[f"ln{i}_scale"]
-                if dh is not None:
-                    dh = dh - dh.mean(axis=1, keepdims=True)
-                    dh = dh - h * (h * dh).mean(axis=1, keepdims=True)
-                    dh = dh * inv_std
-                    dh = dh * scale
-                xhat = h
-                h = h * scale
-                h = h + params[f"ln{i}_offset"]
+            h = h - h.mean(axis=1, keepdims=True)
+            inv_std = 1.0 / np.sqrt((h * h).mean(axis=1, keepdims=True) + 1e-6)
+            h = h * inv_std
+            scale = params[f"ln{i}_scale"]
+            if dh is not None:
+                dh = dh - dh.mean(axis=1, keepdims=True)
+                dh = dh - h * (h * dh).mean(axis=1, keepdims=True)
+                dh = dh * inv_std
+                dh = dh * scale
+            xhat = h
+            h = h * scale
+            h = h + params[f"ln{i}_offset"]
             cdf = (erf(h / math.sqrt(2.0)) + 1.0) * 0.5
             slope = np.exp((h * h) * -0.5) * (1.0 / math.sqrt(2.0 * math.pi)) * h + cdf
             if dh is not None:
@@ -116,12 +113,11 @@ def fresh_vjp(params: ParamSet, cache: list, out_grad: np.ndarray) -> tuple[Para
         layer_in, xhat, inv_std, slope = cache[i]
         if slope is not None:
             g = g * slope
-            if xhat is not None:
-                grads[f"ln{i}_scale"] = (g * xhat).sum(axis=0)
-                grads[f"ln{i}_offset"] = g.sum(axis=0)
-                g = g * params[f"ln{i}_scale"]
-                g = g - (g.mean(axis=1, keepdims=True) + xhat * (g * xhat).mean(axis=1, keepdims=True))
-                g = g * inv_std
+            grads[f"ln{i}_scale"] = (g * xhat).sum(axis=0)
+            grads[f"ln{i}_offset"] = g.sum(axis=0)
+            g = g * params[f"ln{i}_scale"]
+            g = g - (g.mean(axis=1, keepdims=True) + xhat * (g * xhat).mean(axis=1, keepdims=True))
+            g = g * inv_std
         grads[f"w{i}"] = layer_in.T @ g
         grads[f"b{i}"] = g.sum(axis=0)
         g = g @ params[f"w{i}"].T

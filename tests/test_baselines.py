@@ -94,6 +94,13 @@ class TestLossInputChecks:
         with pytest.raises(ConfigError):
             loss(gamma)
 
+    @pytest.mark.parametrize("kappa", [0.0, np.nan])
+    def test_iqn_needs_a_positive_kappa(self, kappa):
+        rng = np.random.default_rng(13)
+        iqn = QuantileCritic.create(DS, DA, rng, hidden=(4,))
+        with pytest.raises(ContractError):
+            quantile_huber_loss(iqn, iqn, sampler, make_batch(rng), rng, gamma=0.9, kappa=kappa)
+
     @pytest.mark.parametrize("n_quantiles", [0, -1])
     def test_iqn_needs_at_least_one_quantile(self, n_quantiles):
         rng = np.random.default_rng(12)

@@ -33,7 +33,7 @@ ACTION = np.array([0.5])
 
 
 def linear_field(w_z=0.0, w_t=0.0, bias=0.0, ds=DS, da=DA) -> ReturnField:
-    spec = MlpSpec(in_dim=2 + ds + da, hidden=(), out_dim=1, layer_norm=False)
+    spec = MlpSpec(in_dim=2 + ds + da, hidden=(), out_dim=1)
     w = np.zeros((2 + ds + da, 1))
     w[0, 0] = w_z
     w[1, 0] = w_t
@@ -86,6 +86,12 @@ class TestConfig:
             CriticConfig(gamma=0.9, z_lo=0, z_hi=1, tau=0.0)
         with pytest.raises(ConfigError):
             CriticConfig(gamma=0.9, z_lo=2, z_hi=1)
+
+    @pytest.mark.parametrize("field,value", [("lam", np.nan), ("tau", np.nan), ("z_lo", np.nan),
+                                             ("z_hi", np.nan), ("flow_steps", 2.5)])
+    def test_rejects_nan_and_fractional_steps(self, field, value):
+        with pytest.raises(ConfigError):
+            CriticConfig(**{"gamma": 0.9, "z_lo": 0.0, "z_hi": 1.0, field: value})
 
     def test_for_env_uses_reward_bounds(self):
         env = BranchingTree()
@@ -353,7 +359,7 @@ class _AnalyticTerminalField(ReturnField):
     """Field that exactly reproduces the straight-line velocity toward r."""
 
     def __init__(self, r):
-        spec = MlpSpec(in_dim=2 + DS + DA, hidden=(), out_dim=1, layer_norm=False)
+        spec = MlpSpec(in_dim=2 + DS + DA, hidden=(), out_dim=1)
         super().__init__(DS, DA, {"w0": np.zeros((2 + DS + DA, 1)), "b0": np.zeros(1)}, spec)
         self._r = r
 
@@ -555,7 +561,7 @@ class TestEnsemble:
     @staticmethod
     def action_slope_field(slope) -> ReturnField:
         """v = slope * a: at a = 0 every such field gives q = 0, with dq/da = slope."""
-        spec = MlpSpec(in_dim=2 + DS + DA, hidden=(), out_dim=1, layer_norm=False)
+        spec = MlpSpec(in_dim=2 + DS + DA, hidden=(), out_dim=1)
         w = np.zeros((2 + DS + DA, 1))
         w[-1, 0] = slope
         return ReturnField(DS, DA, {"w0": w, "b0": np.zeros(1)}, spec)

@@ -31,8 +31,8 @@ from helpers import finite_diff_param_grads, fresh_vjp, fresh_walk, grad_match_f
     ref_mlp, random_params_like
 
 
-def small_spec(layer_norm=True):
-    return MlpSpec(in_dim=3, hidden=(5, 4), out_dim=1, layer_norm=layer_norm)
+def small_spec():
+    return MlpSpec(in_dim=3, hidden=(5, 4), out_dim=1)
 
 
 def mean_square_grad(out: np.ndarray) -> np.ndarray:
@@ -42,20 +42,20 @@ def mean_square_grad(out: np.ndarray) -> np.ndarray:
 
 class TestMlpForward:
     def test_identity_one_layer(self):
-        spec = MlpSpec(in_dim=1, hidden=(), out_dim=1, layer_norm=False)
+        spec = MlpSpec(in_dim=1, hidden=(), out_dim=1)
         params = {"w0": np.array([[1.0]]), "b0": np.zeros(1)}
         out = mlp_value(params, np.array([[1.0]]), spec)
         assert out[0, 0] == 1.0
 
     def test_zero_weights_outputs_bias(self):
-        spec = MlpSpec(in_dim=2, hidden=(), out_dim=3, layer_norm=False)
+        spec = MlpSpec(in_dim=2, hidden=(), out_dim=3)
         params = {"w0": np.zeros((2, 3)), "b0": np.array([0.5, -1.0, 2.0])}
         out = mlp_value(params, np.array([[7.0, -4.0]]), spec)
         assert np.array_equal(out[0], params["b0"])
 
     def test_matches_reference_forward(self):
         # seed-fixed 2-layer net vs the independent straight-line oracle
-        spec = MlpSpec(in_dim=2, hidden=(6, 6), out_dim=1, layer_norm=True)
+        spec = MlpSpec(in_dim=2, hidden=(6, 6), out_dim=1)
         params = init_mlp(spec, np.random.default_rng(7))
         x = np.array([[0.5, -0.5]])
         got = mlp_value(params, x, spec)
@@ -64,10 +64,9 @@ class TestMlpForward:
         tape = mlp_forward(params, x, spec)
         np.testing.assert_allclose(tape.output, want, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("layer_norm", [False, True])
-    def test_value_jvp_and_tape_outputs_bit_identical(self, layer_norm):
+    def test_value_jvp_and_tape_outputs_bit_identical(self):
         rng = np.random.default_rng(12)
-        spec = small_spec(layer_norm)
+        spec = small_spec()
         params = random_params_like(init_mlp(spec, rng), rng)
         x = rng.normal(size=(7, 3))
         value = mlp_value(params, x, spec)
@@ -88,10 +87,9 @@ class TestMlpForward:
 
 
 class TestBackward:
-    @pytest.mark.parametrize("layer_norm", [False, True])
-    def test_gradients_match_finite_differences(self, layer_norm):
+    def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
-        spec = small_spec(layer_norm)
+        spec = small_spec()
         params = random_params_like(init_mlp(spec, rng), rng)
         x = rng.normal(size=(4, 3))
 
@@ -135,7 +133,7 @@ class TestBackward:
             input_vjp(tape, np.ones((3, 1)))
 
     def test_untouched_params_get_zero_gradient(self):
-        spec = MlpSpec(in_dim=1, hidden=(), out_dim=1, layer_norm=False)
+        spec = MlpSpec(in_dim=1, hidden=(), out_dim=1)
         params = {"w0": np.array([[2.0]]), "b0": np.zeros(1)}
         tape = mlp_forward(params, np.array([[1.0]]), spec)
         grads = backward(tape, np.zeros((1, 1)))
@@ -158,7 +156,7 @@ class TestWorkspace:
         out = []
         for spec in (MlpSpec(in_dim=18, hidden=(64, 64), out_dim=1),
                      MlpSpec(in_dim=5, hidden=(32, 48), out_dim=3),
-                     MlpSpec(in_dim=4, hidden=(48,), out_dim=2, layer_norm=False)):
+                     MlpSpec(in_dim=4, hidden=(48,), out_dim=2)):
             out.append((spec, random_params_like(init_mlp(spec, rng), rng)))
         return out
 
@@ -252,12 +250,12 @@ class TestWorkspace:
 class TestInputDerivative:
     def test_linear_net(self):
         # y = 2 z + s -> dy/dz = 2
-        spec = MlpSpec(in_dim=2, hidden=(), out_dim=1, layer_norm=False)
+        spec = MlpSpec(in_dim=2, hidden=(), out_dim=1)
         params = {"w0": np.array([[2.0], [1.0]]), "b0": np.zeros(1)}
         assert input_derivative(params, np.array([[0.3, 0.7]]), spec, 0) == pytest.approx(2.0)
 
     def test_constant_net(self):
-        spec = MlpSpec(in_dim=2, hidden=(), out_dim=1, layer_norm=False)
+        spec = MlpSpec(in_dim=2, hidden=(), out_dim=1)
         params = {"w0": np.zeros((2, 1)), "b0": np.array([5.0])}
         assert input_derivative(params, np.array([[1.0, 2.0]]), spec, 0) == 0.0
 
@@ -288,7 +286,7 @@ class TestInputDerivative:
             assert jvp[row, 0] == pytest.approx(gx[row, 1], rel=1e-10, abs=1e-12)
 
     def test_non_scalar_output_rejected(self):
-        spec = MlpSpec(in_dim=2, hidden=(), out_dim=2, layer_norm=False)
+        spec = MlpSpec(in_dim=2, hidden=(), out_dim=2)
         params = init_mlp(spec, np.random.default_rng(0))
         with pytest.raises(ContractError):
             input_derivative(params, np.zeros((1, 2)), spec, 0)
@@ -315,7 +313,7 @@ class TestAdam:
         params = {"w": np.array([0.5])}
         state = AdamState.for_params(params)
         for _ in range(2):
-            params, state = adam_step(params, {"w": np.array([g])}, state, lr, b1, b2, eps)
+            params, state = adam_step(params, {"w": np.array([g])}, state, lr)
         # independent scalar recurrence
         w, m, v = 0.5, 0.0, 0.0
         for t in (1, 2):
@@ -382,6 +380,26 @@ class TestSerialization:
             obj["params"]["w0"]["data"] = base64.b64encode(data).decode("ascii")
         with pytest.raises(ConfigError):
             params_from_obj(obj)
+
+    @pytest.mark.parametrize("damage", ["no params", "no shape", "no data", "a list"])
+    def test_malformed_object_rejected(self, damage):
+        obj = params_to_obj({"w0": np.arange(6.0).reshape(2, 3)})
+        if damage == "no params":
+            del obj["params"]
+        elif damage == "no shape":
+            del obj["params"]["w0"]["shape"]
+        elif damage == "no data":
+            del obj["params"]["w0"]["data"]
+        else:
+            obj = [obj]
+        with pytest.raises(ConfigError):
+            params_from_obj(obj)
+
+    def test_file_that_is_not_json_rejected(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text("w0 = [[0, 1, 2]]\n")
+        with pytest.raises(ConfigError):
+            load_params(path)
 
 
 class TestDeterminism:

@@ -60,8 +60,10 @@ class TestEulerIntegrate:
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             IntegrationConfig(0)
+
+    def test_fractional_step_count_rejected(self):
         with pytest.raises(ConfigError):
-            IntegrationConfig(5, t_init=0.8, t_final=0.2)
+            IntegrationConfig(2.5)
 
 
 class TestEulerWithDerivative:
@@ -82,7 +84,7 @@ class TestEulerWithDerivative:
         field = FuncField(lambda x, t: np.sin(x) + np.asarray(t) * 0.3,
                           lambda x, t: np.cos(x))
         noise = rng.normal(size=8)
-        cfg = IntegrationConfig(13, 0.0, 1.0)
+        cfg = IntegrationConfig(13)
         plain = euler_integrate(field, noise, cfg)
         co, _ = euler_integrate_with_derivative(field, noise, cfg)
         assert np.array_equal(plain, co)

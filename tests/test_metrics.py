@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowrl.errors import ContractError
 from flowrl.metrics import (
+    ReturnHistogram,
     export_histogram,
     histogram_edges,
     histogram_from_atoms,
@@ -68,6 +69,21 @@ def test_malformed_histogram_csv_rejected(tmp_path, row):
     path.write_text(f"bin_left,bin_right,mass\n{row}\n")
     with pytest.raises(ContractError):
         load_histogram_csv(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_edges_and_masses_rejected(bad):
+    edges = histogram_edges((0.0, 1.0), 2)
+    with pytest.raises(ContractError):
+        histogram_from_samples([bad, 0.5], edges)
+    with pytest.raises(ContractError):
+        histogram_from_samples([0.5], [0.0, bad, 1.0])
+    with pytest.raises(ContractError):
+        histogram_from_atoms(np.array([bad, 0.2]), np.array([0.5, 0.5]), edges)
+    with pytest.raises(ContractError):
+        ReturnHistogram([0.0, bad, 1.0], [0.5, 0.5])
+    with pytest.raises(ContractError):
+        ReturnHistogram(edges, [bad, 0.5])
 
 
 def test_histogram_csv_with_a_gap_between_bins_rejected(tmp_path):

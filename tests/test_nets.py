@@ -1,0 +1,83 @@
+"""The ``diffcore.Net`` contract every network of the package shares.
+
+Each case builds one of the five networks and calls it through its public
+entry point on a state batch ``s`` and an action-shaped batch ``a`` (the
+action itself, or the policy's action noise): the rows of the two must agree,
+except that one row broadcasts.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from flowrl.baselines import CategoricalCritic, QuantileCritic
+from flowrl.critic import ReturnField
+from flowrl.diffcore import Net
+from flowrl.errors import ContractError
+from flowrl.policies import BcFlowPolicy, OneStepPolicy, sample_bc_action
+
+DS, DA = 3, 2
+HIDDEN = (8, 8)
+U = np.array([[0.2, 0.5, 0.9]])     # IQN fractions, one row shared by every (s, a) row
+
+CASES = {
+    "flow": (lambda rng: ReturnField.create(DS, DA, rng, HIDDEN),
+             lambda net, s, a: net.velocity(0.3, 0.5, s, a)),
+    "c51": (lambda rng: CategoricalCritic.create(DS, DA, 7, -1.0, 1.0, rng, HIDDEN),
+            lambda net, s, a: net.probs(s, a)),
+    "iqn": (lambda rng: QuantileCritic.create(DS, DA, rng, HIDDEN),
+            lambda net, s, a: net.quantiles(s, a, U)),
+    "bc": (lambda rng: BcFlowPolicy.create(DS, DA, rng, HIDDEN),
+           lambda net, s, a: sample_bc_action(net, s, a, 3)),
+    "one_step": (lambda rng: OneStepPolicy.create(DS, DA, rng, HIDDEN),
+                 lambda net, s, a: net.act(s, a)),
+}
+
+
+@pytest.fixture(params=list(CASES))
+def case(request):
+    make, call = CASES[request.param]
+    return make(np.random.default_rng(0)), call
+
+
+def batch(rows_s, rows_a, ds=DS, da=DA):
+    rng = np.random.default_rng(1)
+    return rng.normal(size=(rows_s, ds)), rng.uniform(-1.0, 1.0, size=(rows_a, da))
+
+
+def test_with_params_keeps_class_dims_spec_and_extras_and_leaves_the_original(case):
+    net, _ = case
+    assert isinstance(net, Net)
+    before = copy.deepcopy(net.params)
+    params = {k: v + 1.0 for k, v in net.params.items()}
+    other = net.with_params(params)
+    assert type(other) is type(net) and other.params is params
+    assert (other.state_dim, other.action_dim, other.spec) == (DS, DA, net.spec)
+    if isinstance(net, CategoricalCritic):
+        assert np.array_equal(other.support, net.support)
+    assert all(np.array_equal(net.params[k], before[k]) for k in before)
+
+
+@pytest.mark.parametrize("shapes", [
+    ((3, DS), (2, DA)),             # row counts that disagree
+    ((2, DS - 1), (2, DA)),         # a state of the wrong width
+    ((2, DS), (2, DA + 1)),         # an action (or action noise) of the wrong width
+    ((DS, 1), (1, DA)),             # a column in place of one state row
+])
+def test_row_count_or_width_mismatch_raises_contract_error(case, shapes):
+    net, call = case
+    (rs, ws), (ra, wa) = shapes
+    s, a = batch(rs, ra, ws, wa)
+    with pytest.raises(ContractError):
+        call(net, s, a)
+
+
+def test_one_row_broadcasts_bit_for_bit(case):
+    net, call = case
+    s, a = batch(1, 4)
+    want = call(net, np.repeat(s, 4, axis=0), a)
+    for one_row in (s, s[0]):
+        assert np.array_equal(call(net, one_row, a), want)
+    s, a = batch(4, 1)
+    assert np.array_equal(call(net, s, a[0]), call(net, s, np.repeat(a, 4, axis=0)))

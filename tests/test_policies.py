@@ -36,7 +36,7 @@ class _StubRng:
 
 
 def linear_policy(action_weight=0.0, bias=None, ds=DS, da=DA) -> BcFlowPolicy:
-    spec = MlpSpec(in_dim=da + 1 + ds, hidden=(), out_dim=da, layer_norm=False)
+    spec = MlpSpec(in_dim=da + 1 + ds, hidden=(), out_dim=da)
     w = np.zeros((da + 1 + ds, da))
     w[:da, :da] = action_weight * np.eye(da)
     params = {"w0": w, "b0": np.zeros(da) if bias is None else np.asarray(bias, dtype=float)}
@@ -45,7 +45,7 @@ def linear_policy(action_weight=0.0, bias=None, ds=DS, da=DA) -> BcFlowPolicy:
 
 def q_field_on_action(weights, ds=DS, da=DA, bias=0.0) -> ReturnField:
     """Critic whose Q value is a fixed linear function of the action."""
-    spec = MlpSpec(in_dim=2 + ds + da, hidden=(), out_dim=1, layer_norm=False)
+    spec = MlpSpec(in_dim=2 + ds + da, hidden=(), out_dim=1)
     w = np.zeros((2 + ds + da, 1))
     w[2 + ds:, 0] = np.asarray(weights, dtype=float)
     return ReturnField(ds, da, {"w0": w, "b0": np.array([float(bias)])}, spec)
@@ -267,6 +267,13 @@ class TestOneStepPolicy:
         bc_a = sample_bc_action(bc, s, eps_d, 10)
         expected = float((-q + alpha * ((actions - bc_a) ** 2).sum(axis=1, keepdims=True)).mean())
         assert loss.data == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [-1.0, np.nan])
+    def test_rejects_a_negative_or_nan_alpha(self, alpha):
+        one_step = OneStepPolicy.create(DS, DA, np.random.default_rng(0), hidden=(8,))
+        with pytest.raises(ContractError):
+            one_step_policy_loss(one_step, linear_policy(), [q_field_on_action([1.0, 1.0])],
+                                 np.zeros((3, DS)), alpha, np.random.default_rng(1))
 
     @pytest.mark.parametrize("q_noises", [0, -1])
     def test_rejects_fewer_than_one_q_noise(self, q_noises):

@@ -4,10 +4,12 @@ Every loss returns ``(loss, tape, ...)``. An update reads ``loss.data`` (a
 0-d float array), calls ``loss.backward()``, reads ``tape.params[name].grad``
 (None meaning zero), then runs ``adam_step`` and ``ema_update``. The MLP
 layer probe calls ``backward(mlp_forward(...), seed)``. The benchmark also
-imports names from ``flowrl``; each of them must exist.
+imports names from ``flowrl``; each of them must exist, and every keyword it
+sets on a ``CriticConfig`` must name one of its fields.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -104,3 +106,20 @@ def test_every_name_the_benchmark_imports_exists():
                if not hasattr(importlib.import_module(module), name)
                and importlib.util.find_spec(f"{module}.{name}") is None]
     assert not missing, missing
+
+
+def _config_keywords(path: Path):
+    """(keyword, line) of every ``CriticConfig.for_env(...)`` or ``dataclasses.replace(...)``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+                node.func.attr, getattr(node.func.value, "id", None)) in (
+                ("for_env", "CriticConfig"), ("replace", "dataclasses")):
+            yield from ((kw.arg, node.lineno) for kw in node.keywords)
+
+
+def test_every_critic_config_keyword_the_benchmark_sets_is_a_field():
+    fields = {f.name for f in dataclasses.fields(CriticConfig)}
+    found = [(p.name, *kw) for p in sorted(PERFBENCH.glob("*.py")) for kw in _config_keywords(p)]
+    assert found, "no CriticConfig keyword found under perfbench/"
+    unknown = [f"{file}:{line} {name}=" for file, name, line in found if name not in fields]
+    assert not unknown, unknown
