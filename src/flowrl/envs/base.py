@@ -9,7 +9,11 @@ Rollouts take one of two paths, chosen by the input alone. An env with action
 atoms and a policy whose ``support(s)`` lies on them run all episodes in
 lockstep off the branch table's dense arrays; every other input (the bandit,
 box policies, selectors without ``support``) calls the policy and ``step``
-one transition at a time.
+one transition at a time. Dataset generation, Monte Carlo returns and policy
+evaluation (``flowrl.metrics.evaluate_policy``) all take the lockstep path
+through :class:`_Lockstep`, and the last two share its time loop. The branch
+table also keeps the policy-free structure of the histogram Bellman backup
+(``flowrl.envs.oracle``), built on first use.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from flowrl.errors import ConfigError, ContractError
+from flowrl.errors import ConfigError, ContractError, check_int
 
 
 _COLUMNS = (("s", np.float64, 2), ("a", np.float64, 2), ("r", np.float64, 1),
@@ -320,6 +324,83 @@ class DenseBranches:
         return _inverse_cdf_table(probs, last)
 
 
+class _Lockstep:
+    """A policy whose ``support`` lies on an env's action atoms, rolled out in lockstep.
+
+    Holds the env's branch table, its dense view and the inverse-CDF table of
+    ``policy.support`` over the view's states (``act_cdf``). Dataset
+    generation, Monte Carlo and policy evaluation all start from here;
+    :meth:`returns` is the time loop that Monte Carlo and evaluation share.
+    """
+
+    def __init__(self, mdp: ToyMdp, policy, table: BranchTable):
+        self.mdp, self.policy, self.table = mdp, policy, table
+        self.view: DenseBranches | None = None
+        self.act_cdf: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, mdp: ToyMdp, policy, start: np.ndarray | None = None) -> "_Lockstep | None":
+        """The lockstep form of ``policy`` on ``mdp``, or None for any other input.
+
+        None unless the env has action atoms and ``policy.support`` lies on
+        them. ``start`` (by default the env's initial state) is added to the
+        table first, so the view closes over the states it reaches.
+        """
+        table = branch_table(mdp)
+        if not table.atoms or getattr(policy, "support", None) is None:
+            return None
+        table.state_id(mdp.initial_state(np.random.default_rng(0)) if start is None else start)
+        lock = cls(mdp, policy, table)
+        return lock if lock.refresh() else None
+
+    def refresh(self) -> bool:
+        """Rebuild the view and ``act_cdf`` if the table has gained states.
+
+        False when the support puts mass off the atoms at some state.
+        """
+        view = self.table.dense()
+        if view is not self.view:
+            self.view, self.act_cdf = view, view.action_cdf(self.policy)
+        return self.act_cdf is not None
+
+    def starts(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        """Ids of ``m`` start states, one ``initial_state(rng)`` each; the view covers them."""
+        cur = np.array([self.table.state_id(self.mdp.initial_state(rng)) for _ in range(m)])
+        if not self.refresh():
+            raise ContractError("policy support leaves the action atoms at a new start state")
+        return cur
+
+    def returns(self, cur: np.ndarray, terminal: np.ndarray, acc: np.ndarray, disc: float,
+                steps: int, rng: np.random.Generator) -> np.ndarray:
+        """Finish episodes in lockstep and return their discounted returns.
+
+        Episode i is at state ``cur[i]``, has ended if ``terminal[i]``, has
+        collected ``acc[i]`` so far, and its next reward is discounted by
+        ``disc``. Each of up to ``steps`` time steps retires the ended
+        episodes, then draws one uniform per live episode for its action (by
+        inverse CDF over ``policy.support``) and one for its branch (by the
+        inverse-CDF rule of ``step``). Returns are summed in step order,
+        ``ret += disc * r; disc *= gamma``, as a single rollout sums them.
+        """
+        view, n_atoms = self.view, len(self.view.atoms)
+        ret = np.zeros(cur.size)
+        idx = np.arange(cur.size)   # the live episodes
+        for _ in range(steps):
+            if terminal.any():
+                ret[idx[terminal]] = acc[terminal]
+                live = ~terminal
+                idx, cur, acc = idx[live], cur[live], acc[live]
+                if not idx.size:
+                    return ret
+            k = idx.size
+            aid = _draw(self.act_cdf[cur], rng.random(k))
+            cur, r, terminal = view.sample(cur * n_atoms + aid, rng.random(k))
+            acc = acc + disc * r
+            disc *= self.mdp.gamma
+        ret[idx] = acc
+        return ret
+
+
 def branch_table(mdp: ToyMdp) -> BranchTable:
     """The env's branch table, created on first use and kept on the instance."""
     table = mdp.__dict__.get("_branch_table")
@@ -400,9 +481,8 @@ def generate_dataset(mdp: ToyMdp, behavior: Policy, n_transitions: int, seed: in
     ``behavior_policy_for`` differs from the one the per-step loop gives
     for the same seed, while the bandit's is the per-step loop's.
     """
-    if n_transitions < 1:
-        raise ContractError("n_transitions must be >= 1")
-    rng = np.random.default_rng(seed)
+    n_transitions = check_int("n_transitions", n_transitions)
+    rng = np.random.default_rng(check_int("seed", seed, least=0))
     behavior_id = getattr(behavior, "behavior_id", "custom")
     columns = _lockstep_dataset(mdp, behavior, n_transitions, rng)
     if columns is None:
@@ -435,27 +515,17 @@ def _lockstep_dataset(mdp: ToyMdp, behavior, n_transitions: int,
     episode length seen so far (the cap before the first round); the rows
     past ``n_transitions`` of the last round are dropped.
     """
-    table = branch_table(mdp)
-    if not table.atoms or getattr(behavior, "support", None) is None:
+    lock = _Lockstep.of(mdp, behavior)
+    if lock is None:
         return None
-    table.state_id(mdp.initial_state(np.random.default_rng(0)))
-    view = table.dense()
-    act_cdf = view.action_cdf(behavior)
-    if act_cdf is None:
-        return None
-    n_atoms = len(view.atoms)
+    n_atoms = len(lock.view.atoms)
     parts: list[tuple] = []
     total = episodes = 0
     per_episode = float(mdp.episode_cap)
     while total < n_transitions:
         m = max(1, int(np.ceil((n_transitions - total) / per_episode)))
-        cur = np.array([table.state_id(mdp.initial_state(rng)) for _ in range(m)])
-        if len(table.states) != len(view.states):   # a start state not seen before
-            view = table.dense()
-            act_cdf = view.action_cdf(behavior)
-            if act_cdf is None:
-                raise ContractError("behavior support leaves the action atoms at a new "
-                                    "start state")
+        cur = lock.starts(m, rng)
+        view, act_cdf = lock.view, lock.act_cdf
         ep = np.arange(episodes, episodes + m)
         steps = []
         for _ in range(mdp.episode_cap):

@@ -15,10 +15,17 @@ advance together, one numpy step per time step, off the table's dense arrays
 (:meth:`~flowrl.envs.base.BranchTable.dense`); any other policy is called
 and the env stepped with ``step`` one transition at a time. That per-step
 loop is the referee of the lockstep path in the tests. The two paths draw
-different random streams, so a seed gives different samples on each. The
-histogram-level Bellman operator discretizes the density backup for
+different random streams, so a seed gives different samples on each.
+``lockstep_episode_returns`` runs the same lockstep loop from the initial
+state; it is how ``flowrl.metrics.evaluate_policy`` rolls out such a policy.
+
+The histogram-level Bellman operator discretizes the density backup for
 contraction and fixed-point harnesses, as one matrix step over all reachable
-pairs.
+pairs. Its policy-free part (the reachable pairs and their keys, the
+next-state index, the per-reward branch matrices and the terminal branches)
+is built once and kept on the env's branch table, because reachability from
+the start state depends only on the dynamics; each application builds only
+the policy mix and the products.
 """
 
 from __future__ import annotations
@@ -27,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowrl.envs.base import DenseBranches, ToyMdp, UniformDiscretePolicy, _draw, branch_table, \
-    check_reward, step
-from flowrl.errors import ContractError, OracleError
+from flowrl.envs.base import DenseBranches, ToyMdp, UniformDiscretePolicy, _Lockstep, \
+    branch_table, check_reward, step
+from flowrl.errors import ContractError, OracleError, check_int
 
 PATH_GUARD = 1_000_000    # frontier entries per depth of the enumeration DP
 
@@ -145,11 +152,8 @@ def monte_carlo_returns(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndarray,
     ``policy(s, rng)`` and the env stepped one transition at a time. The two
     paths draw different random streams from one seed.
     """
-    if n < 1:
-        raise ContractError("n must be >= 1")
-    if horizon < 1:
-        raise ContractError("horizon must be >= 1")
-    rng = np.random.default_rng(seed)
+    n, horizon = check_int("n", n), check_int("horizon", horizon)
+    rng = np.random.default_rng(check_int("seed", seed, least=0))
     out = _lockstep_returns(mdp, policy, s, a, n, horizon, rng)
     if out is not None:
         return out
@@ -173,29 +177,25 @@ def _lockstep_returns(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndarray, n: int,
     """``monte_carlo_returns`` with every live episode stepped at once, or None.
 
     Returns None, having drawn nothing from ``rng``, unless the env has
-    action atoms and the policy's support lies on them. Each time step draws
-    one uniform per live episode for its branch, picked by the inverse-CDF
-    rule of ``step``, then one for its next action, picked by inverse CDF
-    over ``policy.support`` read once per call. The start action may be any
-    action in the box: its branches are read once, from the table or from
-    ``outcomes``. Each episode's return is summed in step order,
-    ``ret += disc * r; disc *= gamma``, as a single rollout sums it.
+    action atoms and the policy's support lies on them. The first step draws
+    one uniform per episode for its branch from (s, a); the start action may
+    be any action in the box, and its branches are read once, from the table
+    or from ``outcomes``. :meth:`_Lockstep.returns` runs the remaining
+    ``horizon - 1`` steps.
     """
-    table = branch_table(mdp)
-    if not table.atoms or getattr(policy, "support", None) is None:
+    lock = _Lockstep.of(mdp, policy, s)
+    if lock is None:
         return None
     a = mdp.validate_action(a)
+    table = lock.table
     sid = table.state_id(s)
-    start_terminal = mdp.is_terminal(table.states[sid])
+    if mdp.is_terminal(table.states[sid]):   # ``step`` returns reward 0 and ends the episode
+        return np.zeros(n)
     aid = table.atom_id(a)
-    first = None if start_terminal or aid is not None else table.branches(sid, a)
-    view = table.dense()
-    act_cdf = view.action_cdf(policy)
-    if act_cdf is None:
+    first = None if aid is not None else table.branches(sid, a)
+    if not lock.refresh():   # the start action's branches reached new states
         return None
-    ret = np.zeros(n)
-    if start_terminal:       # ``step`` returns reward 0 and ends the episode
-        return ret
+    view = lock.view
     u = rng.random(n)
     if first is None:
         nid, r, terminal = view.sample(np.full(n, sid * len(view.atoms) + aid), u)
@@ -204,25 +204,27 @@ def _lockstep_returns(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndarray, n: int,
             check_reward(mdp, branch[2])
         start = DenseBranches.from_rows(view.states, view.atoms, [first])
         nid, r, terminal = start.sample(np.zeros(n, dtype=np.intp), u)
-    disc = 1.0
-    ret += disc * r
-    disc *= mdp.gamma
-    # the live episodes: their indices, states and returns so far
-    idx, cur, acc = np.arange(n), nid, ret
-    for _ in range(horizon - 1):
-        if terminal.any():
-            ret[idx[terminal]] = acc[terminal]
-            live = ~terminal
-            idx, cur, acc = idx[live], cur[live], acc[live]
-            if not idx.size:
-                return ret
-        k = idx.size
-        aid = _draw(act_cdf[cur], rng.random(k))
-        cur, r, terminal = view.sample(cur * len(view.atoms) + aid, rng.random(k))
-        acc = acc + disc * r
-        disc *= mdp.gamma
-    ret[idx] = acc
-    return ret
+    ret = np.zeros(n)
+    ret += r
+    return lock.returns(nid, terminal, ret, mdp.gamma, horizon - 1, rng)
+
+
+def lockstep_episode_returns(mdp: ToyMdp, policy, episodes: int, horizon: int,
+                             rng: np.random.Generator) -> np.ndarray | None:
+    """Returns of ``episodes`` rollouts from the initial state, all stepped at once, or None.
+
+    Returns None, having drawn nothing from ``rng``, unless the env has
+    action atoms and the policy's support lies on them. Each episode starts
+    at ``initial_state(rng)`` and draws every action, the first included,
+    from ``policy.support``; :meth:`_Lockstep.returns` runs up to
+    ``horizon`` steps.
+    """
+    lock = _Lockstep.of(mdp, policy)
+    if lock is None:
+        return None
+    cur = lock.starts(episodes, rng)
+    return lock.returns(cur, np.zeros(episodes, dtype=bool), np.zeros(episodes), 1.0,
+                        horizon, rng)
 
 
 # -- discretized density-level Bellman operator --------------------------------
@@ -248,13 +250,75 @@ def _reachable_states(mdp: ToyMdp) -> list[int]:
     return list(seen)
 
 
+@dataclass(frozen=True, eq=False)
+class _Backup:
+    """The policy-free part of the histogram Bellman backup of a finite env.
+
+    Pairs are the reachable nonterminal states (``sids``, in reachability
+    scan order) times the action atoms, state-major. Column k of every
+    ``B_r`` is the nonterminal successor state ``next_ids[k]``, numbered in
+    the order the pairs' branches first reach it. Reachability from the
+    start state depends only on the dynamics, so :func:`_backup` builds this
+    once per branch table.
+    """
+
+    sids: list[int]
+    keys: list[tuple]              # table_key of each pair
+    atom_keys: list[tuple]         # _action_key of each atom
+    next_ids: list[int]
+    next_keys: list[tuple]         # state_key of each next state
+    b_r: list[tuple[float, np.ndarray]]   # (r, B_r): (pairs, next states) branch probabilities
+    term_rows: np.ndarray          # pair, reward and probability of each terminal branch
+    term_r: np.ndarray
+    term_p: np.ndarray
+
+    @classmethod
+    def build(cls, mdp: ToyMdp) -> "_Backup":
+        branches = branch_table(mdp)
+        sids = _reachable_states(mdp)
+        n_atoms = len(branches.atoms)
+        state_keys = {sid: mdp.state_key(branches.states[sid]) for sid in sids}
+        atom_keys = [_action_key(a) for a in branches.atoms]
+        next_states: dict[int, int] = {}
+        by_reward: dict[float, list] = {}
+        term_rows, term_r, term_p = [], [], []
+        for i, (sid, aid) in enumerate((sid, aid) for sid in sids for aid in range(n_atoms)):
+            for p_out, _, r, terminal, nid in branches.row(sid, aid):
+                if terminal:
+                    term_rows.append(i)
+                    term_r.append(r)
+                    term_p.append(p_out)
+                else:
+                    k = next_states.setdefault(nid, len(next_states))
+                    by_reward.setdefault(r, []).append((i, k, p_out))
+        n_pairs = len(sids) * n_atoms
+        b_r = []
+        for r, entries in by_reward.items():
+            rows, cols, vals = zip(*entries)
+            b = np.zeros((n_pairs, len(next_states)))
+            np.add.at(b, (rows, cols), vals)
+            b_r.append((r, b))
+        return cls(sids, [(state_keys[sid], key) for sid in sids for key in atom_keys],
+                   atom_keys, list(next_states), [state_keys[nid] for nid in next_states], b_r,
+                   np.array(term_rows, dtype=np.intp), np.array(term_r), np.array(term_p))
+
+
+def _backup(mdp: ToyMdp) -> _Backup:
+    """The env's :class:`_Backup`, built on first use and kept on its branch table."""
+    branches = branch_table(mdp)
+    backup = branches.__dict__.get("_backup")
+    if backup is None:
+        backup = branches.__dict__["_backup"] = _Backup.build(mdp)
+    return backup
+
+
 def reachable_state_actions(mdp: ToyMdp, policy) -> list[tuple[np.ndarray, np.ndarray]]:
     """All nonterminal (s, a) pairs reachable from the initial state.
 
     The arrays are the env's branch-table entries and are read-only.
     """
     table = branch_table(mdp)
-    return [(table.states[sid], a) for sid in _reachable_states(mdp) for a in table.atoms]
+    return [(table.states[sid], a) for sid in _backup(mdp).sids for a in table.atoms]
 
 
 def _action_key(a: np.ndarray) -> tuple:
@@ -308,59 +372,39 @@ def bellman_histogram_operator(mdp: ToyMdp, policy, table: HistTable,
     one histogram per next state, ``B_r`` holds the probabilities of the
     nonterminal branches with reward r, ``M_r`` projects
     ``r + gamma * centers`` onto the bins and ``const`` holds the terminal
-    point masses.
+    point masses. The pairs, their keys, ``B_r`` and the terminal branches
+    are read from the env's :class:`_Backup`; each call builds ``P``,
+    ``M_r``, ``const`` and the products.
     """
     centers = 0.5 * (edges[:-1] + edges[1:])
     branches = branch_table(mdp)
-    sids = _reachable_states(mdp)
-    pairs = [(sid, aid) for sid in sids for aid in range(len(branches.atoms))]
-    # table_key parts, computed once per state and atom
-    state_keys = {sid: mdp.state_key(branches.states[sid]) for sid in sids}
-    atom_keys = [_action_key(a) for a in branches.atoms]
-    next_states: dict[int, int] = {}
-    by_reward: dict[float, list] = {}
-    term_rows, term_r, term_p = [], [], []
-    for i, (sid, aid) in enumerate(pairs):
-        for p_out, _, r, terminal, nid in branches.row(sid, aid):
-            if terminal:
-                term_rows.append(i)
-                term_r.append(r)
-                term_p.append(p_out)
-            else:
-                k = next_states.setdefault(nid, len(next_states))
-                by_reward.setdefault(r, []).append((i, k, p_out))
-
-    new = np.zeros((len(pairs), len(centers)))
-    if term_rows:
-        idx, frac = _linear_split(np.array(term_r), centers)
-        p = np.array(term_p)
-        np.add.at(new, (term_rows, idx), p * (1.0 - frac))
-        np.add.at(new, (term_rows, idx + 1), p * frac)
+    backup = _backup(mdp)
+    new = np.zeros((len(backup.keys), len(centers)))
+    if backup.term_rows.size:
+        idx, frac = _linear_split(backup.term_r, centers)
+        p = backup.term_p
+        np.add.at(new, (backup.term_rows, idx), p * (1.0 - frac))
+        np.add.at(new, (backup.term_rows, idx + 1), p * frac)
     cols: dict[tuple, int] = {}
     mix = []
-    for k, nid in enumerate(next_states):
+    for k, (nid, state_key) in enumerate(zip(backup.next_ids, backup.next_keys)):
         for p_a, a_next in _policy_support(policy, branches.states[nid]):
             aid = branches.atom_id(a_next)
-            key = (state_keys[nid], _action_key(a_next) if aid is None else atom_keys[aid])
+            key = (state_key, _action_key(a_next) if aid is None else backup.atom_keys[aid])
             mix.append((k, cols.setdefault(key, len(cols)), p_a))
     if mix:
         rows, cols_p, vals = zip(*mix)
-        p_mix = np.zeros((len(next_states), len(cols)))
+        p_mix = np.zeros((len(backup.next_ids), len(cols)))
         np.add.at(p_mix, (rows, cols_p), vals)
         per_state = p_mix @ np.array([table[key] for key in cols])
-        for r, entries in by_reward.items():
-            rows, cols_b, vals = zip(*entries)
-            b_r = np.zeros((len(pairs), len(next_states)))
-            np.add.at(b_r, (rows, cols_b), vals)
+        for r, b_r in backup.b_r:
             new += (b_r @ per_state) @ _projection_matrix(r, mdp.gamma, centers)
-    keys = [(state_keys[sid], atom_keys[aid]) for sid, aid in pairs]
-    return dict(zip(keys, new))
+    return dict(zip(backup.keys, new))
 
 
 def uniform_table(mdp: ToyMdp, policy, edges: np.ndarray) -> HistTable:
     n = len(edges) - 1
-    return {table_key(mdp, s, a): np.full(n, 1.0 / n)
-            for s, a in reachable_state_actions(mdp, policy)}
+    return {key: np.full(n, 1.0 / n) for key in _backup(mdp).keys}
 
 
 def uniform_discrete_policy(mdp: ToyMdp) -> UniformDiscretePolicy:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of counts and seeds."""
+
+from numbers import Integral
 
 
 class ConfigError(ValueError):
@@ -31,3 +33,10 @@ class IntegrationError(RuntimeError):
 
 class OracleError(RuntimeError):
     """An exact oracle refused to run (e.g. path count guard exceeded)."""
+
+
+def check_int(name: str, value, least: int = 1) -> int:
+    """``value`` as an int; ContractError unless it is an integer >= ``least`` (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)

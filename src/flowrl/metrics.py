@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from flowrl.envs.base import ToyMdp, step
-from flowrl.errors import ContractError
+from flowrl.envs.oracle import lockstep_episode_returns
+from flowrl.errors import ContractError, check_int
 
 
 def wasserstein1_samples(x: np.ndarray, y: np.ndarray) -> float:
@@ -161,28 +162,38 @@ class PolicyEvalResult:
 
 def evaluate_policy(env: ToyMdp, action_selector, episodes: int, horizon: int,
                     seed: int) -> PolicyEvalResult:
-    """Mean/std of discounted returns over seeded rollouts.
+    """Mean/std of discounted returns over seeded rollouts from ``initial_state``.
 
-    ``action_selector(state, rng) -> action``; per-episode RNG streams keep
-    the result independent of evaluation order.
+    The path is chosen by the input alone, by the rule of
+    ``monte_carlo_returns`` and ``generate_dataset``. When the env has action
+    atoms and ``action_selector.support(s)`` puts all its mass on them
+    (:meth:`~flowrl.envs.base.DenseBranches.action_cdf`), every episode runs
+    in lockstep off the env's branch table from one ``default_rng(seed)``
+    stream, drawing its actions from ``support``; the selector is never
+    called. Any other selector (the bandit's, box policies, plain callables)
+    is called as ``action_selector(state, rng) -> action`` and the env
+    stepped one transition at a time, with one ``default_rng((seed, ep))``
+    stream per episode. Only on that per-step path is an episode's return
+    independent of how many episodes run and in what order.
     """
-    if episodes < 1:
-        raise ContractError("episodes must be >= 1")
-    if horizon < 1:
-        raise ContractError("horizon must be >= 1")
-    returns = np.empty(episodes)
-    for ep in range(episodes):
-        rng = np.random.default_rng((seed, ep))
-        s = env.initial_state(rng)
-        ret, disc = 0.0, 1.0
-        for _ in range(horizon):
-            a = action_selector(s, rng)
-            s_next, r, terminal = step(env, s, a, rng)
-            ret += disc * r
-            disc *= env.gamma
-            if terminal:
-                break
-            s = s_next
-        returns[ep] = ret
+    episodes, horizon = check_int("episodes", episodes), check_int("horizon", horizon)
+    seed = check_int("seed", seed, least=0)
+    returns = lockstep_episode_returns(env, action_selector, episodes, horizon,
+                                       np.random.default_rng(seed))
+    if returns is None:
+        returns = np.empty(episodes)
+        for ep in range(episodes):
+            rng = np.random.default_rng((seed, ep))
+            s = env.initial_state(rng)
+            ret, disc = 0.0, 1.0
+            for _ in range(horizon):
+                a = action_selector(s, rng)
+                s_next, r, terminal = step(env, s, a, rng)
+                ret += disc * r
+                disc *= env.gamma
+                if terminal:
+                    break
+                s = s_next
+            returns[ep] = ret
     return PolicyEvalResult(env.env_id, episodes, float(returns.mean()),
                             float(returns.std()), seed)

@@ -28,6 +28,9 @@ from flowrl.envs import (
     uniform_discrete_policy,
     uniform_table,
 )
+import flowrl.envs.base as envs_base
+import flowrl.envs.oracle as envs_oracle
+import flowrl.metrics as metrics_module
 from flowrl.envs.base import branch_table
 from flowrl.errors import ConfigError, ContractError, OracleError
 from flowrl.metrics import (
@@ -460,6 +463,60 @@ class TestBellmanOperator:
                 np.testing.assert_allclose(got[key], ref[key], rtol=0.0, atol=1e-12)
             table = ref
 
+    @pytest.mark.parametrize("make", FINITE_ENVS)
+    def test_structure_is_read_once_per_branch_table(self, make, monkeypatch):
+        env = make()
+        policy = uniform_discrete_policy(env)
+        edges = histogram_edges(env.z_bounds, 60)
+        table = uniform_table(make(), policy, edges)   # keys from a second instance
+        calls = {"outcomes": 0, "reachable": 0}
+        outcomes, reachable = env.outcomes, envs_oracle._reachable_states
+
+        def counted_outcomes(s, a):
+            calls["outcomes"] += 1
+            return outcomes(s, a)
+
+        def counted_reachable(mdp):
+            calls["reachable"] += 1
+            return reachable(mdp)
+
+        env.outcomes = counted_outcomes
+        monkeypatch.setattr(envs_oracle, "_reachable_states", counted_reachable)
+        seen = []
+        for _ in range(3):
+            table = bellman_histogram_operator(env, policy, table, edges)
+            seen.append(dict(calls))
+        assert seen[0]["outcomes"] > 0 and seen[0]["reachable"] == 1
+        assert seen[1] == seen[2] == seen[0]
+        assert list(uniform_table(env, policy, edges)) == list(table)
+        assert len(reachable_state_actions(env, policy)) == len(table)
+        assert calls == seen[0]
+
+    def test_matches_per_pair_loop_after_the_table_gains_states(self):
+        # c * s0 with c != 1 has the root's branches but is not a state the start
+        # reaches: the table gains one such state before the first application
+        # and one after each
+        env, fresh = BranchingTree(), BranchingTree()
+        policy = uniform_discrete_policy(env)
+        s0 = env.initial_state(None)
+        edges = histogram_edges(env.z_bounds, 60)
+        monte_carlo_returns(env, policy, 0.5 * s0, np.array([0.3]), 10, 3, seed=0)
+        keys = list(uniform_table(fresh, policy, edges))
+        rng = np.random.default_rng(2)
+        table = {}
+        for key in keys:
+            m = rng.random(60) ** 3
+            table[key] = m / m.sum()
+        for i in range(3):
+            got = bellman_histogram_operator(env, policy, table, edges)
+            ref = bellman_by_pairs(env, policy, table, edges)
+            assert list(got) == list(ref) == keys
+            for key in ref:
+                np.testing.assert_allclose(got[key], ref[key], rtol=0.0, atol=1e-12)
+            monte_carlo_returns(env, policy, (0.25 + i) * s0, np.array([0.3]), 10, 3, seed=i)
+            table = ref
+        assert len(branch_table(env).states) == len(branch_table(fresh).states) + 4
+
 
 class TestBranchTable:
     @pytest.mark.parametrize("make", FINITE_ENVS + [UnitRewardLoop])
@@ -498,7 +555,7 @@ class TestBranchTable:
         s, a = env.initial_state(None), env.action_atoms()[0]
         assert (monte_carlo_returns(env, uniform, s, a, 200, env.episode_cap, seed=4).tobytes()
                 == monte_carlo_returns(ref, uniform, s, a, 200, env.episode_cap, seed=4).tobytes())
-        for selector in (policy, box):
+        for selector in (uniform, box):
             assert (evaluate_policy(env, selector, 50, env.episode_cap, seed=5)
                     == evaluate_policy(ref, selector, 50, env.episode_cap, seed=5))
         assert branch_table(env).states and not branch_table(ref).states
@@ -601,6 +658,8 @@ class TestLockstepRollouts:
         assert got.tobytes() == want.tobytes()
         ds = generate_dataset(env, Tilted(), 30, seed=1)
         assert (ds.a == 0.3).all()
+        assert (evaluate_policy(env, Tilted(), 300, 3, seed=1)
+                == evaluate_policy(env, Tilted().__call__, 300, 3, seed=1))
 
     @pytest.mark.parametrize("make", FINITE_ENVS)
     def test_dataset_matches_step_by_step(self, make):
@@ -617,6 +676,50 @@ class TestLockstepRollouts:
             spread = np.sqrt(x.var(axis=0) / len(x) + y.var(axis=0) / len(y))
             assert (np.abs(x.mean(axis=0) - y.mean(axis=0)) <= 5 * spread + 1e-12).all(), key
 
+    @pytest.mark.parametrize("make,horizon", [(StochasticChain, 16), (BranchingTree, 3),
+                                              (WindyGrid, 12)])
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_evaluation_matches_step_by_step(self, make, horizon, skewed):
+        env = make()
+        policy = SkewedPolicy(env) if skewed else uniform_discrete_policy(env)
+        batched = evaluate_policy(env, policy, 20_000, horizon, seed=31)
+        stepwise = evaluate_policy(env, support_sampler(policy), 2000, horizon, seed=32)
+        spread = np.sqrt(batched.std_return ** 2 / batched.episodes
+                         + stepwise.std_return ** 2 / stepwise.episodes)
+        assert abs(batched.mean_return - stepwise.mean_return) <= 5 * spread
+
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_evaluation_mean_matches_enumeration(self, skewed):
+        env = BranchingTree()
+        policy = SkewedPolicy(env) if skewed else uniform_discrete_policy(env)
+        s = env.initial_state(None)
+        exact = sum(p * enumerate_return_distribution(env, policy, s, a, env.depth).mean()
+                    for p, a in policy.support(s))
+        got = evaluate_policy(env, policy, 50_000, env.episode_cap, seed=33)
+        assert abs(got.mean_return - exact) <= 5 * got.std_return / np.sqrt(got.episodes)
+
+    def test_lockstep_paths_never_call_step(self, monkeypatch):
+        calls = []
+
+        def counted_step(mdp, s, a, rng):
+            calls.append(1)
+            return step(mdp, s, a, rng)
+
+        for module in (envs_base, envs_oracle, metrics_module):
+            monkeypatch.setattr(module, "step", counted_step)
+        env = WindyGrid()
+        policy = uniform_discrete_policy(env)
+        s, a = env.initial_state(None), env.action_atoms()[0]
+        rollouts = (lambda sel: monte_carlo_returns(env, sel, s, a, 20, 10, seed=0),
+                    lambda sel: generate_dataset(env, sel, 50, seed=0),
+                    lambda sel: evaluate_policy(env, sel, 20, 10, seed=0))
+        for rollout in rollouts:
+            rollout(policy)
+            assert not calls
+            rollout(support_sampler(policy))   # the counter sees the per-step path
+            assert calls
+            calls.clear()
+
     def test_horizon_below_one_rejected(self):
         env = WindyGrid()
         policy = uniform_discrete_policy(env)
@@ -626,6 +729,45 @@ class TestLockstepRollouts:
                 monte_carlo_returns(env, selector, s, a, 3, horizon=0)
             with pytest.raises(ContractError):
                 evaluate_policy(env, selector, 3, horizon=0, seed=0)
+
+
+def _rollout(name, env, policy, n=10, horizon=5, seed=0):
+    """One call of a rollout entry point; ``generate_dataset`` takes no horizon."""
+    if name == "evaluate_policy":
+        return evaluate_policy(env, policy, n, horizon, seed)
+    if name == "monte_carlo_returns":
+        s, a = env.initial_state(None), env.action_atoms()[0]
+        return monte_carlo_returns(env, policy, s, a, n, horizon, seed)
+    return generate_dataset(env, policy, n, seed)
+
+
+ROLLOUTS = ["evaluate_policy", "monte_carlo_returns", "generate_dataset"]
+BAD_ARGS = [("n", 2.5), ("n", True), ("horizon", 2.5), ("horizon", True), ("seed", -1),
+            ("seed", 1.0)]
+
+
+class TestCountsAndSeeds:
+    @pytest.mark.parametrize("name,arg,bad", [
+        (name, arg, bad) for name in ROLLOUTS for arg, bad in BAD_ARGS
+        if not (name == "generate_dataset" and arg == "horizon")])
+    def test_rejected_before_any_rollout(self, name, arg, bad):
+        env = StochasticChain()
+        with pytest.raises(ContractError):
+            _rollout(name, env, uniform_discrete_policy(env), **{arg: bad})
+        assert not branch_table(env).states
+
+    @pytest.mark.parametrize("name", ROLLOUTS)
+    def test_numpy_integers_accepted(self, name):
+        env = StochasticChain()
+        policy = uniform_discrete_policy(env)
+        got = _rollout(name, env, policy, np.int64(7), np.int64(4), np.int64(3))
+        want = _rollout(name, env, policy, 7, 4, 3)
+        if name == "generate_dataset":
+            got, want = got.arrays(), want.arrays()
+            assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+        else:
+            assert np.array_equal(getattr(got, "mean_return", got),
+                                  getattr(want, "mean_return", want))
 
 
 @settings(max_examples=40, deadline=None)
