@@ -15,7 +15,7 @@ import numpy as np
 from flowrl.critic import CriticConfig, ReturnField, sample_return
 from flowrl.diffcore import Loss, MlpSpec, MlpTape, Net, ParamSet, init_mlp, mlp_forward, \
     mlp_value
-from flowrl.errors import ConfigError, ContractError
+from flowrl.errors import ConfigError, ContractError, check_int
 from flowrl.metrics import ReturnHistogram, histogram_edges, histogram_from_atoms, \
     histogram_from_samples
 
@@ -179,8 +179,7 @@ def critic_histogram(critic, s, a, n_samples: int, n_bins: int,
     """
     if not isinstance(critic, (ReturnField, CategoricalCritic, QuantileCritic)):
         raise ContractError(f"unsupported critic type: {type(critic).__name__}")
-    if n_samples < 1:
-        raise ContractError("n_samples must be >= 1")
+    n_samples = check_int("n_samples", n_samples)
     s, a = critic._rows((s, critic.state_dim), (a, critic.action_dim))
     if s.shape[0] != 1:
         raise ContractError(f"critic_histogram takes one (s, a) pair, got {s.shape[0]} rows")

@@ -21,7 +21,7 @@ import numpy as np
 
 from flowrl.diffcore import Loss, MlpTape, Net, input_vjp, mlp_forward, mlp_value, \
     mlp_value_and_input_jvp
-from flowrl.errors import ConfigError, ContractError
+from flowrl.errors import ConfigError, ContractError, check_int
 from flowrl.flowkit import IntegrationConfig, euler_integrate, euler_integrate_with_derivative, \
     euler_trajectory, sample_times
 
@@ -101,6 +101,7 @@ class ConditionedReturnField:
 
 def antithetic_noises(rng: np.random.Generator, n: int) -> np.ndarray:
     """Standard normal draws in symmetric +/- pairs (plus 0 when n is odd)."""
+    n = check_int("n", n)
     half = rng.standard_normal(n // 2)
     parts = [half, -half] + ([np.zeros(1)] if n % 2 else [])
     return np.concatenate(parts)
@@ -119,8 +120,10 @@ def sample_return(field: ReturnField, s, a, eps, cfg: CriticConfig) -> np.ndarra
 def q_estimate(field: ReturnField, s, a, noise_set: np.ndarray) -> float:
     """Return-expectation estimate: mean of v(eps | 0, s, a) over the noises."""
     noise_set = np.atleast_1d(np.asarray(noise_set, dtype=np.float64))
-    if noise_set.size < 1:
-        raise ContractError("q_estimate needs at least one noise")
+    if noise_set.size < 1 or not np.all(np.isfinite(noise_set)):
+        raise ContractError(f"q_estimate needs at least one noise, all finite; got "
+                            f"{noise_set.size} with {np.count_nonzero(~np.isfinite(noise_set))} "
+                            f"non-finite")
     return float(field.velocity(noise_set, 0.0, s, a).mean())
 
 

@@ -1,10 +1,16 @@
 """GELU/LayerNorm MLPs: one layer walk for values, input JVPs and gradients.
 
 Every network in the package is a GELU MLP with a layer normalization after
-each hidden layer. A ``ParamSet`` is a plain dict of named float64 arrays;
-shapes are fixed at init time. ``Net`` is the base of the package's five
-networks: it holds their dims, parameters and spec, creates them, swaps
-their parameters and builds their input rows.
+each hidden layer. The GELU is the tanh form of arXiv 1606.08415,
+gelu(h) = h c(h) with c(h) = (1 + tanh(sqrt(2/pi) (h + 0.044715 h^3))) / 2,
+which is also JAX's default (``jax.nn.gelu(approximate=True)``). It is within
+4.8e-4 of the exact h Phi(h) in value and 8.7e-4 in slope, and ``np.tanh``
+costs about a seventh of SciPy's ``erf`` on a (256, 64) array, where ``erf``
+was the largest single kernel of a pass; training quality over 10 seeds did
+not move by more than seed noise. A ``ParamSet`` is a plain dict of named
+float64 arrays; shapes are fixed at init time. ``Net`` is the base of the
+package's five networks: it holds their dims, parameters and spec, creates
+them, swaps their parameters and builds their input rows.
 
 ``_walk`` is the only forward pass. It returns the output and, on request,
 the input JVP J @ tangent and a per-layer cache, over which ``_vjp`` runs the
@@ -28,15 +34,16 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from flowrl.errors import ConfigError, ContractError
 
 ParamSet = dict[str, np.ndarray]
 
 _LN_EPS = 1e-6
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_GELU_K = np.sqrt(2.0 / np.pi)         # tanh-form GELU: tanh(k (h + a h^3)), a = 0.044715
+_GELU_AK = 0.044715 * _GELU_K
+_GELU_Q0 = 0.5 * _GELU_K               # its slope's q = k/2 h (1 + 3a h^2) = h (Q0 + Q2 h^2)
+_GELU_Q2 = 1.5 * 0.044715 * _GELU_K
 
 
 @dataclass(frozen=True)
@@ -136,12 +143,15 @@ def _walk(params: ParamSet, x, spec: MlpSpec, tangent=None, keep: bool = False):
 
     Every (batch, hidden) temporary that does not outlive the call lives in
     the per-thread workspace: the hidden activations, the tangent ``dh``, the
-    GELU CDF and slope, each updated in place. Fresh (batch, hidden) arrays
-    reached glibc's mmap threshold from 256 rows of 64 floats and cost page
-    faults on every call. Only what escapes is allocated: the output, its
-    JVP and, with ``keep``, the per-layer cache ``_vjp`` reads (layer input,
-    normalized pre-activation, inverse std, GELU slope), which a live tape
-    holds until its backward runs.
+    GELU's c(h), its slope and the slope's polynomial factor q, each updated
+    in place; q borrows the activation slot of the layer before, whose array
+    is dead once this layer's matmul has read it (a ``keep`` walk's
+    activations are fresh arrays, so that slot is free there too). Fresh
+    (batch, hidden) arrays reached glibc's mmap threshold from 256 rows of 64
+    floats and cost page faults on every call. Only what escapes is
+    allocated: the output, its JVP and, with ``keep``, the per-layer cache
+    ``_vjp`` reads (layer input, normalized pre-activation, inverse std, GELU
+    slope), which a live tape holds until its backward runs.
     """
     h = np.asarray(x, dtype=np.float64)
     _check_arch(params, h, spec)
@@ -179,16 +189,24 @@ def _walk(params: ParamSet, x, spec: MlpSpec, tangent=None, keep: bool = False):
                 xhat = h.copy()
             h *= scale
             h += params[f"ln{i}_offset"]
-            np.divide(h, _SQRT2, out=tmp)
-            erf(tmp, out=tmp)
+            # GELU, tanh form: c = (1 + tanh(k (h + a h^3))) / 2 and gelu(h) = h c
+            need_slope = dh is not None or keep
+            np.multiply(h, h, out=tmp)
+            if need_slope:          # q = k/2 h (1 + 3a h^2), in the dead layer input's slot
+                q = np.multiply(tmp, _GELU_Q2, out=ws.take(_H + (i + 1) % 2, rows, width))
+                q += _GELU_Q0
+                q *= h
+            tmp *= _GELU_AK
+            tmp += _GELU_K
+            tmp *= h
+            np.tanh(tmp, out=tmp)
+            if need_slope:          # GELU'(h) = c + q (1 - tanh^2)
+                slope = np.multiply(tmp, tmp, out=None if keep else ws.take(_SLOPE, rows, width))
+                np.subtract(1.0, slope, out=slope)
+                slope *= q
             tmp += 1.0
-            tmp *= 0.5                      # Phi(h)
-            if dh is not None or keep:      # GELU'(h) = Phi(h) + h * phi(h)
-                slope = np.multiply(h, h, out=None if keep else ws.take(_SLOPE, rows, width))
-                slope *= -0.5
-                np.exp(slope, out=slope)
-                slope *= _INV_SQRT_2PI
-                slope *= h
+            tmp *= 0.5              # c
+            if need_slope:
                 slope += tmp
                 if dh is not None:
                     dh *= slope

@@ -8,8 +8,9 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.stats import norm
 
 from flowrl.envs.base import ToyMdp
 from flowrl.errors import ConfigError
@@ -241,14 +242,23 @@ class ContinuousBandit1D(ToyMdp):
         sig = self.noise_sigma
         lo, hi = self.r_min, self.r_max
         alpha, beta = (lo - mu) / sig, (hi - mu) / sig
-        return float(lo * norm.cdf(alpha) + hi * norm.sf(beta)
-                     + mu * (norm.cdf(beta) - norm.cdf(alpha))
-                     - sig * (norm.pdf(beta) - norm.pdf(alpha)))
+        return (lo * _normal_cdf(alpha) + hi * _normal_cdf(-beta)
+                + mu * (_normal_cdf(beta) - _normal_cdf(alpha))
+                - sig * (_normal_pdf(beta) - _normal_pdf(alpha)))
 
     def _step_inner(self, s, a, rng):
         raw = float(self.reward_curve(a[0])) + rng.normal(0.0, self.noise_sigma)
         r = float(np.clip(raw, self.r_min, self.r_max))
         return np.array([1.0]), r, True
+
+
+def _normal_cdf(x: float) -> float:
+    """Phi(x) through erfc, accurate in both tails (Phi(-x) is the survival function)."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _normal_pdf(x: float) -> float:
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 ENV_REGISTRY = {

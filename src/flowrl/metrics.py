@@ -22,6 +22,8 @@ def wasserstein1_samples(x: np.ndarray, y: np.ndarray) -> float:
     if x.size != y.size or x.size == 0:
         raise ContractError("wasserstein1_samples needs equal nonempty sample sets; "
                             "use the histogram variant for unequal sizes")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ContractError("wasserstein1_samples needs finite samples")
     return float(np.abs(np.sort(x) - np.sort(y)).mean())
 
 
@@ -30,12 +32,11 @@ def wasserstein1_discrete(values_p: np.ndarray, masses_p: np.ndarray,
     """Exact W1 between two finite discrete distributions (CDF integral).
 
     Samples are a special case (masses 1/n); atom sets from the enumeration
-    oracle plug in directly.
+    oracle plug in directly. Each side is a 1-d array of finite values and one
+    finite, nonnegative mass per value, summing to 1 within 1e-9.
     """
-    vp, mp = np.asarray(values_p, dtype=np.float64), np.asarray(masses_p, dtype=np.float64)
-    vq, mq = np.asarray(values_q, dtype=np.float64), np.asarray(masses_q, dtype=np.float64)
-    if vp.size == 0 or vq.size == 0:
-        raise ContractError("both distributions need at least one atom")
+    vp, mp = _atoms(values_p, masses_p)
+    vq, mq = _atoms(values_q, masses_q)
     op, oq = np.argsort(vp), np.argsort(vq)
     vp, mp = vp[op], np.cumsum(mp[op])
     vq, mq = vq[oq], np.cumsum(mq[oq])
@@ -45,6 +46,19 @@ def wasserstein1_discrete(values_p: np.ndarray, masses_p: np.ndarray,
     cdf_q = mq[np.clip(np.searchsorted(vq, grid, side="right") - 1, 0, vq.size - 1)]
     cdf_q[grid < vq[0]] = 0.0
     return float(np.sum(np.abs(cdf_p[:-1] - cdf_q[:-1]) * np.diff(grid)))
+
+
+def _atoms(values, masses) -> tuple[np.ndarray, np.ndarray]:
+    values = np.asarray(values, dtype=np.float64)
+    masses = np.asarray(masses, dtype=np.float64)
+    if values.ndim != 1 or values.size == 0 or masses.shape != values.shape:
+        raise ContractError(f"a distribution needs one mass per value and at least one atom, "
+                            f"got values {values.shape} and masses {masses.shape}")
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(masses))
+            and np.all(masses >= 0.0) and abs(masses.sum() - 1.0) <= 1e-9):
+        raise ContractError(f"atom values and masses must be finite, the masses nonnegative "
+                            f"and summing to 1; got mass sum {masses.sum()}")
+    return values, masses
 
 
 @dataclass
@@ -76,9 +90,10 @@ def _checked_edges(edges) -> np.ndarray:
 
 
 def histogram_edges(support: tuple[float, float], n_bins: int) -> np.ndarray:
+    n_bins = check_int("n_bins", n_bins)
     lo, hi = support
-    if n_bins < 1 or not lo < hi:
-        raise ContractError(f"bad histogram support {support} / bins {n_bins}")
+    if not lo < hi:
+        raise ContractError(f"bad histogram support {support}")
     return np.linspace(lo, hi, n_bins + 1)
 
 
@@ -99,8 +114,12 @@ def histogram_from_atoms(values: np.ndarray, masses: np.ndarray,
                          edges: np.ndarray) -> ReturnHistogram:
     """Bin an exact atom set (e.g. an enumeration oracle) of finite values onto a grid."""
     values, edges = np.asarray(values, dtype=np.float64), _checked_edges(edges)
+    masses = np.asarray(masses, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise ContractError("atom values must be finite")
+    if masses.shape != values.shape:
+        raise ContractError(f"need one mass per atom value, got masses {masses.shape} "
+                            f"for values {values.shape}")
     values = np.clip(values, edges[0], edges[-1])
     idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, edges.size - 2)
     out = np.zeros(edges.size - 1)

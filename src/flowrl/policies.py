@@ -14,7 +14,7 @@ import numpy as np
 
 from flowrl.critic import ReturnField, ensemble_q_and_action_grad
 from flowrl.diffcore import Loss, MlpTape, Net, mlp_forward, mlp_value
-from flowrl.errors import ContractError
+from flowrl.errors import ContractError, check_int
 from flowrl.flowkit import IntegrationConfig, euler_integrate, sample_times
 
 
@@ -93,13 +93,15 @@ def rejection_sample_action(critic_fields: list[ReturnField], bc_policy: BcFlowP
     selection. For discrete-action envs the candidates are snapped to the
     nearest legal embedded action before scoring.
     """
-    if n_candidates < 1:
-        raise ContractError("need at least one candidate")
+    n_candidates = check_int("n_candidates", n_candidates)
     if not critic_fields:
         raise ContractError("need at least one critic field")
     noise_set = np.atleast_1d(np.asarray(noise_set, dtype=np.float64))
     if n_candidates > 1 and noise_set.size < 1:
         raise ContractError("scoring candidates needs at least one Q noise")
+    if not np.all(np.isfinite(noise_set)):
+        raise ContractError(f"Q noises must be finite; "
+                            f"{np.count_nonzero(~np.isfinite(noise_set))} of {noise_set.size} are not")
     eps = rng.standard_normal((n_candidates, bc_policy.action_dim))
     candidates = sample_bc_action(bc_policy, s, eps, flow_steps)
     if action_atoms is not None:

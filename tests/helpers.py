@@ -41,7 +41,19 @@ class FuncField:
 
 
 def ref_gelu(x: np.ndarray) -> np.ndarray:
+    """The package's GELU, the tanh form (arXiv 1606.08415), written straight from its formula."""
+    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
+
+
+def exact_gelu(x: np.ndarray) -> np.ndarray:
+    """The erf-form GELU x Phi(x) that the tanh form approximates."""
     return x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+
+
+def exact_gelu_slope(x: np.ndarray) -> np.ndarray:
+    """Phi(x) + x phi(x), the slope of ``exact_gelu``."""
+    return (0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+            + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
 
 
 def ref_layer_norm(x: np.ndarray, scale: np.ndarray, offset: np.ndarray,
@@ -95,8 +107,21 @@ def fresh_walk(params: ParamSet, x: np.ndarray, spec: MlpSpec, tangent=None, kee
             xhat = h
             h = h * scale
             h = h + params[f"ln{i}_offset"]
-            cdf = (erf(h / math.sqrt(2.0)) + 1.0) * 0.5
-            slope = np.exp((h * h) * -0.5) * (1.0 / math.sqrt(2.0 * math.pi)) * h + cdf
+            k = math.sqrt(2.0 / math.pi)
+            h2 = h * h
+            q = h2 * (1.5 * 0.044715 * k)
+            q = q + 0.5 * k
+            q = q * h
+            y = h2 * (0.044715 * k)
+            y = y + k
+            y = y * h
+            tanh = np.tanh(y)
+            slope = tanh * tanh
+            slope = 1.0 - slope
+            slope = slope * q
+            cdf = tanh + 1.0
+            cdf = cdf * 0.5
+            slope = slope + cdf
             if dh is not None:
                 dh = dh * slope
             h = h * cdf

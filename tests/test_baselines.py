@@ -145,3 +145,13 @@ class TestCriticHistogram:
         s, a = rng.normal(size=(s_rows, DS)), rng.uniform(-1, 1, size=(a_rows, DA))
         with pytest.raises(ContractError):
             critic_histogram(critic, s, a, 64, 8, (Z_LO, Z_HI), np.random.default_rng(8), cfg)
+
+    @pytest.mark.parametrize("kind", [0, 1, 2], ids=["flow", "c51", "iqn"])
+    @pytest.mark.parametrize("n_samples,n_bins", [(True, 8), (64.0, 8), (0, 8), (64, True),
+                                                  (64, 2.5)])
+    def test_sample_and_bin_counts_must_be_positive_integers(self, kind, n_samples, n_bins):
+        critic = self.critics()[kind]
+        cfg = CriticConfig(gamma=0.9, z_lo=Z_LO, z_hi=Z_HI)
+        with pytest.raises(ContractError):
+            critic_histogram(critic, np.zeros(DS), np.zeros(DA), n_samples, n_bins, (Z_LO, Z_HI),
+                             np.random.default_rng(9), cfg)

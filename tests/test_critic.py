@@ -135,6 +135,16 @@ class TestQEstimate:
         assert eps.size == 64
         assert eps.sum() == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [True, 2.5, 0])
+    def test_antithetic_noise_count_must_be_a_positive_integer(self, n):
+        with pytest.raises(ContractError):
+            antithetic_noises(np.random.default_rng(0), n)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, bad):
+        with pytest.raises(ContractError):
+            q_estimate(linear_field(bias=-1.7), STATE, ACTION, np.array([0.3, bad]))
+
 
 class _AffineTransportField:
     """Exact field for the straight-line coupling eps -> mu + sigma * eps."""

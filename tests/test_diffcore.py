@@ -27,8 +27,8 @@ from flowrl.diffcore import (
 from flowrl.diffcore import nn
 from flowrl.errors import ConfigError, ContractError, TrainingError
 
-from helpers import finite_diff_param_grads, fresh_vjp, fresh_walk, grad_match_fraction, \
-    ref_mlp, random_params_like
+from helpers import exact_gelu, exact_gelu_slope, finite_diff_param_grads, fresh_vjp, fresh_walk, \
+    grad_match_fraction, ref_gelu, ref_mlp, random_params_like
 
 
 def small_spec():
@@ -84,6 +84,52 @@ class TestMlpForward:
         bad["w1"] = np.zeros((2, 2))
         with pytest.raises(ConfigError):
             mlp_value(bad, np.zeros((2, 3)), spec)
+
+
+def gelu_and_slope(h: np.ndarray, width: int = 128) -> tuple[np.ndarray, np.ndarray]:
+    """The layer walk's GELU and its slope at the points ``h``, ``width`` points per pass.
+
+    A one-hidden-layer net whose LayerNorm scale is 0 and offset holds the
+    points feeds exactly them to the activation; an identity output layer
+    returns their GELU, and the kept cache holds the slope.
+    """
+    values, slopes = [], []
+    for start in range(0, h.size, width):
+        offset = np.array(h[start:start + width], dtype=np.float64)
+        n = offset.size
+        spec = MlpSpec(in_dim=1, hidden=(n,), out_dim=n)
+        params = {"w0": np.ones((1, n)), "b0": np.zeros(n), "ln0_scale": np.zeros(n),
+                  "ln0_offset": offset, "w1": np.eye(n), "b1": np.zeros(n)}
+        out, _, cache = nn._walk(params, np.zeros((1, 1)), spec, keep=True)
+        values.append(out[0])
+        slopes.append(cache[0][3][0])
+    return np.concatenate(values), np.concatenate(slopes)
+
+
+class TestGelu:
+    """The activation is the tanh-form GELU; the erf form is only its reference here."""
+
+    GRID = np.concatenate([np.linspace(-8.0, 8.0, 641), [0.0, -2.7, 2.7]])
+
+    def test_value_matches_the_straight_line_tanh_form(self):
+        value, _ = gelu_and_slope(self.GRID)
+        np.testing.assert_allclose(value, ref_gelu(self.GRID), rtol=1e-15, atol=1e-15)
+        assert value[self.GRID == 0.0].tolist() == [0.0, 0.0]
+
+    def test_slope_matches_central_differences_into_the_saturated_tails(self):
+        step = 1e-5
+        _, slope = gelu_and_slope(self.GRID)
+        numeric = (gelu_and_slope(self.GRID + step)[0]
+                   - gelu_and_slope(self.GRID - step)[0]) / (2.0 * step)
+        np.testing.assert_allclose(slope, numeric, rtol=0, atol=1e-9)
+        assert slope[self.GRID == 0.0].tolist() == [0.5, 0.5]
+        assert abs(slope[0]) < 1e-12 and abs(slope[640] - 1.0) < 1e-12   # h = -8 and 8
+
+    def test_gap_to_the_erf_form_is_bounded(self):
+        h = np.linspace(-10.0, 10.0, 8001)
+        value, slope = gelu_and_slope(h)
+        assert np.abs(value - exact_gelu(h)).max() <= 4.8e-4
+        assert np.abs(slope - exact_gelu_slope(h)).max() <= 8.7e-4
 
 
 class TestBackward:

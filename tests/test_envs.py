@@ -1,6 +1,10 @@
 """Tests for the toy envs, datasets, and exact return-distribution oracles."""
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +228,34 @@ def test_bandit_matches_clipped_normal_law():
     w1 = np.abs(np.sort(samples) - exact_q).mean()
     z_lo, z_hi = env.z_bounds
     assert w1 < 0.02 * (z_hi - z_lo)
+
+
+@pytest.mark.parametrize("noise_sigma", [0.15, 0.02, 3.0])
+def test_bandit_mean_reward_matches_the_clipped_normal_formula(noise_sigma):
+    env = ContinuousBandit1D(noise_sigma=noise_sigma)
+    lo, hi = env.r_min, env.r_max
+    for a in np.linspace(-1.0, 1.0, 41):
+        mu = float(env.reward_curve(a))
+        alpha, beta = (lo - mu) / noise_sigma, (hi - mu) / noise_sigma
+        want = (lo * norm.cdf(alpha) + hi * norm.sf(beta)
+                + mu * (norm.cdf(beta) - norm.cdf(alpha))
+                - noise_sigma * (norm.pdf(beta) - norm.pdf(alpha)))
+        got = env.mean_reward(a)
+        assert type(got) is float and abs(got - want) <= 1e-12
+
+
+def test_importing_every_flowrl_module_loads_no_scipy():
+    import flowrl
+    src = Path(flowrl.__file__).resolve().parent.parent
+    code = ("import pkgutil, importlib, sys, flowrl\n"
+            "names = [m.name for m in pkgutil.walk_packages(flowrl.__path__, 'flowrl.')]\n"
+            "for name in names: importlib.import_module(name)\n"
+            "print(len(names), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True).stdout.split(maxsplit=1)
+    assert int(out[0]) >= 12 and out[1].strip() == "[]"
 
 
 class TestDatasets:

@@ -91,3 +91,46 @@ def test_histogram_csv_with_a_gap_between_bins_rejected(tmp_path):
     path.write_text("bin_left,bin_right,mass\n0.0,1.0,0.5\n1.5,2.0,0.5\n")
     with pytest.raises(ContractError):
         load_histogram_csv(path)
+
+
+class TestW1InputChecks:
+    VALUES = np.array([0.0, 1.0])
+    MASSES = np.array([0.5, 0.5])
+
+    def test_discrete_rejects_masses_of_another_length(self):
+        with pytest.raises(ContractError):
+            wasserstein1_discrete(self.VALUES, np.array([1.0]), self.VALUES, self.MASSES)
+        with pytest.raises(ContractError):
+            wasserstein1_discrete(self.VALUES, self.MASSES, self.VALUES, np.full(3, 1.0 / 3.0))
+
+    @pytest.mark.parametrize("masses", [[np.nan, 0.5], [np.inf, 0.5], [1.5, -0.5]])
+    def test_discrete_rejects_non_finite_or_negative_masses(self, masses):
+        with pytest.raises(ContractError):
+            wasserstein1_discrete(self.VALUES, np.array(masses), self.VALUES, self.MASSES)
+        with pytest.raises(ContractError):
+            wasserstein1_discrete(self.VALUES, self.MASSES, self.VALUES, np.array(masses))
+
+    @pytest.mark.parametrize("masses", [[5.0, 5.0], [0.5, 0.5 - 1e-8]])
+    def test_discrete_rejects_masses_that_do_not_sum_to_one(self, masses):
+        with pytest.raises(ContractError):
+            wasserstein1_discrete(self.VALUES, np.array(masses), self.VALUES, self.MASSES)
+        # within 1e-9 of 1 is a distribution
+        assert wasserstein1_discrete(self.VALUES, [0.5, 0.5 - 1e-10], [0.0], [1.0]) > 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_samples_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ContractError):
+            wasserstein1_samples([bad, 0.0], [0.0, 1.0])
+        with pytest.raises(ContractError):
+            wasserstein1_samples([0.0, 1.0], [0.0, bad])
+
+    def test_histogram_from_atoms_rejects_masses_of_another_length(self):
+        with pytest.raises(ContractError):
+            histogram_from_atoms(self.VALUES, np.array([0.2, 0.3, 0.5]),
+                                 histogram_edges((0.0, 1.0), 2))
+
+
+@pytest.mark.parametrize("n_bins", [True, 2.5, 0, np.float64(3.0)])
+def test_histogram_bin_count_must_be_a_positive_integer(n_bins):
+    with pytest.raises(ContractError):
+        histogram_edges((0.0, 1.0), n_bins)

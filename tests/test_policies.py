@@ -185,6 +185,18 @@ class TestRejectionSampling:
                                       np.random.default_rng(0))
         assert got.shape == (DA,)
 
+    @pytest.mark.parametrize("n_candidates", [True, 2.5, 0])
+    def test_candidate_count_must_be_a_positive_integer(self, n_candidates):
+        with pytest.raises(ContractError):
+            rejection_sample_action([q_field_on_action([1.0, 0.0])], linear_policy(), STATE,
+                                    n_candidates, np.array([0.0]), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_q_noise_rejected(self, bad):
+        with pytest.raises(ContractError):
+            rejection_sample_action([q_field_on_action([1.0, 0.0])], linear_policy(), STATE, 4,
+                                    np.array([0.2, bad]), np.random.default_rng(0))
+
     def test_snap_to_atoms(self):
         atoms = [np.array([-1.0, 0.0]), np.array([1.0, 0.0])]
         snapped = snap_to_atoms(np.array([[0.2, 0.7], [-0.9, 0.1]]), atoms)
