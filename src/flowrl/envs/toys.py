@@ -114,7 +114,7 @@ class BranchingTree(ToyMdp):
     def outcomes(self, s, a):
         node = self._node(s)
         level = self._level(node)
-        p_left = float(np.clip(0.5 + self.action_bias * a[0], 0.0, 1.0))
+        p_left = float(min(max(0.5 + self.action_bias * a[0], 0.0), 1.0))
         terminal = level + 1 >= self.depth
         out = []
         for left, prob in ((True, p_left), (False, 1.0 - p_left)):
@@ -188,8 +188,7 @@ class WindyGrid(ToyMdp):
 
     def _apply_move(self, row: int, col: int, move: str) -> tuple[int, int]:
         dr, dc = self.MOVES[move]
-        return (int(np.clip(row + dr, 0, self.size - 1)),
-                int(np.clip(col + dc, 0, self.size - 1)))
+        return min(max(row + dr, 0), self.size - 1), min(max(col + dc, 0), self.size - 1)
 
     def outcomes(self, s, a):
         row, col = self._cell(s)
@@ -248,7 +247,7 @@ class ContinuousBandit1D(ToyMdp):
 
     def _step_inner(self, s, a, rng):
         raw = float(self.reward_curve(a[0])) + rng.normal(0.0, self.noise_sigma)
-        r = float(np.clip(raw, self.r_min, self.r_max))
+        r = min(max(raw, self.r_min), self.r_max)
         return np.array([1.0]), r, True
 
 

@@ -59,9 +59,20 @@ def _check_finite(v: np.ndarray, k: int) -> None:
         raise IntegrationError(f"non-finite field value at Euler step {k}", step_index=k)
 
 
+def _start(noise) -> np.ndarray:
+    """A float copy of the noise; a non-finite entry is the caller's error, not the field's."""
+    x = np.array(noise, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ContractError(f"noise holds {np.count_nonzero(~np.isfinite(x))} non-finite values")
+    return x
+
+
 def euler_integrate(field: FlowField, noise: np.ndarray, cfg: IntegrationConfig) -> np.ndarray:
-    """Solve the flow ODE with the forward Euler method; returns x(1)."""
-    x = np.asarray(noise, dtype=np.float64).copy()
+    """Solve the flow ODE with the forward Euler method; returns x(1).
+
+    Non-finite noise raises ContractError before the field is called.
+    """
+    x = _start(noise)
     dt = 1.0 / cfg.steps
     t = 0.0
     for k in range(cfg.steps):
@@ -114,9 +125,10 @@ def euler_trajectory(field: ScalarFlowField, noise: np.ndarray,
 
     J is updated as J <- J + (dv/dx at the current node) * J * dt with
     J(0) = 1. The sample component performs bitwise the same arithmetic
-    as :func:`euler_integrate`.
+    as :func:`euler_integrate`, and non-finite noise raises ContractError
+    the same way.
     """
-    x = np.asarray(noise, dtype=np.float64).copy()
+    x = _start(noise)
     jac = np.ones_like(x)
     nodes, velocities = [], []
     dt = 1.0 / cfg.steps

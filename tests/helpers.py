@@ -75,33 +75,43 @@ def ref_mlp(params: ParamSet, x: np.ndarray, spec: MlpSpec) -> np.ndarray:
     return h
 
 
+def _centred(w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    m = np.full(w.shape[1], 1.0 / w.shape[1])
+    return w - w.dot(m)[:, None], b - b.dot(m)
+
+
+def _row_mean_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)[:, None] / a.shape[1]
+
+
 def fresh_walk(params: ParamSet, x: np.ndarray, spec: MlpSpec, tangent=None, keep=False):
     """The layer walk with a fresh array for every temporary: (output, JVP, cache).
 
     The same operations in the same order as ``flowrl.diffcore.nn._walk``,
     whose outputs, JVPs and cache must equal these bit for bit; only where
-    each intermediate is stored differs.
+    each intermediate is stored differs. A hidden layer multiplies by
+    centred weights and RMS-normalizes; ``ref_mlp`` is the plain LayerNorm.
     """
     h = np.asarray(x, dtype=np.float64)
     dh = None if tangent is None else np.asarray(tangent, dtype=np.float64)
     cache = [] if keep else None
     last = len(spec.layer_dims) - 1
     for i in range(last + 1):
-        w = params[f"w{i}"]
+        w, b = params[f"w{i}"], params[f"b{i}"]
         layer_in = h
+        if i < last:
+            w, b = _centred(w, b)
         h = h @ w
-        h += params[f"b{i}"]
+        h += b
         if dh is not None:
             dh = dh @ w
         xhat = inv_std = slope = None
         if i < last:
-            h = h - h.mean(axis=1, keepdims=True)
-            inv_std = 1.0 / np.sqrt((h * h).mean(axis=1, keepdims=True) + 1e-6)
+            inv_std = 1.0 / np.sqrt(_row_mean_dot(h, h) + 1e-6)
             h = h * inv_std
             scale = params[f"ln{i}_scale"]
             if dh is not None:
-                dh = dh - dh.mean(axis=1, keepdims=True)
-                dh = dh - h * (h * dh).mean(axis=1, keepdims=True)
+                dh = dh - h * _row_mean_dot(h, dh)
                 dh = dh * inv_std
                 dh = dh * scale
             xhat = h
@@ -126,7 +136,7 @@ def fresh_walk(params: ParamSet, x: np.ndarray, spec: MlpSpec, tangent=None, kee
                 dh = dh * slope
             h = h * cdf
         if keep:
-            cache.append((layer_in, xhat, inv_std, slope))
+            cache.append((layer_in, xhat, inv_std, slope, w))
     return h, dh, cache
 
 
@@ -135,17 +145,19 @@ def fresh_vjp(params: ParamSet, cache: list, out_grad: np.ndarray) -> tuple[Para
     grads: ParamSet = {}
     g = out_grad
     for i in range(len(cache) - 1, -1, -1):
-        layer_in, xhat, inv_std, slope = cache[i]
+        layer_in, xhat, inv_std, slope, w = cache[i]
         if slope is not None:
             g = g * slope
             grads[f"ln{i}_scale"] = (g * xhat).sum(axis=0)
             grads[f"ln{i}_offset"] = g.sum(axis=0)
             g = g * params[f"ln{i}_scale"]
-            g = g - (g.mean(axis=1, keepdims=True) + xhat * (g * xhat).mean(axis=1, keepdims=True))
+            g = g - xhat * _row_mean_dot(g, xhat)
             g = g * inv_std
-        grads[f"w{i}"] = layer_in.T @ g
-        grads[f"b{i}"] = g.sum(axis=0)
-        g = g @ params[f"w{i}"].T
+        gw, gb = layer_in.T @ g, g.sum(axis=0)
+        if slope is not None:
+            gw, gb = _centred(gw, gb)
+        grads[f"w{i}"], grads[f"b{i}"] = gw, gb
+        g = g @ w.T
     return grads, g
 
 

@@ -119,6 +119,10 @@ class TestSampleReturn:
         z = sample_return(field, STATE, ACTION, np.array([0.0]), cfg)
         assert z[0] == 1.0
 
+    def test_non_finite_noise_is_a_contract_error(self):
+        with pytest.raises(ContractError, match="non-finite"):
+            sample_return(random_field(0), STATE, ACTION, np.array([0.2, np.nan]), wide_config())
+
 
 class TestQEstimate:
     def test_point_mass_field_with_antithetic_pair(self):
@@ -255,6 +259,11 @@ class TestVarianceEstimate:
             field = random_field(seed)
             eps = np.random.default_rng(seed).standard_normal(8)
             assert variance_estimate(field, STATE, ACTION, eps, flow_steps=10) >= 0.0
+
+    def test_non_finite_noise_is_a_contract_error(self):
+        with pytest.raises(ContractError, match="non-finite"):
+            variance_estimate(random_field(0), STATE, ACTION, np.array([0.5, np.inf]),
+                              flow_steps=10)
 
 
 class TestConfidenceWeight:

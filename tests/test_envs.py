@@ -127,6 +127,33 @@ class TestStep:
         with pytest.raises(ContractError):
             step(env, env.initial_state(rng), a, rng)
 
+    def test_scalar_clamps_match_np_clip_at_and_past_every_bound(self):
+        grid = WindyGrid()
+        top = grid.size - 1
+        for row in range(grid.size):
+            for col in range(grid.size):
+                for move, (dr, dc) in grid.MOVES.items():
+                    want = (int(np.clip(row + dr, 0, top)), int(np.clip(col + dc, 0, top)))
+                    got = grid._apply_move(row, col, move)
+                    assert got == want and all(type(v) is int for v in got)
+
+        tree = BranchingTree(action_bias=0.7)   # 0.5 + 0.7 a spans [-0.2, 1.2] over the box
+        s = tree.initial_state(np.random.default_rng(0))
+        for a in np.linspace(-1.0, 1.0, 81):
+            p_left = float(np.clip(0.5 + 0.7 * a, 0.0, 1.0))
+            want = [p for p in (p_left, 1.0 - p_left) if p > 0.0]
+            assert [prob for prob, *_ in tree.outcomes(s, np.array([a]))] == want
+
+        bandit = ContinuousBandit1D(noise_sigma=3.0)
+        s = bandit.initial_state(np.random.default_rng(0))
+        rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+        raws, rewards = [], []
+        for a in np.linspace(-1.0, 1.0, 41):
+            raws.append(float(bandit.reward_curve(a)) + replay.normal(0.0, bandit.noise_sigma))
+            rewards.append(step(bandit, s, np.array([a]), rng)[1])
+        assert min(raws) < bandit.r_min and max(raws) > bandit.r_max
+        assert rewards == [float(np.clip(r, bandit.r_min, bandit.r_max)) for r in raws]
+
     def test_branch_frequency_three_sigma(self):
         # action bias 0.2 with a = -1 makes the left branch probability 0.3
         env = BranchingTree(depth=2, action_bias=0.2)

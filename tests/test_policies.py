@@ -109,6 +109,11 @@ class TestSampleBcAction:
         out = sample_bc_action(policy, STATE, np.zeros((1, DA)), flow_steps=7)
         np.testing.assert_allclose(out, [[0.3, -0.2]], atol=1e-12)
 
+    def test_non_finite_noise_is_a_contract_error(self):
+        policy = BcFlowPolicy.create(DS, DA, np.random.default_rng(3))
+        with pytest.raises(ContractError, match="non-finite"):
+            sample_bc_action(policy, STATE, np.array([[0.1, np.nan]]), flow_steps=10)
+
 
 class TestRejectionSampling:
     def test_single_candidate_unconditional(self):
