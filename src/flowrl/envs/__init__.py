@@ -8,6 +8,7 @@ from flowrl.envs.base import (
     behavior_policy_for,
     generate_dataset,
     load_dataset,
+    monte_carlo_returns,
     save_dataset,
     step,
 )
@@ -15,7 +16,6 @@ from flowrl.envs.oracle import (
     ReturnAtomSet,
     bellman_histogram_operator,
     enumerate_return_distribution,
-    monte_carlo_returns,
     project_masses,
     reachable_state_actions,
     table_key,
@@ -34,9 +34,10 @@ from flowrl.envs.toys import (
 
 __all__ = [
     "Dataset", "ToyMdp", "UniformBoxPolicy", "UniformDiscretePolicy",
-    "behavior_policy_for", "generate_dataset", "load_dataset", "save_dataset", "step",
+    "behavior_policy_for", "generate_dataset", "load_dataset", "monte_carlo_returns",
+    "save_dataset", "step",
     "ReturnAtomSet", "bellman_histogram_operator", "enumerate_return_distribution",
-    "monte_carlo_returns", "project_masses", "reachable_state_actions", "table_key",
+    "project_masses", "reachable_state_actions", "table_key",
     "uniform_discrete_policy", "uniform_table",
     "ENV_REGISTRY", "BranchingTree", "ContinuousBandit1D", "StochasticChain",
     "WindyGrid", "coin_flip_env", "make_env",

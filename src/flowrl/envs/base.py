@@ -5,19 +5,22 @@ the box [-1, 1]^d, with discrete action sets embedded as points of that box so
 every network sees continuous inputs. Terminal states absorb: stepping from
 one returns (same state, reward 0, terminal).
 
-Rollouts take one of two paths, chosen by the input alone. An env with action
-atoms and a policy whose ``support(s)`` lies on them run all episodes in
-lockstep off the branch table's dense arrays; every other input (the bandit,
-box policies, selectors without ``support``) calls the policy and ``step``
-one transition at a time. Dataset generation, Monte Carlo returns and policy
-evaluation (``flowrl.metrics.evaluate_policy``) all take the lockstep path
-through :class:`_Lockstep`, and the last two share its time loop. The branch
-table also keeps the policy-free structure of the histogram Bellman backup
-(``flowrl.envs.oracle``), built on first use.
+Every rollout lives in this module and takes one of two paths, chosen by the
+input alone. An env with action atoms and a policy whose ``support(s)`` lies
+on them run all episodes in lockstep off the branch table's dense arrays
+(:meth:`_Lockstep.walk`); every other input (the bandit, box policies,
+selectors without ``support``) calls the policy and ``step`` one transition
+at a time (:func:`_stepwise`). Each path is one loop that yields its steps:
+:func:`generate_dataset` records them, and :func:`monte_carlo_returns` and
+``flowrl.metrics.evaluate_policy`` (through :func:`_episode_returns`) sum
+them with :func:`_returns`. The branch table also keeps the policy-free
+structure of the histogram Bellman backup (``flowrl.envs.oracle``), built on
+first use.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -328,9 +331,9 @@ class _Lockstep:
     """A policy whose ``support`` lies on an env's action atoms, rolled out in lockstep.
 
     Holds the env's branch table, its dense view and the inverse-CDF table of
-    ``policy.support`` over the view's states (``act_cdf``). Dataset
-    generation, Monte Carlo and policy evaluation all start from here;
-    :meth:`returns` is the time loop that Monte Carlo and evaluation share.
+    ``policy.support`` over the view's states (``act_cdf``). :meth:`walk` is
+    the time loop of every lockstep rollout: datasets, Monte Carlo and policy
+    evaluation.
     """
 
     def __init__(self, mdp: ToyMdp, policy, table: BranchTable):
@@ -370,35 +373,38 @@ class _Lockstep:
             raise ContractError("policy support leaves the action atoms at a new start state")
         return cur
 
-    def returns(self, cur: np.ndarray, terminal: np.ndarray, acc: np.ndarray, disc: float,
-                steps: int, rng: np.random.Generator) -> np.ndarray:
-        """Finish episodes in lockstep and return their discounted returns.
+    def walk(self, cur: np.ndarray, steps: int, rng: np.random.Generator,
+             first: DenseBranches | None = None):
+        """Run episodes from the states ``cur`` in lockstep, yielding each time step.
 
-        Episode i is at state ``cur[i]``, has ended if ``terminal[i]``, has
-        collected ``acc[i]`` so far, and its next reward is discounted by
-        ``disc``. Each of up to ``steps`` time steps retires the ended
-        episodes, then draws one uniform per live episode for its action (by
-        inverse CDF over ``policy.support``) and one for its branch (by the
-        inverse-CDF rule of ``step``). Returns are summed in step order,
-        ``ret += disc * r; disc *= gamma``, as a single rollout sums them.
+        Each of up to ``steps`` time steps draws one uniform per live episode
+        for its action (by inverse CDF over ``policy.support``), then one for
+        its branch (by the inverse-CDF rule of ``step``), and yields
+        ``(episode, state, atom, reward, next_state, terminal)`` as arrays over
+        the live episodes: episodes by their place in ``cur``, states and atoms
+        by their ids in the view. An episode ends at its first terminal branch.
+        ``first``, a one-row :class:`DenseBranches`, holds the branches of a
+        start action that every episode takes: the first step then draws only
+        the branch uniforms and yields ``atom`` None.
         """
         view, n_atoms = self.view, len(self.view.atoms)
-        ret = np.zeros(cur.size)
-        idx = np.arange(cur.size)   # the live episodes
+        ep = np.arange(cur.size)
         for _ in range(steps):
+            if first is None:
+                aid = _draw(self.act_cdf[cur], rng.random(ep.size))
+                nid, r, terminal = view.sample(cur * n_atoms + aid, rng.random(ep.size))
+            else:
+                aid = None
+                nid, r, terminal = first.sample(np.zeros(ep.size, dtype=np.intp),
+                                                rng.random(ep.size))
+                first = None
+            yield ep, cur, aid, r, nid, terminal
+            cur = nid
             if terminal.any():
-                ret[idx[terminal]] = acc[terminal]
                 live = ~terminal
-                idx, cur, acc = idx[live], cur[live], acc[live]
-                if not idx.size:
-                    return ret
-            k = idx.size
-            aid = _draw(self.act_cdf[cur], rng.random(k))
-            cur, r, terminal = view.sample(cur * n_atoms + aid, rng.random(k))
-            acc = acc + disc * r
-            disc *= self.mdp.gamma
-        ret[idx] = acc
-        return ret
+                ep, cur = ep[live], cur[live]
+                if not ep.size:
+                    return
 
 
 def branch_table(mdp: ToyMdp) -> BranchTable:
@@ -425,6 +431,20 @@ def check_reward(mdp: ToyMdp, r: float) -> None:
     if not mdp.r_min - 1e-9 <= r <= mdp.r_max + 1e-9:
         raise ConfigError(f"{mdp.env_id} emitted reward {r} outside "
                           f"[{mdp.r_min}, {mdp.r_max}]")
+
+
+def check_start(mdp: ToyMdp, s, a) -> tuple[np.ndarray, np.ndarray]:
+    """A caller's start pair as float64 vectors, or ContractError.
+
+    ``s`` must be finite with shape ``(state_dim,)``; ``a`` must pass
+    ``validate_action``. Checked before the branch table sees either, since a
+    state the table keeps is part of every later rollout on the env.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    if s.shape != (mdp.state_dim,) or not np.isfinite(s).all():
+        raise ContractError(f"start state must be finite with shape ({mdp.state_dim},), "
+                            f"got shape {s.shape}")
+    return s, mdp.validate_action(a)
 
 
 # -- behavior policies --------------------------------------------------------
@@ -466,6 +486,98 @@ def behavior_policy_for(mdp: ToyMdp) -> Policy:
     return UniformDiscretePolicy(tuple(tuple(a) for a in atoms))
 
 
+# -- rollouts -------------------------------------------------------------------
+
+def _stepwise(mdp: ToyMdp, policy: Policy, rngs, horizon: int, start: tuple | None = None):
+    """Run episodes one transition at a time, yielding ``(episode, s, a, r, s_next, terminal)``.
+
+    Episode i draws from the i-th stream of ``rngs``: one stream repeated, or
+    one stream per episode. It starts from ``start``'s (state, action), else
+    from ``initial_state(rng)`` with the action ``policy(s, rng)``; each later
+    step calls ``policy`` on the state reached, and no call follows an
+    episode's last step. An episode ends on a terminal step or after
+    ``horizon`` steps. Each action is copied to a float64 vector, which
+    ``step`` validates, so ``a`` is the action ``step`` took whatever buffer
+    or shape the policy returned.
+    """
+    for ep, rng in enumerate(rngs):
+        s, a = (mdp.initial_state(rng), None) if start is None else start
+        for _ in range(horizon):
+            a = np.asarray(policy(s, rng) if a is None else a, dtype=np.float64).flatten()
+            s_next, r, terminal = step(mdp, s, a, rng)
+            yield ep, s, a, r, s_next, terminal
+            if terminal:
+                break
+            s, a = s_next, None
+
+
+def _returns(walk, n: int, gamma: float) -> np.ndarray:
+    """Discounted returns of ``n`` episodes from the steps of either rollout loop.
+
+    Summed in step order, ``ret += disc * r; disc *= gamma`` per episode, as
+    a single rollout sums them.
+    """
+    ret, disc = np.zeros(n), np.ones(n)
+    for ep, _, _, r, _, _ in walk:
+        d = disc[ep]
+        ret[ep] += d * r
+        disc[ep] = d * gamma
+    return ret
+
+
+def monte_carlo_returns(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndarray,
+                        n: int, horizon: int, seed: int = 0) -> np.ndarray:
+    """n independent truncated discounted-return samples from (s, a).
+
+    ``s`` and ``a`` are checked by :func:`check_start`. When the env has
+    action atoms and ``policy.support(s)`` puts all its mass on them, the n
+    episodes run in lockstep (:meth:`_Lockstep.walk`); the start action may
+    be any action in the box, and its branches are read once, from the
+    table or from ``outcomes``. Any other policy is called as
+    ``policy(s, rng)`` before each step after the first, and the env is
+    stepped one transition at a time (:func:`_stepwise`). Both paths draw
+    from one ``default_rng(seed)`` stream, each in its own order, so a seed
+    gives different samples on each.
+    """
+    n, horizon = check_int("n", n), check_int("horizon", horizon)
+    rng = np.random.default_rng(check_int("seed", seed, least=0))
+    s, a = check_start(mdp, s, a)
+    if mdp.is_terminal(s):   # ``step`` returns reward 0 and ends the episode
+        return np.zeros(n)
+    lock = _Lockstep.of(mdp, policy, s)
+    if lock is not None:
+        sid = lock.table.state_id(s)
+        row = lock.table.branches(sid, a)
+        if lock.refresh():   # else the start action's branches led off the support
+            for branch in row:
+                check_reward(mdp, branch[2])
+            first = DenseBranches.from_rows(lock.view.states, lock.view.atoms, [row])
+            return _returns(lock.walk(np.full(n, sid), horizon, rng, first), n, mdp.gamma)
+    steps = _stepwise(mdp, policy, itertools.repeat(rng, n), horizon, (s, a))
+    return _returns(steps, n, mdp.gamma)
+
+
+def _episode_returns(mdp: ToyMdp, policy, episodes: int, horizon: int,
+                     seed: int) -> np.ndarray:
+    """Returns of ``episodes`` seeded rollouts of up to ``horizon`` steps from ``initial_state``.
+
+    The rollouts of ``flowrl.metrics.evaluate_policy``, which checks the
+    arguments. In lockstep, every episode draws from one ``default_rng(seed)``
+    stream and takes its actions from ``policy.support``; the policy is
+    never called. On the per-step path episode ``ep`` draws from its own
+    ``default_rng((seed, ep))`` stream, so its return does not depend on how
+    many episodes run.
+    """
+    lock = _Lockstep.of(mdp, policy)
+    if lock is not None:
+        rng = np.random.default_rng(seed)
+        steps = lock.walk(lock.starts(episodes, rng), horizon, rng)
+    else:
+        rngs = (np.random.default_rng((seed, ep)) for ep in range(episodes))
+        steps = _stepwise(mdp, policy, rngs, horizon)
+    return _returns(steps, episodes, mdp.gamma)
+
+
 # -- dataset generation and serialization -------------------------------------
 
 def generate_dataset(mdp: ToyMdp, behavior: Policy, n_transitions: int, seed: int) -> Dataset:
@@ -480,70 +592,40 @@ def generate_dataset(mdp: ToyMdp, behavior: Policy, n_transitions: int, seed: in
     random streams from one seed: a finite env's dataset under
     ``behavior_policy_for`` differs from the one the per-step loop gives
     for the same seed, while the bandit's is the per-step loop's.
+
+    Lockstep episodes run in rounds that all start together. A round holds
+    as many episodes as the transitions still wanted at the mean episode
+    length seen so far (the cap before the first round); the rows past
+    ``n_transitions`` of the last round are dropped.
     """
     n_transitions = check_int("n_transitions", n_transitions)
     rng = np.random.default_rng(check_int("seed", seed, least=0))
     behavior_id = getattr(behavior, "behavior_id", "custom")
-    columns = _lockstep_dataset(mdp, behavior, n_transitions, rng)
-    if columns is None:
-        columns = _stepwise_dataset(mdp, behavior, n_transitions, rng)
-    return Dataset(*columns, mdp.env_id, behavior_id, seed)
-
-
-def _stepwise_dataset(mdp: ToyMdp, behavior: Policy, n_transitions: int,
-                      rng: np.random.Generator) -> tuple:
-    rows: list[tuple] = []
-    while len(rows) < n_transitions:
-        s = mdp.initial_state(rng)
-        for _ in range(mdp.episode_cap):
-            a = behavior(s, rng)
-            s_next, r, terminal = step(mdp, s, a, rng)
-            rows.append((s.copy(), np.asarray(a, dtype=np.float64), r, s_next.copy(), terminal))
-            if terminal or len(rows) >= n_transitions:
-                break
-            s = s_next
-    return tuple(np.array(col) for col in zip(*rows))
-
-
-def _lockstep_dataset(mdp: ToyMdp, behavior, n_transitions: int,
-                      rng: np.random.Generator) -> tuple | None:
-    """The columns of ``generate_dataset`` by lockstep rollouts, or None for other inputs.
-
-    Runs rounds of episodes that all start together; each time step draws
-    one uniform per live episode for its action and one for its branch. A
-    round holds as many episodes as the transitions still wanted at the mean
-    episode length seen so far (the cap before the first round); the rows
-    past ``n_transitions`` of the last round are dropped.
-    """
     lock = _Lockstep.of(mdp, behavior)
     if lock is None:
-        return None
-    n_atoms = len(lock.view.atoms)
-    parts: list[tuple] = []
+        rows = []
+        for _, s, a, r, s_next, terminal in _stepwise(mdp, behavior, itertools.repeat(rng),
+                                                      mdp.episode_cap):
+            rows.append((s.copy(), a, r, s_next.copy(), terminal))
+            if len(rows) == n_transitions:
+                break
+        return Dataset(*zip(*rows), mdp.env_id, behavior_id, seed)
+    parts: list[list] = []
     total = episodes = 0
     per_episode = float(mdp.episode_cap)
     while total < n_transitions:
         m = max(1, int(np.ceil((n_transitions - total) / per_episode)))
-        cur = lock.starts(m, rng)
-        view, act_cdf = lock.view, lock.act_cdf
-        ep = np.arange(episodes, episodes + m)
-        steps = []
-        for _ in range(mdp.episode_cap):
-            aid = _draw(act_cdf[cur], rng.random(cur.size))
-            nid, r, terminal = view.sample(cur * n_atoms + aid, rng.random(cur.size))
-            steps.append((ep, cur, aid, r, nid, terminal))
-            live = ~terminal
-            ep, cur = ep[live], nid[live]
-            if not cur.size:
-                break
+        steps = lock.walk(lock.starts(m, rng), mdp.episode_cap, rng)
         cols = [np.concatenate(col) for col in zip(*steps)]
         order = np.argsort(cols[0], kind="stable")   # episode by episode, steps in order
-        parts.append(tuple(col[order] for col in cols[1:]))
+        parts.append([col[order] for col in cols[1:]])
         total += len(order)
         episodes += m
         per_episode = total / episodes
     sid, aid, r, nid, terminal = (np.concatenate(col)[:n_transitions] for col in zip(*parts))
-    return view.states[sid], view.atoms[aid], r, view.states[nid], terminal
+    view = lock.view
+    return Dataset(view.states[sid], view.atoms[aid], r, view.states[nid], terminal,
+                   mdp.env_id, behavior_id, seed)
 
 
 def _fmt_vec(v: np.ndarray) -> str:

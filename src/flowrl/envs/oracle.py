@@ -2,22 +2,15 @@
 
 The oracles below read an env's branches through its
 :class:`~flowrl.envs.base.BranchTable`, which calls ``outcomes`` once per
-(state, action atom) pair.
+(state, action atom) pair. They sample nothing: the sampled rollouts they
+are checked against (``monte_carlo_returns``, datasets and policy
+evaluation) live in :mod:`flowrl.envs.base`.
 
 ``enumerate_return_distribution`` returns the exact atoms of the discounted
 return truncated at a horizon. It is a dynamic program over depth: the
 frontier maps (state, action, exact partial return) to its probability, so
 paths that meet again are expanded once, and ``PATH_GUARD`` bounds the
-frontier size. ``monte_carlo_returns`` is the sampling cross-check, a path
-apart from the enumeration: it draws episodes branch by branch. When the env
-has action atoms and the policy's ``support`` lies on them, all episodes
-advance together, one numpy step per time step, off the table's dense arrays
-(:meth:`~flowrl.envs.base.BranchTable.dense`); any other policy is called
-and the env stepped with ``step`` one transition at a time. That per-step
-loop is the referee of the lockstep path in the tests. The two paths draw
-different random streams, so a seed gives different samples on each.
-``lockstep_episode_returns`` runs the same lockstep loop from the initial
-state; it is how ``flowrl.metrics.evaluate_policy`` rolls out such a policy.
+frontier size.
 
 The histogram-level Bellman operator discretizes the density backup for
 contraction and fixed-point harnesses, as one matrix step over all reachable
@@ -34,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowrl.envs.base import DenseBranches, ToyMdp, UniformDiscretePolicy, _Lockstep, \
-    branch_table, check_reward, step
-from flowrl.errors import ContractError, OracleError, check_int
+from flowrl.envs.base import ToyMdp, UniformDiscretePolicy, branch_table, check_start
+from flowrl.errors import ContractError, OracleError
 
 PATH_GUARD = 1_000_000    # frontier entries per depth of the enumeration DP
 
@@ -80,7 +72,8 @@ def enumerate_return_distribution(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndar
     partial return are expanded once. Every path still does the same float
     operations as a path-by-path walk (``ret + gamma**depth * r``), so atom
     values are exact; masses differ from such a walk only in summation order.
-    Branches come from the env's branch table.
+    Branches come from the env's branch table; ``s`` and ``a`` are checked
+    by :func:`~flowrl.envs.base.check_start` before it sees them.
 
     Paths still alive at the horizon contribute atoms at their partial return;
     their total probability is reported as ``truncated_mass`` and the value
@@ -89,9 +82,9 @@ def enumerate_return_distribution(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndar
     """
     if horizon < 1:
         raise ContractError("horizon must be >= 1")
+    s, a = check_start(mdp, s, a)
     gamma = mdp.gamma
     table = branch_table(mdp)
-    a = np.asarray(a, dtype=np.float64)
     actions = {a.tobytes(): a}
     supports: dict[int, list] = {}
 
@@ -140,91 +133,6 @@ def enumerate_return_distribution(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndar
         raise OracleError(f"truncated mass {truncated_mass:.3g} exceeds mass_tol "
                           f"{mass_tol:.3g}; raise the horizon")
     return ReturnAtomSet(values, masses, horizon, truncated_mass, value_tol)
-
-
-def monte_carlo_returns(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndarray,
-                        n: int, horizon: int, seed: int = 0) -> np.ndarray:
-    """n independent truncated discounted-return samples from (s, a).
-
-    When the env has action atoms and ``policy.support(s)`` puts all its mass
-    on them, the n episodes run in lockstep off the env's branch table (see
-    :func:`_lockstep_returns`); any other policy is called as
-    ``policy(s, rng)`` and the env stepped one transition at a time. The two
-    paths draw different random streams from one seed.
-    """
-    n, horizon = check_int("n", n), check_int("horizon", horizon)
-    rng = np.random.default_rng(check_int("seed", seed, least=0))
-    out = _lockstep_returns(mdp, policy, s, a, n, horizon, rng)
-    if out is not None:
-        return out
-    out = np.empty(n)
-    for i in range(n):
-        cur_s, cur_a = s, a
-        ret, disc = 0.0, 1.0
-        for _ in range(horizon):
-            s_next, r, terminal = step(mdp, cur_s, cur_a, rng)
-            ret += disc * r
-            disc *= mdp.gamma
-            if terminal:
-                break
-            cur_s, cur_a = s_next, policy(s_next, rng)
-        out[i] = ret
-    return out
-
-
-def _lockstep_returns(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndarray, n: int,
-                      horizon: int, rng: np.random.Generator) -> np.ndarray | None:
-    """``monte_carlo_returns`` with every live episode stepped at once, or None.
-
-    Returns None, having drawn nothing from ``rng``, unless the env has
-    action atoms and the policy's support lies on them. The first step draws
-    one uniform per episode for its branch from (s, a); the start action may
-    be any action in the box, and its branches are read once, from the table
-    or from ``outcomes``. :meth:`_Lockstep.returns` runs the remaining
-    ``horizon - 1`` steps.
-    """
-    lock = _Lockstep.of(mdp, policy, s)
-    if lock is None:
-        return None
-    a = mdp.validate_action(a)
-    table = lock.table
-    sid = table.state_id(s)
-    if mdp.is_terminal(table.states[sid]):   # ``step`` returns reward 0 and ends the episode
-        return np.zeros(n)
-    aid = table.atom_id(a)
-    first = None if aid is not None else table.branches(sid, a)
-    if not lock.refresh():   # the start action's branches reached new states
-        return None
-    view = lock.view
-    u = rng.random(n)
-    if first is None:
-        nid, r, terminal = view.sample(np.full(n, sid * len(view.atoms) + aid), u)
-    else:
-        for branch in first:
-            check_reward(mdp, branch[2])
-        start = DenseBranches.from_rows(view.states, view.atoms, [first])
-        nid, r, terminal = start.sample(np.zeros(n, dtype=np.intp), u)
-    ret = np.zeros(n)
-    ret += r
-    return lock.returns(nid, terminal, ret, mdp.gamma, horizon - 1, rng)
-
-
-def lockstep_episode_returns(mdp: ToyMdp, policy, episodes: int, horizon: int,
-                             rng: np.random.Generator) -> np.ndarray | None:
-    """Returns of ``episodes`` rollouts from the initial state, all stepped at once, or None.
-
-    Returns None, having drawn nothing from ``rng``, unless the env has
-    action atoms and the policy's support lies on them. Each episode starts
-    at ``initial_state(rng)`` and draws every action, the first included,
-    from ``policy.support``; :meth:`_Lockstep.returns` runs up to
-    ``horizon`` steps.
-    """
-    lock = _Lockstep.of(mdp, policy)
-    if lock is None:
-        return None
-    cur = lock.starts(episodes, rng)
-    return lock.returns(cur, np.zeros(episodes, dtype=bool), np.zeros(episodes), 1.0,
-                        horizon, rng)
 
 
 # -- discretized density-level Bellman operator --------------------------------

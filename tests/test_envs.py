@@ -1,6 +1,7 @@
 """Tests for the toy envs, datasets, and exact return-distribution oracles."""
 
 import functools
+import hashlib
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from flowrl.envs import (
     Dataset,
     StochasticChain,
     ToyMdp,
+    UniformBoxPolicy,
     WindyGrid,
     behavior_policy_for,
     bellman_histogram_operator,
@@ -325,6 +327,26 @@ class TestDatasets:
         assert make_env("branching-tree").env_id == "branching-tree-3"
         with pytest.raises(Exception):
             make_env("no-such-env")
+
+    def test_stepwise_rows_hold_copies_of_the_actions_taken(self):
+        env = ContinuousBandit1D()
+        buffer = np.zeros(1)
+
+        def fresh(s, rng):
+            return np.array([rng.uniform(-1.0, 1.0)])
+
+        def reused(s, rng):   # one action buffer, overwritten on every call
+            buffer[0] = rng.uniform(-1.0, 1.0)
+            return buffer
+
+        def row_shaped(s, rng):   # (1, action_dim), which ``step`` accepts
+            return fresh(s, rng)[None]
+
+        want = generate_dataset(env, fresh, 5, seed=0)
+        assert len(np.unique(want.a)) == 5
+        for behavior in (reused, row_shaped):
+            got = generate_dataset(env, behavior, 5, seed=0)
+            assert got.a.shape == (5, 1) and got.a.tobytes() == want.a.tobytes()
 
     def test_arrays_are_the_read_only_columns(self):
         env = WindyGrid()
@@ -764,8 +786,9 @@ class TestLockstepRollouts:
             calls.append(1)
             return step(mdp, s, a, rng)
 
-        for module in (envs_base, envs_oracle, metrics_module):
-            monkeypatch.setattr(module, "step", counted_step)
+        monkeypatch.setattr(envs_base, "step", counted_step)   # every rollout looks it up there
+        for module in (envs_oracle, metrics_module):
+            assert not hasattr(module, "step") and not hasattr(module, "_Lockstep")
         env = WindyGrid()
         policy = uniform_discrete_policy(env)
         s, a = env.initial_state(None), env.action_atoms()[0]
@@ -778,6 +801,37 @@ class TestLockstepRollouts:
             rollout(support_sampler(policy))   # the counter sees the per-step path
             assert calls
             calls.clear()
+
+    @pytest.mark.parametrize("make,horizon,steps", [(WindyGrid, 5, 5), (BranchingTree, 10, 3)])
+    def test_stepwise_monte_carlo_calls_the_policy_between_steps_only(self, make, horizon, steps):
+        # the grid's goal is 8 moves away and every tree episode ends at depth 3
+        env = make()
+        sampler, calls = support_sampler(uniform_discrete_policy(env)), []
+
+        def counted(s, rng):
+            calls.append(1)
+            return sampler(s, rng)
+
+        s, a = env.initial_state(None), env.action_atoms()[0]
+        monte_carlo_returns(env, counted, s, a, 30, horizon, seed=0)
+        assert len(calls) == 30 * (steps - 1)
+
+    @pytest.mark.parametrize("bad_s,bad_a", [
+        (np.zeros(3), None), (np.full(25, np.nan), None), (np.eye(25)[:1], None),
+        (None, np.zeros(3)), (None, np.zeros((2, 2))), (None, np.array([np.nan, 0.0]))])
+    def test_bad_start_pair_leaves_the_branch_table_alone(self, bad_s, bad_a):
+        env, fresh = WindyGrid(), WindyGrid()
+        policy = uniform_discrete_policy(env)
+        s = env.initial_state(None) if bad_s is None else bad_s
+        a = env.action_atoms()[0] if bad_a is None else bad_a
+        with pytest.raises(ContractError):
+            monte_carlo_returns(env, policy, s, a, 10, 5, seed=0)
+        with pytest.raises(ContractError):
+            enumerate_return_distribution(env, policy, s, a, 3)
+        assert not branch_table(env).states
+        for rollout in ROLLOUTS:
+            got, want = _rollout(rollout, env, policy), _rollout(rollout, fresh, policy)
+            assert _case_digest(got) == _case_digest(want)
 
     def test_horizon_below_one_rejected(self):
         env = WindyGrid()
@@ -798,6 +852,90 @@ def _rollout(name, env, policy, n=10, horizon=5, seed=0):
         s, a = env.initial_state(None), env.action_atoms()[0]
         return monte_carlo_returns(env, policy, s, a, n, horizon, seed)
     return generate_dataset(env, policy, n, seed)
+
+
+def _digest(*arrays):
+    """Digest of arrays' shapes and values.
+
+    Reals are rounded to 10 decimals: a last-bit difference in libm between
+    machines leaves the digest alone, while a change of random stream does not.
+    """
+    h = hashlib.sha256()
+    for x in arrays:
+        x = np.asarray(x)
+        h.update(str(x.shape).encode())
+        h.update((np.round(x, 10) + 0.0 if x.dtype.kind == "f" else x).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _stream_cases():
+    """Seeded rollouts of every path, each as the arrays it returns."""
+    cases = {}
+    for env_id in ("windy-grid-5", "branching-tree-3", "stochastic-chain-4"):
+        env = make_env(env_id)
+        s, atom = env.initial_state(None), env.action_atoms()[-1]
+        off_atom = np.linspace(0.3, -0.6, env.action_dim)
+        skewed = SkewedPolicy(env)
+        cases[f"{env_id}/dataset"] = functools.partial(
+            generate_dataset, env, behavior_policy_for(env), 300, 11)
+        cases[f"{env_id}/mc"] = functools.partial(
+            monte_carlo_returns, env, uniform_discrete_policy(env), s, atom, 200,
+            env.episode_cap, 12)
+        cases[f"{env_id}/mc-off-atom"] = functools.partial(
+            monte_carlo_returns, env, skewed, s, off_atom, 200, env.episode_cap, 13)
+        cases[f"{env_id}/eval"] = functools.partial(
+            evaluate_policy, env, skewed, 200, env.episode_cap, 14)
+    bandit, box = ContinuousBandit1D(), UniformBoxPolicy(1)
+    cases["bandit/dataset"] = functools.partial(
+        generate_dataset, bandit, behavior_policy_for(bandit), 200, 15)
+    cases["bandit/mc"] = functools.partial(
+        monte_carlo_returns, bandit, box, np.array([0.0]), np.array([0.25]), 100, 3, 16)
+    cases["bandit/eval"] = functools.partial(evaluate_policy, bandit, box, 100, 3, 17)
+    grid, tree = WindyGrid(), BranchingTree()
+    cases["callable/grid-dataset"] = functools.partial(
+        generate_dataset, grid, support_sampler(SkewedPolicy(grid)), 300, 18)
+    cases["callable/grid-eval"] = functools.partial(
+        evaluate_policy, grid, support_sampler(SkewedPolicy(grid)), 100, 12, 19)
+    # every episode ends on a terminal branch at step 3, before the horizon
+    cases["callable/tree-mc"] = functools.partial(
+        monte_carlo_returns, tree, support_sampler(SkewedPolicy(tree)),
+        tree.initial_state(None), np.array([1.0]), 200, 3, 20)
+    return cases
+
+
+def _case_digest(out) -> str:
+    if isinstance(out, Dataset):
+        return _digest(*out.arrays().values())
+    if hasattr(out, "mean_return"):
+        return _digest([out.mean_return, out.std_return])
+    return _digest(out)
+
+
+STREAM_DIGESTS = {   # a changed digest is a changed seeded result
+    "bandit/dataset": "071ea5a21df95ebb",
+    "bandit/eval": "d5e582ba76705fdc",
+    "bandit/mc": "6a02434036e95cb4",
+    "branching-tree-3/dataset": "b558f9be8a26036c",
+    "branching-tree-3/eval": "ea22a50482d67455",
+    "branching-tree-3/mc": "6fb7af6f72f61451",
+    "branching-tree-3/mc-off-atom": "cc6821c808724651",
+    "callable/grid-dataset": "96ce1507d5b104e5",
+    "callable/grid-eval": "7cd374ca898d1b8f",
+    "callable/tree-mc": "ee1d671c204756ee",
+    "stochastic-chain-4/dataset": "6cf78924d18bf26d",
+    "stochastic-chain-4/eval": "00ecccca6287f7a2",
+    "stochastic-chain-4/mc": "ab92937c8a4b7645",
+    "stochastic-chain-4/mc-off-atom": "5592b34b075693b9",
+    "windy-grid-5/dataset": "50b89c02bf907ad2",
+    "windy-grid-5/eval": "fe6c16f5eaade48c",
+    "windy-grid-5/mc": "f97662118559a2fc",
+    "windy-grid-5/mc-off-atom": "41962aae2a57c6cd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_stream_cases()))
+def test_seeded_streams_are_pinned(name):
+    assert _case_digest(_stream_cases()[name]()) == STREAM_DIGESTS[name]
 
 
 ROLLOUTS = ["evaluate_policy", "monte_carlo_returns", "generate_dataset"]
