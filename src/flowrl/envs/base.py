@@ -379,17 +379,18 @@ class _Lockstep:
 
         Each of up to ``steps`` time steps draws one uniform per live episode
         for its action (by inverse CDF over ``policy.support``), then one for
-        its branch (by the inverse-CDF rule of ``step``), and yields
-        ``(episode, state, atom, reward, next_state, terminal)`` as arrays over
-        the live episodes: episodes by their place in ``cur``, states and atoms
-        by their ids in the view. An episode ends at its first terminal branch.
+        its branch (by the inverse-CDF rule of ``step``), and yields the step
+        ``t`` and ``(episode, state, atom, reward, next_state, terminal)`` as
+        arrays over the live episodes: episodes by their place in ``cur``,
+        states and atoms by their ids in the view. An episode ends at its
+        first terminal branch.
         ``first``, a one-row :class:`DenseBranches`, holds the branches of a
         start action that every episode takes: the first step then draws only
         the branch uniforms and yields ``atom`` None.
         """
         view, n_atoms = self.view, len(self.view.atoms)
         ep = np.arange(cur.size)
-        for _ in range(steps):
+        for t in range(steps):
             if first is None:
                 aid = _draw(self.act_cdf[cur], rng.random(ep.size))
                 nid, r, terminal = view.sample(cur * n_atoms + aid, rng.random(ep.size))
@@ -398,7 +399,7 @@ class _Lockstep:
                 nid, r, terminal = first.sample(np.zeros(ep.size, dtype=np.intp),
                                                 rng.random(ep.size))
                 first = None
-            yield ep, cur, aid, r, nid, terminal
+            yield t, ep, cur, aid, r, nid, terminal
             cur = nid
             if terminal.any():
                 live = ~terminal
@@ -489,23 +490,23 @@ def behavior_policy_for(mdp: ToyMdp) -> Policy:
 # -- rollouts -------------------------------------------------------------------
 
 def _stepwise(mdp: ToyMdp, policy: Policy, rngs, horizon: int, start: tuple | None = None):
-    """Run episodes one transition at a time, yielding ``(episode, s, a, r, s_next, terminal)``.
+    """Run episodes one transition at a time, yielding ``(t, episode, s, a, r, s_next, terminal)``.
 
     Episode i draws from the i-th stream of ``rngs``: one stream repeated, or
     one stream per episode. It starts from ``start``'s (state, action), else
     from ``initial_state(rng)`` with the action ``policy(s, rng)``; each later
     step calls ``policy`` on the state reached, and no call follows an
     episode's last step. An episode ends on a terminal step or after
-    ``horizon`` steps. Each action is copied to a float64 vector, which
-    ``step`` validates, so ``a`` is the action ``step`` took whatever buffer
-    or shape the policy returned.
+    ``horizon`` steps; ``t`` counts its steps from 0. Each action is copied
+    to a float64 vector, which ``step`` validates, so ``a`` is the action
+    ``step`` took whatever buffer or shape the policy returned.
     """
     for ep, rng in enumerate(rngs):
         s, a = (mdp.initial_state(rng), None) if start is None else start
-        for _ in range(horizon):
+        for t in range(horizon):
             a = np.asarray(policy(s, rng) if a is None else a, dtype=np.float64).flatten()
             s_next, r, terminal = step(mdp, s, a, rng)
-            yield ep, s, a, r, s_next, terminal
+            yield t, ep, s, a, r, s_next, terminal
             if terminal:
                 break
             s, a = s_next, None
@@ -514,14 +515,14 @@ def _stepwise(mdp: ToyMdp, policy: Policy, rngs, horizon: int, start: tuple | No
 def _returns(walk, n: int, gamma: float) -> np.ndarray:
     """Discounted returns of ``n`` episodes from the steps of either rollout loop.
 
-    Summed in step order, ``ret += disc * r; disc *= gamma`` per episode, as
-    a single rollout sums them.
+    Summed in step order, ``ret += disc * r`` with step t's ``disc`` the
+    product ``1.0 * gamma * ...`` of t factors, as a single rollout sums them.
     """
-    ret, disc = np.zeros(n), np.ones(n)
-    for ep, _, _, r, _, _ in walk:
-        d = disc[ep]
-        ret[ep] += d * r
-        disc[ep] = d * gamma
+    ret, discs = np.zeros(n), [1.0]
+    for t, ep, _, _, r, _, _ in walk:
+        if t == len(discs):
+            discs.append(discs[-1] * gamma)
+        ret[ep] += discs[t] * r
     return ret
 
 
@@ -604,8 +605,8 @@ def generate_dataset(mdp: ToyMdp, behavior: Policy, n_transitions: int, seed: in
     lock = _Lockstep.of(mdp, behavior)
     if lock is None:
         rows = []
-        for _, s, a, r, s_next, terminal in _stepwise(mdp, behavior, itertools.repeat(rng),
-                                                      mdp.episode_cap):
+        for _, _, s, a, r, s_next, terminal in _stepwise(mdp, behavior, itertools.repeat(rng),
+                                                         mdp.episode_cap):
             rows.append((s.copy(), a, r, s_next.copy(), terminal))
             if len(rows) == n_transitions:
                 break
@@ -616,7 +617,7 @@ def generate_dataset(mdp: ToyMdp, behavior: Policy, n_transitions: int, seed: in
     while total < n_transitions:
         m = max(1, int(np.ceil((n_transitions - total) / per_episode)))
         steps = lock.walk(lock.starts(m, rng), mdp.episode_cap, rng)
-        cols = [np.concatenate(col) for col in zip(*steps)]
+        cols = [np.concatenate(col) for col in list(zip(*steps))[1:]]
         order = np.argsort(cols[0], kind="stable")   # episode by episode, steps in order
         parts.append([col[order] for col in cols[1:]])
         total += len(order)
