@@ -38,6 +38,7 @@ class CategoricalCritic(Net):
     def create(cls, state_dim: int, action_dim: int, n_atoms: int, z_lo: float, z_hi: float,
                rng: np.random.Generator, hidden: tuple[int, ...] = (64, 64)
                ) -> "CategoricalCritic":
+        n_atoms = check_int("n_atoms", n_atoms, least=2)
         spec = MlpSpec(in_dim=state_dim + action_dim, hidden=hidden, out_dim=n_atoms)
         support = np.linspace(z_lo, z_hi, n_atoms)
         return cls(state_dim, action_dim, init_mlp(spec, rng), spec, support)
@@ -143,8 +144,7 @@ def quantile_huber_loss(online: QuantileCritic, target: QuantileCritic,
     _check_gamma(gamma)
     if not kappa > 0.0:
         raise ContractError(f"kappa must be positive, got {kappa}")
-    if n_quantiles < 1:
-        raise ContractError(f"n_quantiles must be >= 1, got {n_quantiles}")
+    n_quantiles = check_int("n_quantiles", n_quantiles)
     n = len(batch)
     a_next = np.atleast_2d(np.asarray(next_action_sampler(batch.s_next, rng),
                                       dtype=np.float64))

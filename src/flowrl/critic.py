@@ -10,7 +10,9 @@ confidence weight that grows with return uncertainty.
 
 ``ReturnField`` is a ``diffcore.Net``: it adds only its (z, t, s, a) input
 layout and the field's methods. Every (z, t, s, a) row in the package,
-including those of the ensemble Q gradient, is built by its ``_inputs``.
+including the noise-major rows that every ensemble Q pass shares
+(:func:`ensemble_q`, :func:`ensemble_q_and_action_grad`), is built by its
+``_inputs``.
 """
 
 from __future__ import annotations
@@ -117,16 +119,6 @@ def sample_return(field: ReturnField, s, a, eps, cfg: CriticConfig) -> np.ndarra
     return z
 
 
-def q_estimate(field: ReturnField, s, a, noise_set: np.ndarray) -> float:
-    """Return-expectation estimate: mean of v(eps | 0, s, a) over the noises."""
-    noise_set = np.atleast_1d(np.asarray(noise_set, dtype=np.float64))
-    if noise_set.size < 1 or not np.all(np.isfinite(noise_set)):
-        raise ContractError(f"q_estimate needs at least one noise, all finite; got "
-                            f"{noise_set.size} with {np.count_nonzero(~np.isfinite(noise_set))} "
-                            f"non-finite")
-    return float(field.velocity(noise_set, 0.0, s, a).mean())
-
-
 def variance_estimate(field: ReturnField, s, a, noise_set: np.ndarray,
                       flow_steps: int) -> float:
     """Return-variance estimate: mean squared flow derivative at t = 1."""
@@ -136,13 +128,6 @@ def variance_estimate(field: ReturnField, s, a, noise_set: np.ndarray,
     cond = field.conditioned(s, a)
     _, jac = euler_integrate_with_derivative(cond, noise_set, IntegrationConfig(flow_steps))
     return float((jac**2).mean())
-
-
-def critic_ensemble_q(fields: list[ReturnField], s, a, noise_set: np.ndarray) -> float:
-    """Pessimistic ensemble aggregation: min of per-field q estimates."""
-    if not fields:
-        raise ContractError("need at least one field")
-    return min(q_estimate(f, s, a, noise_set) for f in fields)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -302,26 +287,59 @@ def value_flow_loss(online: ReturnField, target: ReturnField, next_action_sample
     return loss, loss.tape, diagnostics
 
 
-def ensemble_q_and_action_grad(fields: list[ReturnField], s: np.ndarray, actions: np.ndarray,
-                               noises: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ensemble-min Q estimate per row and its gradient with respect to the actions.
+def _q_rows(fields: list[ReturnField], s, actions: np.ndarray,
+            noises) -> tuple[np.ndarray, int]:
+    """The (eps, t = 0, s, a) rows of an ensemble Q pass, and the noise count m.
 
-    Each field runs one pass over the m noises stacked on the n rows, inputs
-    (eps, t = 0, s, a), and averages its m outputs per row; q is the minimum
-    over fields, ties going to the earlier field. dq/da comes from the
-    input-only reverse pass of each field, seeded on the rows where it is that
-    minimum, summed over the noises. Field parameters are constants.
-    Returns q as (n, 1) and dq/da as (n, action_dim).
+    Rows are noise-major: row j * n + i pairs noise j with action row i and
+    with state row i (or the one state row). Every field reads these rows.
     """
     if not fields:
         raise ContractError("need at least one field")
     noises = np.atleast_1d(np.asarray(noises, dtype=np.float64))
-    if noises.ndim != 1 or noises.size < 1:
-        raise ContractError(f"need a 1-d set of at least one Q noise, got shape {noises.shape}")
-    n, m = s.shape[0], noises.size
-    x = fields[0]._inputs(np.repeat(noises, n), 0.0, np.tile(s, (m, 1)), np.tile(actions, (m, 1)))
+    if noises.ndim != 1 or noises.size < 1 or not np.isfinite(noises).all():
+        raise ContractError(f"need a 1-d set of at least one Q noise, all finite; got shape "
+                            f"{noises.shape} with {np.count_nonzero(~np.isfinite(noises))} "
+                            f"non-finite")
+    m = noises.size
+    s = np.atleast_2d(np.asarray(s, dtype=np.float64))
+    n = actions.shape[0]
+    x = fields[0]._inputs(np.repeat(noises, n), 0.0, s if s.shape[0] == 1 else np.tile(s, (m, 1)),
+                          np.tile(actions, (m, 1)))
+    return x, m
+
+
+def _noise_mean(out: np.ndarray, m: int) -> np.ndarray:
+    """Per action row, the mean of a field's outputs over the m noises of :func:`_q_rows`."""
+    return out.reshape(m, -1).sum(axis=0) * (1.0 / m)
+
+
+def ensemble_q(fields: list[ReturnField], s, actions: np.ndarray, noises) -> np.ndarray:
+    """Ensemble-min Q estimate per action row, shape (n,).
+
+    Each field's Q is the mean of v(eps | t = 0, s, a) over the noises; the
+    estimate is the minimum over fields. ``s`` has one row per action or one
+    row for all of them.
+    """
+    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+    x, m = _q_rows(fields, s, actions, noises)
+    return np.stack([_noise_mean(mlp_value(f.params, x, f.spec), m) for f in fields]).min(axis=0)
+
+
+def ensemble_q_and_action_grad(fields: list[ReturnField], s: np.ndarray, actions: np.ndarray,
+                               noises: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble-min Q estimate per row and its gradient with respect to the actions.
+
+    Each field runs one pass over the rows of :func:`_q_rows` and averages its
+    m outputs per row; q is the minimum over fields, ties going to the earlier
+    field, as in :func:`ensemble_q`. dq/da comes from the input-only reverse
+    pass of each field, seeded on the rows where it is that minimum, summed
+    over the noises. Field parameters are constants.
+    Returns q as (n, 1) and dq/da as (n, action_dim).
+    """
+    x, m = _q_rows(fields, s, actions, noises)
     tapes = [mlp_forward(field.params, x, field.spec) for field in fields]
-    per_field = np.stack([tape.output.reshape(m, n).sum(axis=0) * (1.0 / m) for tape in tapes])
+    per_field = np.stack([_noise_mean(tape.output, m) for tape in tapes])
     owner = np.argmin(per_field, axis=0)    # the first field on ties
     q = np.take_along_axis(per_field, owner[None], axis=0).T
     # every field's reverse pass runs over all m * n rows, seeded 0 where another field
@@ -332,5 +350,5 @@ def ensemble_q_and_action_grad(fields: list[ReturnField], s: np.ndarray, actions
         mine = owner == j
         if mine.any():
             gx = input_vjp(tape, np.tile(np.where(mine, 1.0 / m, 0.0), m)[:, None])
-            dq_da += gx[:, -fields[0].action_dim:].reshape(m, n, -1).sum(axis=0)  # a is last
+            dq_da += gx[:, -fields[0].action_dim:].reshape(m, *dq_da.shape).sum(axis=0)
     return q, dq_da

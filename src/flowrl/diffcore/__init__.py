@@ -17,7 +17,6 @@ from flowrl.diffcore.nn import (
     backward,
     clone_params,
     init_mlp,
-    input_derivative,
     input_vjp,
     mlp_forward,
     mlp_value,
@@ -28,7 +27,7 @@ from flowrl.diffcore.serialize import load_params, params_from_obj, params_to_ob
 
 __all__ = [
     "Leaf", "Loss", "MlpSpec", "MlpTape", "Net", "ParamSet",
-    "backward", "clone_params", "init_mlp", "input_derivative", "input_vjp",
+    "backward", "clone_params", "init_mlp", "input_vjp",
     "mlp_forward", "mlp_value", "mlp_value_and_input_jvp",
     "AdamState", "adam_step", "ema_update",
     "load_params", "params_from_obj", "params_to_obj", "save_params",

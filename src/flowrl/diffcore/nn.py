@@ -374,16 +374,6 @@ def mlp_value_and_input_jvp(params: ParamSet, x: np.ndarray, spec: MlpSpec,
     return value, jvp
 
 
-def input_derivative(params: ParamSet, x: np.ndarray, spec: MlpSpec, component: int) -> float:
-    """Exact derivative of a scalar-output net w.r.t. one input coordinate."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if spec.out_dim != 1 or x.shape[0] != 1:
-        raise ContractError("input_derivative requires a single row and scalar output")
-    tangent = np.zeros_like(x)
-    tangent[0, component] = 1.0
-    return float(_walk(params, x, spec, tangent)[1][0, 0])
-
-
 class Net:
     """One network of the package: an MLP over rows built from states, actions and more.
 

@@ -16,10 +16,8 @@ from flowrl.envs.oracle import (
     ReturnAtomSet,
     bellman_histogram_operator,
     enumerate_return_distribution,
-    project_masses,
     reachable_state_actions,
     table_key,
-    uniform_discrete_policy,
     uniform_table,
 )
 from flowrl.envs.toys import (
@@ -37,8 +35,7 @@ __all__ = [
     "behavior_policy_for", "generate_dataset", "load_dataset", "monte_carlo_returns",
     "save_dataset", "step",
     "ReturnAtomSet", "bellman_histogram_operator", "enumerate_return_distribution",
-    "project_masses", "reachable_state_actions", "table_key",
-    "uniform_discrete_policy", "uniform_table",
+    "reachable_state_actions", "table_key", "uniform_table",
     "ENV_REGISTRY", "BranchingTree", "ContinuousBandit1D", "StochasticChain",
     "WindyGrid", "coin_flip_env", "make_env",
 ]

@@ -13,9 +13,10 @@ selectors without ``support``) calls the policy and ``step`` one transition
 at a time (:func:`_stepwise`). Each path is one loop that yields its steps:
 :func:`generate_dataset` records them, and :func:`monte_carlo_returns` and
 ``flowrl.metrics.evaluate_policy`` (through :func:`_episode_returns`) sum
-them with :func:`_returns`. The branch table also keeps the policy-free
-structure of the histogram Bellman backup (``flowrl.envs.oracle``), built on
-first use.
+them with :func:`_returns`. :meth:`DenseBranches.action_probs` reads
+``policy.support`` over the action atoms for both the lockstep walk and the
+histogram Bellman backup (``flowrl.envs.oracle``), whose policy-free
+structure the branch table also keeps, built on first use.
 """
 
 from __future__ import annotations
@@ -302,11 +303,11 @@ class DenseBranches:
         flat = pair * self.cdf.shape[1] + _draw(self.cdf[pair], u)
         return self.next_id.take(flat), self.reward.take(flat), self.terminal.take(flat)
 
-    def action_cdf(self, policy) -> np.ndarray | None:
-        """Inverse-CDF table of ``policy.support`` over the atoms at every state.
+    def action_probs(self, policy) -> np.ndarray | None:
+        """Probabilities of ``policy.support`` over the atoms at every state, (state, atom).
 
-        None when the support puts mass on an action that is not an atom: such
-        a policy is rolled out step by step.
+        None when the support puts mass on an action that is not an atom.
+        Raises ContractError unless every row is non-negative and sums to 1.
         """
         ids = {a.tobytes(): i for i, a in enumerate(self.atoms)}
         probs = np.zeros((len(self.states), len(self.atoms)))
@@ -318,10 +319,21 @@ class DenseBranches:
                         return None
                     continue
                 probs[sid, aid] += p
+        # |sum - 1| <= 1e-9 is np.allclose(sums, 1, rtol=0, atol=1e-9) without its overhead
         if not (np.isfinite(probs).all() and (probs >= 0.0).all()
-                and np.allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)):
+                and (np.abs(probs.sum(axis=1) - 1.0) <= 1e-9).all()):
             raise ContractError("policy support must hold non-negative probabilities "
                                 "summing to 1")
+        return probs
+
+    def action_cdf(self, policy) -> np.ndarray | None:
+        """Inverse-CDF table of :meth:`action_probs`; None where that is None.
+
+        Such a policy is rolled out step by step.
+        """
+        probs = self.action_probs(policy)
+        if probs is None:
+            return None
         # fall through to the last atom with mass, never to a trailing zero
         last = len(self.atoms) - np.argmax(probs[:, ::-1] > 0.0, axis=1)
         return _inverse_cdf_table(probs, last)

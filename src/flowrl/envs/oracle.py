@@ -17,8 +17,10 @@ contraction and fixed-point harnesses, as one matrix step over all reachable
 pairs. Its policy-free part (the reachable pairs and their keys, the
 next-state index, the per-reward branch matrices and the terminal branches)
 is built once and kept on the env's branch table, because reachability from
-the start state depends only on the dynamics; each application builds only
-the policy mix and the products.
+the start state depends only on the dynamics. The policy mix comes from the
+branch table's dense view (:meth:`~flowrl.envs.base.DenseBranches.action_probs`,
+the table lockstep rollouts draw their actions from), so each application
+builds only the mixed histograms and the products.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowrl.envs.base import ToyMdp, UniformDiscretePolicy, branch_table, check_start
-from flowrl.errors import ContractError, OracleError
+from flowrl.envs.base import ToyMdp, branch_table, check_start
+from flowrl.errors import ContractError, OracleError, check_int
 
 PATH_GUARD = 1_000_000    # frontier entries per depth of the enumeration DP
 
@@ -56,13 +58,6 @@ class ReturnAtomSet:
                              self.truncated_mass, self.value_tol)
 
 
-def _policy_support(policy, s):
-    support = getattr(policy, "support", None)
-    if support is None:
-        raise ContractError("enumeration needs a policy with finite support(s)")
-    return support(s)
-
-
 def enumerate_return_distribution(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndarray,
                                   horizon: int, mass_tol: float = 1e-6) -> ReturnAtomSet:
     """Exact atoms of the discounted return from (s, a), truncated at ``horizon``.
@@ -78,10 +73,15 @@ def enumerate_return_distribution(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndar
     Paths still alive at the horizon contribute atoms at their partial return;
     their total probability is reported as ``truncated_mass`` and the value
     truncation bound as ``value_tol``. Raises :class:`OracleError` when a
-    frontier would hold more than ``PATH_GUARD`` entries.
+    frontier would hold more than ``PATH_GUARD`` entries. ``policy.support``
+    may put mass on actions that are not atoms.
     """
-    if horizon < 1:
-        raise ContractError("horizon must be >= 1")
+    horizon = check_int("horizon", horizon)
+    if not 0.0 <= mass_tol < np.inf:
+        raise ContractError(f"mass_tol must be a finite number >= 0, got {mass_tol!r}")
+    policy_support = getattr(policy, "support", None)
+    if policy_support is None:
+        raise ContractError("enumeration needs a policy with finite support(s)")
     s, a = check_start(mdp, s, a)
     gamma = mdp.gamma
     table = branch_table(mdp)
@@ -93,7 +93,7 @@ def enumerate_return_distribution(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndar
         out = supports.get(sid)
         if out is None:
             out = supports[sid] = []
-            for p_a, a_next in _policy_support(policy, table.states[sid]):
+            for p_a, a_next in policy_support(table.states[sid]):
                 if p_a > 0.0:
                     a_next = np.asarray(a_next, dtype=np.float64)
                     key = a_next.tobytes()
@@ -246,17 +246,8 @@ def _linear_split(values: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, 
     return idx, np.clip((v - left) / width, 0.0, 1.0)
 
 
-def project_masses(values: np.ndarray, masses: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Spread mass at arbitrary values onto fixed bin centers (linear split)."""
-    out = np.zeros(len(centers))
-    idx, frac = _linear_split(values, centers)
-    np.add.at(out, idx, masses * (1.0 - frac))
-    np.add.at(out, idx + 1, masses * frac)
-    return out
-
-
 def _projection_matrix(r: float, gamma: float, centers: np.ndarray) -> np.ndarray:
-    """Row k is ``project_masses`` of a unit mass at ``r + gamma * centers[k]``."""
+    """Row k is a unit mass at ``r + gamma * centers[k]``, split onto its two nearest bins."""
     n = len(centers)
     idx, frac = _linear_split(r + gamma * centers, centers)
     m = np.zeros((n, n))
@@ -275,36 +266,34 @@ def bellman_histogram_operator(mdp: ToyMdp, policy, table: HistTable,
     shared bin grid; terminal branches contribute a point mass at r.
 
     Computed as one matrix step over the reachable pairs,
-    ``const + sum_r W_r @ T @ M_r`` with ``W_r = B_r @ P``: ``T`` stacks the
-    histograms of the successor pairs, ``P`` mixes them by the policy into
-    one histogram per next state, ``B_r`` holds the probabilities of the
-    nonterminal branches with reward r, ``M_r`` projects
+    ``const + sum_r B_r @ H @ M_r``: ``H`` holds one histogram per next
+    state, the histograms of its (state, atom) pairs mixed by ``P``, the
+    policy's atom probabilities there; ``B_r`` holds the probabilities of
+    the nonterminal branches with reward r, ``M_r`` projects
     ``r + gamma * centers`` onto the bins and ``const`` holds the terminal
     point masses. The pairs, their keys, ``B_r`` and the terminal branches
-    are read from the env's :class:`_Backup`; each call builds ``P``,
-    ``M_r``, ``const`` and the products.
+    are read from the env's :class:`_Backup`, and ``P`` from the branch
+    table's dense view (:meth:`~flowrl.envs.base.DenseBranches.action_probs`);
+    each call builds ``H``, ``M_r``, ``const`` and the products. Raises
+    ContractError when ``policy.support`` puts mass off the action atoms or
+    its probabilities do not sum to 1.
     """
     centers = 0.5 * (edges[:-1] + edges[1:])
-    branches = branch_table(mdp)
     backup = _backup(mdp)
+    probs = branch_table(mdp).dense().action_probs(policy)
+    if probs is None:
+        raise ContractError("the Bellman backup needs a policy whose support lies on the "
+                            "action atoms")
     new = np.zeros((len(backup.keys), len(centers)))
     if backup.term_rows.size:
         idx, frac = _linear_split(backup.term_r, centers)
         p = backup.term_p
         np.add.at(new, (backup.term_rows, idx), p * (1.0 - frac))
         np.add.at(new, (backup.term_rows, idx + 1), p * frac)
-    cols: dict[tuple, int] = {}
-    mix = []
-    for k, (nid, state_key) in enumerate(zip(backup.next_ids, backup.next_keys)):
-        for p_a, a_next in _policy_support(policy, branches.states[nid]):
-            aid = branches.atom_id(a_next)
-            key = (state_key, _action_key(a_next) if aid is None else backup.atom_keys[aid])
-            mix.append((k, cols.setdefault(key, len(cols)), p_a))
-    if mix:
-        rows, cols_p, vals = zip(*mix)
-        p_mix = np.zeros((len(backup.next_ids), len(cols)))
-        np.add.at(p_mix, (rows, cols_p), vals)
-        per_state = p_mix @ np.array([table[key] for key in cols])
+    if backup.next_ids:
+        pairs = np.array([[table[(key, atom)] for atom in backup.atom_keys]
+                          for key in backup.next_keys])
+        per_state = np.einsum("ka,kab->kb", probs[backup.next_ids], pairs)
         for r, b_r in backup.b_r:
             new += (b_r @ per_state) @ _projection_matrix(r, mdp.gamma, centers)
     return dict(zip(backup.keys, new))
@@ -314,9 +303,3 @@ def uniform_table(mdp: ToyMdp, policy, edges: np.ndarray) -> HistTable:
     n = len(edges) - 1
     return {key: np.full(n, 1.0 / n) for key in _backup(mdp).keys}
 
-
-def uniform_discrete_policy(mdp: ToyMdp) -> UniformDiscretePolicy:
-    atoms = mdp.action_atoms()
-    if atoms is None:
-        raise ContractError(f"{mdp.env_id} has no discrete action set")
-    return UniformDiscretePolicy(tuple(tuple(a) for a in atoms))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from flowrl.critic import ReturnField, ensemble_q_and_action_grad
+from flowrl.critic import ReturnField, ensemble_q, ensemble_q_and_action_grad
 from flowrl.diffcore import Loss, MlpTape, Net, mlp_forward, mlp_value
 from flowrl.errors import ContractError, check_int
 from flowrl.flowkit import IntegrationConfig, euler_integrate, sample_times
@@ -88,36 +88,21 @@ def rejection_sample_action(critic_fields: list[ReturnField], bc_policy: BcFlowP
                             action_atoms: list[np.ndarray] | None = None) -> np.ndarray:
     """Sample N candidate actions from the BC flow and act with the Q argmax.
 
-    Ties break toward the lowest candidate index; the same Q-noise set scores
+    Candidates are scored by :func:`~flowrl.critic.ensemble_q`, which checks
+    the fields and noises; a single candidate is returned unscored. Ties
+    break toward the lowest candidate index; the same Q-noise set scores
     every candidate, so adding a constant to all Q values cannot change the
     selection. For discrete-action envs the candidates are snapped to the
     nearest legal embedded action before scoring.
     """
     n_candidates = check_int("n_candidates", n_candidates)
-    if not critic_fields:
-        raise ContractError("need at least one critic field")
-    noise_set = np.atleast_1d(np.asarray(noise_set, dtype=np.float64))
-    if n_candidates > 1 and noise_set.size < 1:
-        raise ContractError("scoring candidates needs at least one Q noise")
-    if not np.all(np.isfinite(noise_set)):
-        raise ContractError(f"Q noises must be finite; "
-                            f"{np.count_nonzero(~np.isfinite(noise_set))} of {noise_set.size} are not")
     eps = rng.standard_normal((n_candidates, bc_policy.action_dim))
     candidates = sample_bc_action(bc_policy, s, eps, flow_steps)
     if action_atoms is not None:
         candidates = snap_to_atoms(candidates, action_atoms)
     if n_candidates == 1:
         return candidates[0]
-    k = noise_set.size
-    # the (z, t=0, s, a) rows are the same for every ensemble member: build them once
-    x = critic_fields[0]._inputs(np.tile(noise_set, n_candidates), 0.0, s,
-                                 np.repeat(candidates, k, axis=0))
-    q = None
-    for field in critic_fields:
-        v = mlp_value(field.params, x, field.spec)[:, 0].reshape(n_candidates, k).mean(axis=1)
-        q = v if q is None else np.minimum(q, v)
-    best = int(np.argmax(q))  # argmax takes the first maximizer
-    return candidates[best]
+    return candidates[int(np.argmax(ensemble_q(critic_fields, s, candidates, noise_set)))]
 
 
 class OneStepPolicy(Net):
@@ -149,8 +134,7 @@ def one_step_policy_loss(one_step: OneStepPolicy, bc_policy: BcFlowPolicy,
     """
     if not alpha >= 0.0:
         raise ContractError(f"alpha must be >= 0, got {alpha}")
-    if q_noises < 1:
-        raise ContractError(f"q_noises must be >= 1, got {q_noises}")
+    q_noises = check_int("q_noises", q_noises)
     s = np.atleast_2d(np.asarray(s, dtype=np.float64))
     if s.shape[0] == 0:
         raise ContractError("one_step_policy_loss needs a nonempty batch")

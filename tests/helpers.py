@@ -5,6 +5,8 @@ loss heads: plain numpy forward passes and central differences, used to
 cross-check the closed-form reverse pass and each head's hand-written
 d(loss)/d(output) (``loss_grad_match`` runs a loss's own backward only to
 compare it with them). ``FuncField`` turns plain callables into flow fields.
+``q_estimate`` and ``critic_ensemble_q`` score one (s, a) pair at a time
+through a field's ``velocity`` and referee the batched ensemble Q passes.
 The env oracles at the end read every branch from ``outcomes()`` directly,
 never from an env's branch table, and referee the table-driven sampling,
 enumeration and Bellman backup.
@@ -12,6 +14,7 @@ enumeration and Bellman backup.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from typing import Callable
 
@@ -19,7 +22,7 @@ import numpy as np
 from scipy.special import erf
 
 from flowrl.diffcore import MlpSpec, ParamSet
-from flowrl.envs import ReturnAtomSet, ToyMdp, project_masses, reachable_state_actions, table_key
+from flowrl.envs import ReturnAtomSet, ToyMdp, reachable_state_actions, table_key
 from flowrl.errors import ContractError
 
 
@@ -215,6 +218,30 @@ def random_params_like(params: ParamSet, rng: np.random.Generator,
     return {k: rng.normal(0.0, scale, size=v.shape) for k, v in params.items()}
 
 
+def q_estimate(field, s, a, noises: np.ndarray) -> float:
+    """One field's Q at one (s, a): the mean of v(eps | 0, s, a) over the noises."""
+    return float(field.velocity(np.asarray(noises, dtype=np.float64), 0.0, s, a).mean())
+
+
+def critic_ensemble_q(fields: list, s, a, noises: np.ndarray) -> float:
+    """The ensemble-min Q at one (s, a), one ``q_estimate`` per field."""
+    return min(q_estimate(f, s, a, noises) for f in fields)
+
+
+def digest(*arrays) -> str:
+    """Digest of arrays' shapes and values, for pinning seeded results.
+
+    Reals are rounded to 10 decimals: a last-bit difference in libm between
+    machines leaves the digest alone, while a change of random stream does not.
+    """
+    h = hashlib.sha256()
+    for x in arrays:
+        x = np.asarray(x)
+        h.update(str(x.shape).encode())
+        h.update((np.round(x, 10) + 0.0 if x.dtype.kind == "f" else x).tobytes())
+    return h.hexdigest()[:16]
+
+
 # -- env oracles that bypass the branch table ------------------------------------------
 
 def sample_from_outcomes(mdp: ToyMdp, s: np.ndarray, a: np.ndarray,
@@ -263,6 +290,17 @@ def enumerate_by_paths(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndarray,
     masses = np.array([atoms[v] for v in values])
     value_tol = gamma**horizon * max(abs(mdp.r_min), abs(mdp.r_max)) / (1.0 - gamma)
     return ReturnAtomSet(values, masses, horizon, truncated_mass, value_tol)
+
+
+def project_masses(values: np.ndarray, masses: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Spread mass at arbitrary values onto fixed bin centers (linear split)."""
+    v = np.clip(values, centers[0], centers[-1])
+    idx = np.clip(np.searchsorted(centers, v, side="right") - 1, 0, len(centers) - 2)
+    frac = np.clip((v - centers[idx]) / (centers[idx + 1] - centers[idx]), 0.0, 1.0)
+    out = np.zeros(len(centers))
+    np.add.at(out, idx, masses * (1.0 - frac))
+    np.add.at(out, idx + 1, masses * frac)
+    return out
 
 
 def bellman_by_pairs(mdp: ToyMdp, policy, table: dict, edges: np.ndarray) -> dict:

@@ -101,13 +101,18 @@ class TestLossInputChecks:
         with pytest.raises(ContractError):
             quantile_huber_loss(iqn, iqn, sampler, make_batch(rng), rng, gamma=0.9, kappa=kappa)
 
-    @pytest.mark.parametrize("n_quantiles", [0, -1])
-    def test_iqn_needs_at_least_one_quantile(self, n_quantiles):
+    @pytest.mark.parametrize("n_quantiles", [0, -1, 2.5, True])
+    def test_iqn_quantile_count_must_be_a_positive_integer(self, n_quantiles):
         rng = np.random.default_rng(12)
         iqn = QuantileCritic.create(DS, DA, rng, hidden=(4,))
         with pytest.raises(ContractError):
             quantile_huber_loss(iqn, iqn, sampler, make_batch(rng), rng, gamma=0.9, kappa=1.0,
                                 n_quantiles=n_quantiles)
+
+    @pytest.mark.parametrize("n_atoms", [1, 2.5, True])
+    def test_c51_atom_count_must_be_an_integer_of_at_least_two(self, n_atoms):
+        with pytest.raises(ContractError):
+            CategoricalCritic.create(DS, DA, n_atoms, Z_LO, Z_HI, np.random.default_rng(0))
 
 
 class TestCriticHistogram:

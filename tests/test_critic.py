@@ -9,9 +9,8 @@ from flowrl.critic import (
     CriticConfig,
     ReturnField,
     antithetic_noises,
-    critic_ensemble_q,
+    ensemble_q,
     ensemble_q_and_action_grad,
-    q_estimate,
     sample_return,
     value_flow_loss,
     variance_estimate,
@@ -25,7 +24,8 @@ from flowrl.errors import ConfigError, ContractError
 from flowrl.flowkit import IntegrationConfig, euler_integrate_with_derivative, euler_trajectory
 from scipy.stats import norm
 
-from helpers import FuncField, loss_grad_match, random_params_like, ref_mlp
+from helpers import FuncField, critic_ensemble_q, loss_grad_match, q_estimate, random_params_like, \
+    ref_mlp
 
 DS, DA = 2, 1
 STATE = np.array([0.3, -0.7])
@@ -128,11 +128,12 @@ class TestQEstimate:
     def test_point_mass_field_with_antithetic_pair(self):
         z_star = 3.2
         field = linear_field(w_z=-1.0, bias=z_star)  # v(eps | 0) = z* - eps
-        assert q_estimate(field, STATE, ACTION, np.array([0.8, -0.8])) == pytest.approx(z_star)
+        q = ensemble_q([field], STATE, ACTION, np.array([0.8, -0.8]))
+        assert q.shape == (1,) and q[0] == pytest.approx(z_star)
 
     def test_constant_field(self):
         field = linear_field(bias=-1.7)
-        assert q_estimate(field, STATE, ACTION, np.array([0.3])) == pytest.approx(-1.7)
+        assert ensemble_q([field], STATE, ACTION, np.array([0.3]))[0] == pytest.approx(-1.7)
 
     def test_antithetic_noises_are_symmetric(self):
         eps = antithetic_noises(np.random.default_rng(0), 64)
@@ -145,9 +146,10 @@ class TestQEstimate:
             antithetic_noises(np.random.default_rng(0), n)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_noise_rejected(self, bad):
-        with pytest.raises(ContractError):
-            q_estimate(linear_field(bias=-1.7), STATE, ACTION, np.array([0.3, bad]))
+    @pytest.mark.parametrize("q_pass", [ensemble_q, ensemble_q_and_action_grad])
+    def test_non_finite_noise_rejected(self, q_pass, bad):
+        with pytest.raises(ContractError, match="non-finite"):
+            q_pass([linear_field(bias=-1.7)], STATE[None], ACTION[None], np.array([0.3, bad]))
 
 
 class _AffineTransportField:
@@ -545,17 +547,17 @@ class TestEnsemble:
     def test_single_field_identity(self):
         f = linear_field(bias=0.7)
         noises = np.array([0.1, -0.1])
-        assert critic_ensemble_q([f], STATE, ACTION, noises) == pytest.approx(
+        assert ensemble_q([f], STATE, ACTION, noises)[0] == pytest.approx(
             q_estimate(f, STATE, ACTION, noises))
 
     def test_min_of_two(self):
         fields = [linear_field(bias=1.0), linear_field(bias=2.0)]
-        assert critic_ensemble_q(fields, STATE, ACTION, np.array([0.0])) == pytest.approx(1.0)
+        assert ensemble_q(fields, STATE, ACTION, np.array([0.0]))[0] == pytest.approx(1.0)
 
     def test_identical_fields_equal_single(self):
         f = linear_field(bias=-0.4)
         noises = np.array([0.5, -0.5])
-        assert critic_ensemble_q([f, f], STATE, ACTION, noises) == pytest.approx(
+        assert ensemble_q([f, f], STATE, ACTION, noises)[0] == pytest.approx(
             q_estimate(f, STATE, ACTION, noises))
 
     @staticmethod
@@ -617,8 +619,20 @@ class TestEnsemble:
                                             rel=1e-12)
 
     @pytest.mark.parametrize("fields,noises", [([], [0.1]), ([0], []), ([0], [[0.1, 0.2]])])
-    def test_rejects_no_field_and_no_noise(self, fields, noises):
+    @pytest.mark.parametrize("q_pass", [ensemble_q, ensemble_q_and_action_grad])
+    def test_rejects_no_field_and_no_noise(self, q_pass, fields, noises):
         s, a = self.batch(2, 3)
         with pytest.raises(ContractError):
-            ensemble_q_and_action_grad([random_field(27) for _ in fields], s, a,
-                                       np.array(noises))
+            q_pass([random_field(27) for _ in fields], s, a, np.array(noises))
+
+    def test_ensemble_q_is_the_gradient_pass_q_and_broadcasts_one_state(self):
+        fields = [random_field(28), random_field(29)]
+        s, a = self.batch(6, 4)
+        noises = np.array([0.7, -0.7, 0.2])
+        q, _ = ensemble_q_and_action_grad(fields, s, a, noises)
+        np.testing.assert_array_equal(ensemble_q(fields, s, a, noises), q[:, 0])
+        one = ensemble_q(fields, s[0], a, noises)
+        np.testing.assert_array_equal(one, ensemble_q(fields, np.tile(s[0], (6, 1)), a, noises))
+        for i in range(6):
+            assert one[i] == pytest.approx(critic_ensemble_q(fields, s[0], a[i], noises),
+                                           rel=1e-12)

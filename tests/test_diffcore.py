@@ -15,7 +15,6 @@ from flowrl.diffcore import (
     clone_params,
     ema_update,
     init_mlp,
-    input_derivative,
     input_vjp,
     mlp_forward,
     mlp_value,
@@ -334,17 +333,24 @@ class TestWorkspace:
         assert peak < x.shape[0] * spec.hidden[0] * 8
 
 
+def unit_tangent_jvp(params, x, spec, component):
+    """d(output)/d(input component) per row: the input JVP along a unit tangent."""
+    tangent = np.zeros_like(x)
+    tangent[:, component] = 1.0
+    return mlp_value_and_input_jvp(params, x, spec, tangent)[1][:, 0]
+
+
 class TestInputDerivative:
     def test_linear_net(self):
         # y = 2 z + s -> dy/dz = 2
         spec = MlpSpec(in_dim=2, hidden=(), out_dim=1)
         params = {"w0": np.array([[2.0], [1.0]]), "b0": np.zeros(1)}
-        assert input_derivative(params, np.array([[0.3, 0.7]]), spec, 0) == pytest.approx(2.0)
+        assert unit_tangent_jvp(params, np.array([[0.3, 0.7]]), spec, 0)[0] == pytest.approx(2.0)
 
     def test_constant_net(self):
         spec = MlpSpec(in_dim=2, hidden=(), out_dim=1)
         params = {"w0": np.zeros((2, 1)), "b0": np.array([5.0])}
-        assert input_derivative(params, np.array([[1.0, 2.0]]), spec, 0) == 0.0
+        assert unit_tangent_jvp(params, np.array([[1.0, 2.0]]), spec, 0)[0] == 0.0
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(3)
@@ -357,7 +363,7 @@ class TestInputDerivative:
             xp[0, comp] += h
             xm[0, comp] -= h
             fd = (mlp_value(params, xp, spec) - mlp_value(params, xm, spec))[0, 0] / (2 * h)
-            assert input_derivative(params, x, spec, comp) == pytest.approx(fd, abs=1e-4)
+            assert unit_tangent_jvp(params, x, spec, comp)[0] == pytest.approx(fd, abs=1e-4)
 
     def test_jvp_agrees_with_reverse_mode(self):
         rng = np.random.default_rng(5)
@@ -371,12 +377,6 @@ class TestInputDerivative:
         gx = input_vjp(mlp_forward(params, x, spec), np.ones((6, 1)))
         for row in range(x.shape[0]):
             assert jvp[row, 0] == pytest.approx(gx[row, 1], rel=1e-10, abs=1e-12)
-
-    def test_non_scalar_output_rejected(self):
-        spec = MlpSpec(in_dim=2, hidden=(), out_dim=2)
-        params = init_mlp(spec, np.random.default_rng(0))
-        with pytest.raises(ContractError):
-            input_derivative(params, np.zeros((1, 2)), spec, 0)
 
 
 class TestAdam:

@@ -1,7 +1,6 @@
 """Tests for the toy envs, datasets, and exact return-distribution oracles."""
 
 import functools
-import hashlib
 import os
 import subprocess
 import sys
@@ -31,7 +30,6 @@ from flowrl.envs import (
     save_dataset,
     step,
     table_key,
-    uniform_discrete_policy,
     uniform_table,
 )
 import flowrl.envs.base as envs_base
@@ -49,7 +47,7 @@ from flowrl.metrics import (
 )
 from scipy.stats import norm
 
-from helpers import bellman_by_pairs, enumerate_by_paths, sample_from_outcomes
+from helpers import bellman_by_pairs, digest, enumerate_by_paths, sample_from_outcomes
 
 
 class UnitRewardLoop(ToyMdp):
@@ -174,7 +172,7 @@ class TestStep:
 class TestEnumerate:
     def test_unit_reward_loop_single_atom_at_ten(self):
         env = UnitRewardLoop()
-        policy = uniform_discrete_policy(env)
+        policy = behavior_policy_for(env)
         atoms = enumerate_return_distribution(env, policy, env.initial_state(None),
                                               np.array([1.0]), horizon=200, mass_tol=1.0)
         assert atoms.values.size == 1
@@ -183,7 +181,7 @@ class TestEnumerate:
 
     def test_coin_env_two_atoms(self):
         env = coin_flip_env()
-        policy = uniform_discrete_policy(env)
+        policy = behavior_policy_for(env)
         atoms = enumerate_return_distribution(env, policy, env.initial_state(None),
                                               np.array([1.0]), horizon=3)
         np.testing.assert_allclose(atoms.values, [-1.0, 1.0])
@@ -192,7 +190,7 @@ class TestEnumerate:
 
     def test_depth3_tree_eight_atoms_match_monte_carlo(self):
         env = BranchingTree()
-        policy = uniform_discrete_policy(env)
+        policy = behavior_policy_for(env)
         s, a = env.initial_state(None), np.array([1.0])
         atoms = enumerate_return_distribution(env, policy, s, a, horizon=3)
         assert atoms.values.size == 8
@@ -203,23 +201,32 @@ class TestEnumerate:
 
     def test_mass_tol_guard(self):
         env = UnitRewardLoop()
-        policy = uniform_discrete_policy(env)
+        policy = behavior_policy_for(env)
         with pytest.raises(OracleError):
             enumerate_return_distribution(env, policy, env.initial_state(None),
                                           np.array([1.0]), horizon=10, mass_tol=1e-6)
 
 
+    @pytest.mark.parametrize("horizon,mass_tol", [
+        (2.5, 1e-6), (True, 1e-6), (0, 1e-6), (2, np.nan), (2, -1e-3), (2, np.inf)])
+    def test_bad_horizon_or_mass_tol_is_a_contract_error(self, horizon, mass_tol):
+        # at horizon 2 every branching-tree path is cut, so a NaN mass_tol would hide it
+        env = BranchingTree()
+        with pytest.raises(ContractError):
+            enumerate_return_distribution(env, behavior_policy_for(env), env.initial_state(None),
+                                          np.array([1.0]), horizon, mass_tol=mass_tol)
+
 class TestMonteCarlo:
     def test_deterministic_env_constant_samples(self):
         env = UnitRewardLoop()
-        policy = uniform_discrete_policy(env)
+        policy = behavior_policy_for(env)
         samples = monte_carlo_returns(env, policy, env.initial_state(None),
                                       np.array([1.0]), n=16, horizon=30, seed=0)
         assert np.allclose(samples, samples[0])
 
     def test_coin_env_clt_bound(self):
         env = coin_flip_env()
-        policy = uniform_discrete_policy(env)
+        policy = behavior_policy_for(env)
         n = 40_000
         samples = monte_carlo_returns(env, policy, env.initial_state(None),
                                       np.array([1.0]), n=n, horizon=2, seed=3)
@@ -232,7 +239,7 @@ class TestMonteCarlo:
     (WindyGrid(), 5, 1.0),
 ])
 def test_oracle_vs_monte_carlo_every_finite_env(env, horizon, mass_tol):
-    policy = uniform_discrete_policy(env)
+    policy = behavior_policy_for(env)
     s = env.initial_state(np.random.default_rng(0))
     a = env.action_atoms()[0]
     atoms = enumerate_return_distribution(env, policy, s, a, horizon, mass_tol=mass_tol)
@@ -464,7 +471,7 @@ class TestLoadDataset:
 class TestBellmanOperator:
     @pytest.mark.parametrize("env", [BranchingTree(), StochasticChain()])
     def test_gamma_contraction(self, env):
-        policy = uniform_discrete_policy(env)
+        policy = behavior_policy_for(env)
         edges = histogram_edges(env.z_bounds, 60)
         width = edges[1] - edges[0]
         rng = np.random.default_rng(0)
@@ -500,7 +507,7 @@ class TestBellmanOperator:
 
     def test_fixed_point_matches_enumeration(self):
         env = BranchingTree()
-        policy = uniform_discrete_policy(env)
+        policy = behavior_policy_for(env)
         edges = histogram_edges(env.z_bounds, 60)
         width = edges[1] - edges[0]
         table = self.fixed_point(env, policy, edges)
@@ -515,7 +522,7 @@ class TestBellmanOperator:
         # At horizon 400 less than 2 % of the mass is still walking, so the
         # truncation check is on; the walk itself would need ~12^400 paths.
         env = WindyGrid()
-        policy = uniform_discrete_policy(env)
+        policy = behavior_policy_for(env)
         edges = histogram_edges(env.z_bounds, 60)
         width = edges[1] - edges[0]
         table = self.fixed_point(env, policy, edges)
@@ -529,7 +536,7 @@ class TestBellmanOperator:
     @pytest.mark.parametrize("skewed", [False, True])
     def test_matrix_step_matches_per_pair_loop(self, make, skewed):
         env = make()
-        policy = SkewedPolicy(env) if skewed else uniform_discrete_policy(env)
+        policy = SkewedPolicy(env) if skewed else behavior_policy_for(env)
         edges = histogram_edges(env.z_bounds, 60)
         rng = np.random.default_rng(1)
         table = {}
@@ -544,10 +551,28 @@ class TestBellmanOperator:
                 np.testing.assert_allclose(got[key], ref[key], rtol=0.0, atol=1e-12)
             table = ref
 
+    @staticmethod
+    def backup_of(env, support):
+        """One Bellman application under a policy whose support is ``support(s)``."""
+        policy = type("Policy", (), {"support": staticmethod(support)})()
+        edges = histogram_edges(env.z_bounds, 60)
+        return bellman_histogram_operator(env, policy, uniform_table(env, policy, edges), edges)
+
+    def test_support_off_the_atoms_is_a_contract_error(self):
+        env = BranchingTree()
+        with pytest.raises(ContractError, match="atoms"):
+            self.backup_of(env, lambda s: [(1.0, np.array([0.3]))])
+
+    def test_support_that_does_not_sum_to_one_is_a_contract_error(self):
+        env = BranchingTree()
+        uniform = behavior_policy_for(env)
+        with pytest.raises(ContractError, match="summing to 1"):
+            self.backup_of(env, lambda s: [(1.4 * p, a) for p, a in uniform.support(s)])
+
     @pytest.mark.parametrize("make", FINITE_ENVS)
     def test_structure_is_read_once_per_branch_table(self, make, monkeypatch):
         env = make()
-        policy = uniform_discrete_policy(env)
+        policy = behavior_policy_for(env)
         edges = histogram_edges(env.z_bounds, 60)
         table = uniform_table(make(), policy, edges)   # keys from a second instance
         calls = {"outcomes": 0, "reachable": 0}
@@ -578,7 +603,7 @@ class TestBellmanOperator:
         # reaches: the table gains one such state before the first application
         # and one after each
         env, fresh = BranchingTree(), BranchingTree()
-        policy = uniform_discrete_policy(env)
+        policy = behavior_policy_for(env)
         s0 = env.initial_state(None)
         edges = histogram_edges(env.z_bounds, 60)
         monte_carlo_returns(env, policy, 0.5 * s0, np.array([0.3]), 10, 3, seed=0)
@@ -604,7 +629,7 @@ class TestBranchTable:
     def test_rows_equal_outcomes_in_order(self, make):
         env = make()
         table = branch_table(env)
-        pairs = reachable_state_actions(env, uniform_discrete_policy(env))
+        pairs = reachable_state_actions(env, behavior_policy_for(env))
         assert pairs
         for s, a in pairs:
             row = table.row(table.state_id(s), table.atom_id(a))
@@ -679,7 +704,7 @@ class TestLockstepRollouts:
     @pytest.mark.parametrize("skewed", [False, True])
     def test_monte_carlo_matches_step_by_step(self, make, horizon, skewed):
         env = make()
-        policy = SkewedPolicy(env) if skewed else uniform_discrete_policy(env)
+        policy = SkewedPolicy(env) if skewed else behavior_policy_for(env)
         s, a = env.initial_state(None), env.action_atoms()[0]
         batched = monte_carlo_returns(env, policy, s, a, 20_000, horizon, seed=21)
         stepwise = monte_carlo_returns(env, support_sampler(policy), s, a, 2000, horizon, seed=22)
@@ -695,14 +720,14 @@ class TestLockstepRollouts:
     def test_terminal_start_state_returns_zero(self):
         env = BranchingTree()
         leaf = np.eye(env.state_dim)[env.n_nodes - 1]
-        for policy in (uniform_discrete_policy(env), behavior_policy_for(env).__call__):
+        for policy in (behavior_policy_for(env), behavior_policy_for(env).__call__):
             out = monte_carlo_returns(env, policy, leaf, np.array([1.0]), 50, 5, seed=0)
             assert out.tobytes() == np.zeros(50).tobytes()
 
     def test_off_atom_start_action(self):
         # action 0.3 makes the first (+1 or -1) edge go left with probability 0.515
         env = BranchingTree()
-        policy = uniform_discrete_policy(env)
+        policy = behavior_policy_for(env)
         s, a = env.initial_state(None), np.array([0.3])
         n = 100_000
         samples = monte_carlo_returns(env, policy, s, a, n, 3, seed=8)
@@ -716,7 +741,7 @@ class TestLockstepRollouts:
 
     def test_unit_reward_loop_constant_as_step_by_step(self):
         env = UnitRewardLoop()
-        policy = uniform_discrete_policy(env)
+        policy = behavior_policy_for(env)
         s, a = env.initial_state(None), np.array([1.0])
         batched = monte_carlo_returns(env, policy, s, a, 64, 30, seed=0)
         stepwise = monte_carlo_returns(env, support_sampler(policy), s, a, 4, 30, seed=0)
@@ -762,7 +787,7 @@ class TestLockstepRollouts:
     @pytest.mark.parametrize("skewed", [False, True])
     def test_evaluation_matches_step_by_step(self, make, horizon, skewed):
         env = make()
-        policy = SkewedPolicy(env) if skewed else uniform_discrete_policy(env)
+        policy = SkewedPolicy(env) if skewed else behavior_policy_for(env)
         batched = evaluate_policy(env, policy, 20_000, horizon, seed=31)
         stepwise = evaluate_policy(env, support_sampler(policy), 2000, horizon, seed=32)
         spread = np.sqrt(batched.std_return ** 2 / batched.episodes
@@ -772,7 +797,7 @@ class TestLockstepRollouts:
     @pytest.mark.parametrize("skewed", [False, True])
     def test_evaluation_mean_matches_enumeration(self, skewed):
         env = BranchingTree()
-        policy = SkewedPolicy(env) if skewed else uniform_discrete_policy(env)
+        policy = SkewedPolicy(env) if skewed else behavior_policy_for(env)
         s = env.initial_state(None)
         exact = sum(p * enumerate_return_distribution(env, policy, s, a, env.depth).mean()
                     for p, a in policy.support(s))
@@ -790,7 +815,7 @@ class TestLockstepRollouts:
         for module in (envs_oracle, metrics_module):
             assert not hasattr(module, "step") and not hasattr(module, "_Lockstep")
         env = WindyGrid()
-        policy = uniform_discrete_policy(env)
+        policy = behavior_policy_for(env)
         s, a = env.initial_state(None), env.action_atoms()[0]
         rollouts = (lambda sel: monte_carlo_returns(env, sel, s, a, 20, 10, seed=0),
                     lambda sel: generate_dataset(env, sel, 50, seed=0),
@@ -806,7 +831,7 @@ class TestLockstepRollouts:
     def test_stepwise_monte_carlo_calls_the_policy_between_steps_only(self, make, horizon, steps):
         # the grid's goal is 8 moves away and every tree episode ends at depth 3
         env = make()
-        sampler, calls = support_sampler(uniform_discrete_policy(env)), []
+        sampler, calls = support_sampler(behavior_policy_for(env)), []
 
         def counted(s, rng):
             calls.append(1)
@@ -821,7 +846,7 @@ class TestLockstepRollouts:
         (None, np.zeros(3)), (None, np.zeros((2, 2))), (None, np.array([np.nan, 0.0]))])
     def test_bad_start_pair_leaves_the_branch_table_alone(self, bad_s, bad_a):
         env, fresh = WindyGrid(), WindyGrid()
-        policy = uniform_discrete_policy(env)
+        policy = behavior_policy_for(env)
         s = env.initial_state(None) if bad_s is None else bad_s
         a = env.action_atoms()[0] if bad_a is None else bad_a
         with pytest.raises(ContractError):
@@ -835,7 +860,7 @@ class TestLockstepRollouts:
 
     def test_horizon_below_one_rejected(self):
         env = WindyGrid()
-        policy = uniform_discrete_policy(env)
+        policy = behavior_policy_for(env)
         s, a = env.initial_state(None), env.action_atoms()[0]
         for selector in (policy, support_sampler(policy)):
             with pytest.raises(ContractError):
@@ -854,20 +879,6 @@ def _rollout(name, env, policy, n=10, horizon=5, seed=0):
     return generate_dataset(env, policy, n, seed)
 
 
-def _digest(*arrays):
-    """Digest of arrays' shapes and values.
-
-    Reals are rounded to 10 decimals: a last-bit difference in libm between
-    machines leaves the digest alone, while a change of random stream does not.
-    """
-    h = hashlib.sha256()
-    for x in arrays:
-        x = np.asarray(x)
-        h.update(str(x.shape).encode())
-        h.update((np.round(x, 10) + 0.0 if x.dtype.kind == "f" else x).tobytes())
-    return h.hexdigest()[:16]
-
-
 def _stream_cases():
     """Seeded rollouts of every path, each as the arrays it returns."""
     cases = {}
@@ -879,7 +890,7 @@ def _stream_cases():
         cases[f"{env_id}/dataset"] = functools.partial(
             generate_dataset, env, behavior_policy_for(env), 300, 11)
         cases[f"{env_id}/mc"] = functools.partial(
-            monte_carlo_returns, env, uniform_discrete_policy(env), s, atom, 200,
+            monte_carlo_returns, env, behavior_policy_for(env), s, atom, 200,
             env.episode_cap, 12)
         cases[f"{env_id}/mc-off-atom"] = functools.partial(
             monte_carlo_returns, env, skewed, s, off_atom, 200, env.episode_cap, 13)
@@ -905,10 +916,10 @@ def _stream_cases():
 
 def _case_digest(out) -> str:
     if isinstance(out, Dataset):
-        return _digest(*out.arrays().values())
+        return digest(*out.arrays().values())
     if hasattr(out, "mean_return"):
-        return _digest([out.mean_return, out.std_return])
-    return _digest(out)
+        return digest([out.mean_return, out.std_return])
+    return digest(out)
 
 
 STREAM_DIGESTS = {   # a changed digest is a changed seeded result
@@ -950,13 +961,13 @@ class TestCountsAndSeeds:
     def test_rejected_before_any_rollout(self, name, arg, bad):
         env = StochasticChain()
         with pytest.raises(ContractError):
-            _rollout(name, env, uniform_discrete_policy(env), **{arg: bad})
+            _rollout(name, env, behavior_policy_for(env), **{arg: bad})
         assert not branch_table(env).states
 
     @pytest.mark.parametrize("name", ROLLOUTS)
     def test_numpy_integers_accepted(self, name):
         env = StochasticChain()
-        policy = uniform_discrete_policy(env)
+        policy = behavior_policy_for(env)
         got = _rollout(name, env, policy, np.int64(7), np.int64(4), np.int64(3))
         want = _rollout(name, env, policy, 7, 4, 3)
         if name == "generate_dataset":
@@ -974,7 +985,7 @@ class TestCountsAndSeeds:
        pair_index=st.integers(0, 1000), skewed=st.booleans())
 def test_enumeration_dp_matches_path_walk(env_index, horizon, pair_index, skewed):
     env = REFEREE_ENVS[env_index]
-    policy = SkewedPolicy(env) if skewed else uniform_discrete_policy(env)
+    policy = SkewedPolicy(env) if skewed else behavior_policy_for(env)
     pairs = reachable_state_actions(env, policy)
     s, a = pairs[pair_index % len(pairs)]
     got = enumerate_return_distribution(env, policy, s, a, horizon, mass_tol=1.0)
@@ -986,7 +997,7 @@ def test_enumeration_dp_matches_path_walk(env_index, horizon, pair_index, skewed
 
 def test_enumeration_dp_matches_path_walk_from_a_non_atom_action():
     env = BranchingTree()
-    policy = uniform_discrete_policy(env)
+    policy = behavior_policy_for(env)
     s, a = env.initial_state(None), np.array([0.3])
     got = enumerate_return_distribution(env, policy, s, a, 3)
     want = enumerate_by_paths(env, policy, s, a, 3)
@@ -1017,7 +1028,7 @@ class TestMakeEnv:
         def branch_rows(mdp):
             table = branch_table(mdp)
             return [(p, s_next.tobytes(), r, terminal)
-                    for s, a in reachable_state_actions(mdp, uniform_discrete_policy(mdp))
+                    for s, a in reachable_state_actions(mdp, behavior_policy_for(mdp))
                     for p, s_next, r, terminal, _ in table.branches(table.state_id(s), a)]
 
         assert branch_rows(rebuilt) == branch_rows(env)

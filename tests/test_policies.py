@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flowrl.critic import ReturnField, critic_ensemble_q
+from flowrl.critic import ReturnField, ensemble_q_and_action_grad
 from flowrl.diffcore import AdamState, MlpSpec, adam_step
 from flowrl.errors import ContractError
 from flowrl.policies import (
@@ -16,7 +16,7 @@ from flowrl.policies import (
     snap_to_atoms,
 )
 
-from helpers import loss_grad_match, random_params_like, ref_mlp
+from helpers import critic_ensemble_q, digest, loss_grad_match, random_params_like, ref_mlp
 
 DS, DA = 2, 2
 STATE = np.array([0.1, -0.4])
@@ -292,8 +292,8 @@ class TestOneStepPolicy:
             one_step_policy_loss(one_step, linear_policy(), [q_field_on_action([1.0, 1.0])],
                                  np.zeros((3, DS)), alpha, np.random.default_rng(1))
 
-    @pytest.mark.parametrize("q_noises", [0, -1])
-    def test_rejects_fewer_than_one_q_noise(self, q_noises):
+    @pytest.mark.parametrize("q_noises", [0, -1, 2.5, True])
+    def test_rejects_a_q_noise_count_that_is_not_a_positive_integer(self, q_noises):
         one_step = OneStepPolicy.create(DS, DA, np.random.default_rng(0), hidden=(8,))
         with pytest.raises(ContractError):
             one_step_policy_loss(one_step, linear_policy(), [q_field_on_action([1.0, 1.0])],
@@ -310,3 +310,35 @@ class TestOneStepPolicy:
         assert loss_grad_match(one_step, lambda ps: one_step_policy_loss(
             one_step.with_params(ps), bc, fields, s, 0.5, np.random.default_rng(17),
             q_noises=2)) >= 0.95
+
+
+def _q_path_cases():
+    """Seeded outputs of the two ensemble-Q paths, at the benchmark's candidate and noise counts."""
+    fields = [ReturnField.create(DS, DA, np.random.default_rng(s)) for s in (101, 102)]
+    policy = BcFlowPolicy.create(DS, DA, np.random.default_rng(100))
+
+    def choices():
+        out = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            s, noises = rng.normal(size=DS), rng.standard_normal(8)
+            out.append(rejection_sample_action(fields, policy, s, 32, noises, rng))
+        return [np.stack(out)]
+
+    def gradient():
+        rng = np.random.default_rng(200)
+        s, a = rng.normal(size=(64, DS)), rng.uniform(-1.0, 1.0, size=(64, DA))
+        return ensemble_q_and_action_grad(fields, s, a, rng.standard_normal(4))
+
+    return {"rejection-choices": choices, "ensemble-q-and-grad": gradient}
+
+
+Q_PATH_DIGESTS = {   # a changed digest is a changed action choice or Q gradient
+    "ensemble-q-and-grad": "047a91fba320d816",
+    "rejection-choices": "da4ed9c5510cc4aa",
+}
+
+
+@pytest.mark.parametrize("name", sorted(Q_PATH_DIGESTS))
+def test_seeded_q_paths_are_pinned(name):
+    assert digest(*_q_path_cases()[name]()) == Q_PATH_DIGESTS[name]

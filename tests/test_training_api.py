@@ -5,7 +5,8 @@ Every loss returns ``(loss, tape, ...)``. An update reads ``loss.data`` (a
 (None meaning zero), then runs ``adam_step`` and ``ema_update``. The MLP
 layer probe calls ``backward(mlp_forward(...), seed)``. The benchmark also
 imports names from ``flowrl``; each of them must exist, and every keyword it
-sets on a ``CriticConfig`` must name one of its fields.
+sets on a ``CriticConfig`` must name one of its fields. Every name in the
+``__all__`` of ``flowrl.envs`` and ``flowrl.diffcore`` must exist too.
 """
 
 import ast
@@ -106,6 +107,13 @@ def test_every_name_the_benchmark_imports_exists():
                if not hasattr(importlib.import_module(module), name)
                and importlib.util.find_spec(f"{module}.{name}") is None]
     assert not missing, missing
+
+
+@pytest.mark.parametrize("module", ["flowrl.envs", "flowrl.diffcore"])
+def test_every_exported_name_exists(module):
+    mod = importlib.import_module(module)
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def _config_keywords(path: Path):
