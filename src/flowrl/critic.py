@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowrl.diffcore import Loss, MlpTape, Net, input_vjp, mlp_forward, mlp_value, \
-    mlp_value_and_input_jvp
+from flowrl.diffcore import Loss, MlpTape, Net, input_vjp, mlp_forward, mlp_value
 from flowrl.errors import ConfigError, ContractError, check_int
-from flowrl.flowkit import IntegrationConfig, euler_integrate, euler_integrate_with_derivative, \
-    euler_trajectory, sample_times
+from flowrl.flowkit import ConditionedField, IntegrationConfig, euler_integrate, \
+    euler_integrate_with_derivative, euler_trajectory, sample_times
 
 
 @dataclass(frozen=True)
@@ -70,33 +69,12 @@ class ReturnField(Net):
     def velocity(self, z, t, s, a) -> np.ndarray:
         return mlp_value(self.params, self._inputs(z, t, s, a), self.spec)[:, 0]
 
-    def velocity_and_dz(self, z, t, s, a) -> tuple[np.ndarray, np.ndarray]:
-        x = self._inputs(z, t, s, a)
-        tangent = np.zeros_like(x)
-        tangent[:, 0] = 1.0
-        value, jvp = mlp_value_and_input_jvp(self.params, x, self.spec, tangent)
-        return value[:, 0], jvp[:, 0]
-
     def forward_tape(self, x) -> MlpTape:
         return mlp_forward(self.params, x, self.spec)
 
-    def conditioned(self, s, a) -> "ConditionedReturnField":
-        return ConditionedReturnField(self, s, a)
-
-
-class ConditionedReturnField:
-    """flowkit-facing view of a ReturnField with (s, a) context baked in."""
-
-    def __init__(self, field: ReturnField, s, a):
-        self.field = field
-        self._s = s
-        self._a = a
-
-    def velocity(self, x, t):
-        return self.field.velocity(x, t, self._s, self._a)
-
-    def velocity_and_derivative(self, x, t):
-        return self.field.velocity_and_dz(x, t, self._s, self._a)
+    def conditioned(self, s, a) -> ConditionedField:
+        """The field over z at fixed (s, a): one row of each, or one per noise."""
+        return ConditionedField(self, s, a)
 
 
 # -- estimators ---------------------------------------------------------------

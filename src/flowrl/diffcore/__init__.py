@@ -3,8 +3,11 @@
 ``nn`` walks a GELU/LayerNorm MLP once for values, input JVPs and the
 closed-form parameter/input VJP. A loss head returns a ``Loss``: its value,
 the network's ``MlpTape`` and d(loss)/d(output), which ``backward`` carries
-to the parameters. ``Net`` is the base class of every network: dims,
-parameters, spec, ``create``, ``with_params`` and the input-row check.
+to the parameters. A ``ParamSet`` holds one network's parameters as one
+read-only flat vector with named views; every writer makes a new set, and a
+set centres its hidden weights once, on its first walk. ``Net`` is the base
+class of every network: dims, parameters, spec, ``create``, ``with_params``
+and the input-row check.
 """
 
 from flowrl.diffcore.nn import (

@@ -7,21 +7,31 @@ which is also JAX's default (``jax.nn.gelu(approximate=True)``). It is within
 4.8e-4 of the exact h Phi(h) in value and 8.7e-4 in slope, and ``np.tanh``
 costs about a seventh of SciPy's ``erf`` on a (256, 64) array, where ``erf``
 was the largest single kernel of a pass; training quality over 10 seeds did
-not move by more than seed noise. A ``ParamSet`` is a plain dict of named
-float64 arrays; shapes are fixed at init time. ``Net`` is the base of the
-package's five networks: it holds their dims, parameters and spec, creates
-them, swaps their parameters and builds their input rows.
+not move by more than seed noise. ``Net`` is the base of the package's five
+networks: it holds their dims, parameters and spec, creates them, swaps
+their parameters and builds their input rows.
+
+A ``ParamSet`` is one network's parameters: a contiguous float64 vector
+``flat`` and read-only views of it, by name, in a fixed order. It reads like
+a mapping, and nothing writes into it: ``init_mlp``, ``clone_params``,
+``backward`` (its gradients), ``adam_step``, ``ema_update`` and
+``load_params`` each make a new set, and the optimizers work on ``flat``
+whole. A mapping of named arrays given to a public function, or assigned to
+``Net.params``, is copied into a set once, there.
 
 The layer normalization is computed as centred weights plus RMS
 normalization. The row mean of ``h @ w + b`` is ``h @ mean_j(w) + mean(b)``,
 so a hidden layer multiplies by ``w`` and adds ``b`` with their means over
-the output columns taken out (a (fan_in, n) operation per call), and its
-pre-activation comes out of the matmul already centred; LayerNorm is then
-RMS normalization of it (Pre-LN = Pre-RMSNorm, arXiv 2305.14858; the RMS
-statistic of arXiv 1910.07467). At 2000 rows of width 64 the passes that
-centred the activations, two row means and a broadcast subtraction, took
-about a fifth of a hidden layer's time; the centring's adjoint now falls on
-the small weight and bias gradients instead of on every row.
+the output columns taken out, and its pre-activation comes out of the matmul
+already centred; LayerNorm is then RMS normalization of it (Pre-LN =
+Pre-RMSNorm, arXiv 2305.14858; the RMS statistic of arXiv 1910.07467). At
+2000 rows of width 64 the passes that centred the activations, two row means
+and a broadcast subtraction, took about a fifth of a hidden layer's time;
+the centring's adjoint now falls on the small weight and bias gradients
+instead of on every row. A set centres its weights once: its first walk
+under a spec checks every name and shape against it and keeps the per-layer
+arrays the walks read (``ParamSet.layers``). Since a set is never written,
+they cannot go stale, and they go when the set goes.
 
 ``_walk`` is the only forward pass. It returns the output and, on request,
 the input JVP J @ tangent and a per-layer cache, over which ``_vjp`` runs the
@@ -42,13 +52,12 @@ from __future__ import annotations
 
 import copy
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from flowrl.errors import ConfigError, ContractError
-
-ParamSet = dict[str, np.ndarray]
 
 _LN_EPS = 1e-6
 _GELU_K = np.sqrt(2.0 / np.pi)         # tanh-form GELU: tanh(k (h + a h^3)), a = 0.044715
@@ -75,9 +84,123 @@ class MlpSpec:
         return list(zip(dims[:-1], dims[1:]))
 
 
+class ParamSet(Mapping):
+    """Named float64 parameter arrays: read-only views of one contiguous vector.
+
+    ``ParamSet(arrays)`` copies a mapping of named arrays into ``flat``, in
+    the mapping's order and each array row-major; ``params[name]`` is its
+    view. Nothing writes into a set, so what is derived from it, the layer
+    plan of ``layers``, stays valid for as long as the set lives.
+    """
+
+    __slots__ = ("flat", "_layout", "_views", "_plan")
+
+    def __init__(self, arrays: Mapping[str, np.ndarray]):
+        arrays = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
+        layout, stop = [], 0
+        for name, a in arrays.items():
+            layout.append((name, stop, stop + a.size, a.shape))
+            stop += a.size
+        flat = np.concatenate([a.ravel() for a in arrays.values()]) if arrays else np.empty(0)
+        self._adopt(tuple(layout), flat)
+
+    def _adopt(self, layout: tuple, flat: np.ndarray) -> None:
+        flat.flags.writeable = False
+        self.flat = flat
+        self._layout = layout
+        self._views = {name: flat[lo:hi].reshape(shape) for name, lo, hi, shape in layout}
+        self._plan = None
+
+    @classmethod
+    def of(cls, params: Mapping[str, np.ndarray]) -> "ParamSet":
+        """``params`` itself if it is a set, else a set copied from it."""
+        return params if isinstance(params, ParamSet) else cls(params)
+
+    def _derive(self, flat: np.ndarray) -> "ParamSet":
+        """A set of this one's names and shapes over ``flat``, a fresh vector no one else holds."""
+        out = object.__new__(ParamSet)
+        out._adopt(self._layout, flat)
+        return out
+
+    def with_flat(self, flat) -> "ParamSet":
+        """A set of this one's names and shapes holding a copy of the vector ``flat``."""
+        flat = np.array(flat, dtype=np.float64)
+        if flat.shape != self.flat.shape:
+            raise ConfigError(f"flat vector of shape {flat.shape} given for a set of "
+                              f"{self.flat.size} entries")
+        return self._derive(flat)
+
+    def aligned(self, other: Mapping[str, np.ndarray], what: str) -> "ParamSet":
+        """``other`` as a set of this one's names, order and shapes; ConfigError if it differs."""
+        if isinstance(other, ParamSet) and other._layout == self._layout:
+            return other
+        if set(other) != set(self._views):
+            raise ConfigError(f"{what} names {sorted(other)} do not match parameter names "
+                              f"{sorted(self._views)}")
+        for name, view in self._views.items():
+            if np.shape(other[name]) != view.shape:
+                raise ConfigError(f"{what} shape mismatch for {name}: {np.shape(other[name])} "
+                                  f"vs {view.shape}")
+        return self._derive(np.concatenate([np.ravel(other[name]) for name in self._views]))
+
+    def layers(self, spec: MlpSpec) -> tuple:
+        """What a walk under ``spec`` multiplies and adds per layer, made on the first call.
+
+        Hidden layer i gives (wc, bc, scale, offset): ``_centred`` of its
+        weights and bias, then its LayerNorm's scale and offset; the output
+        layer gives (w, b, None, None); all of them are read-only. The first
+        call checks every name and shape against ``spec`` (ConfigError on a
+        mismatch) and keeps the result on the set, so later walks neither
+        check nor centre again.
+        """
+        plan = self._plan
+        if plan is not None and (plan[0] is spec or plan[0] == spec):
+            return plan[1]
+        want = {}
+        last = len(spec.layer_dims) - 1
+        for i, (fan_in, fan_out) in enumerate(spec.layer_dims):
+            want[f"w{i}"], want[f"b{i}"] = (fan_in, fan_out), (fan_out,)
+            if i < last:
+                want[f"ln{i}_scale"] = want[f"ln{i}_offset"] = (fan_out,)
+        got = {name: view.shape for name, view in self._views.items()}
+        if got != want:
+            raise ConfigError(f"parameters {got} do not match the spec's {want}")
+        views = self._views
+        plan = []
+        for i in range(last + 1):
+            w, b = views[f"w{i}"], views[f"b{i}"]
+            if i < last:
+                w, b = _centred(w, b)
+                w.flags.writeable = b.flags.writeable = False
+                plan.append((w, b, views[f"ln{i}_scale"], views[f"ln{i}_offset"]))
+            else:
+                plan.append((w, b, None, None))
+        plan = tuple(plan)
+        self._plan = (spec, plan)
+        return plan
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def items(self):
+        return self._views.items()
+
+    def __deepcopy__(self, memo) -> "ParamSet":
+        return self     # nothing in a set can change, so a copy would only cost memory
+
+    def __repr__(self) -> str:
+        return f"ParamSet({', '.join(f'{k}{v.shape}' for k, v in self._views.items())})"
+
+
 def init_mlp(spec: MlpSpec, rng: np.random.Generator) -> ParamSet:
     """Scaled-uniform fan-in weights, zero biases, identity layer norms."""
-    params: ParamSet = {}
+    params = {}
     for i, (fan_in, fan_out) in enumerate(spec.layer_dims):
         bound = 1.0 / np.sqrt(fan_in)
         params[f"w{i}"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -85,21 +208,13 @@ def init_mlp(spec: MlpSpec, rng: np.random.Generator) -> ParamSet:
         if i < len(spec.layer_dims) - 1:
             params[f"ln{i}_scale"] = np.ones(fan_out)
             params[f"ln{i}_offset"] = np.zeros(fan_out)
-    return params
+    return ParamSet(params)
 
 
-def clone_params(params: ParamSet) -> ParamSet:
-    return {k: v.copy() for k, v in params.items()}
-
-
-def _check_arch(params: ParamSet, x: np.ndarray, spec: MlpSpec) -> None:
-    if x.ndim != 2 or x.shape[1] != spec.in_dim:
-        raise ConfigError(f"input shape {x.shape} does not match in_dim {spec.in_dim}")
-    for i, (fan_in, fan_out) in enumerate(spec.layer_dims):
-        w = params.get(f"w{i}")
-        if w is None or w.shape != (fan_in, fan_out):
-            raise ConfigError(f"parameter w{i} missing or shaped {None if w is None else w.shape}, "
-                              f"expected {(fan_in, fan_out)}")
+def clone_params(params: Mapping[str, np.ndarray]) -> ParamSet:
+    """A new set holding a copy of ``params``."""
+    params = ParamSet.of(params)
+    return params.with_flat(params.flat)
 
 
 class _Workspace(threading.local):
@@ -148,21 +263,24 @@ def _row_mean_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _centred(w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``w`` and ``b`` less their means over the output columns: fresh (fan_in, n) and (n,).
 
-    ``h @ wc + bc`` is then ``h @ w + b`` less its row mean. The same map is
-    the centring's own adjoint, so it also turns the gradients of ``wc`` and
+    ``h @ wc + bc`` is then ``h @ w + b`` less its row mean. A set runs it
+    once per hidden layer, in ``ParamSet.layers``, and every walk of the set
+    reads the result. The same map is the centring's own adjoint, so
+    ``_vjp`` also runs it on every call, to turn the gradients of ``wc`` and
     ``bc`` into those of ``w`` and ``b``. The means are products with the
     vector 1/n: on a 64-wide layer (timeit, one thread) ``ndarray.mean`` and
-    ``np.add.reduce`` took about 9 and 3 microseconds more per call, which a
-    32-row pass notices.
+    ``np.add.reduce`` took about 9 and 3 microseconds more per call.
     """
     m = np.full(w.shape[1], 1.0 / w.shape[1])
     return w - w.dot(m)[:, None], b - b.dot(m)
 
 
-def _walk(params: ParamSet, x, spec: MlpSpec, tangent=None, keep: bool = False):
+def _walk(params: Mapping[str, np.ndarray], x, spec: MlpSpec, tangent=None, keep: bool = False):
     """Run the layers once: (output, J @ tangent or None, cache or None).
 
-    A hidden layer multiplies by centred weights (``_centred``), so its
+    The layers' arrays come from the set's plan (``ParamSet.layers``); only
+    the input's shape is checked on every call. A hidden layer multiplies by
+    centred weights (``_centred``), so its
     pre-activation c already has row mean 0, and its LayerNorm is RMS
     normalization: xhat = c / sqrt(mean(c^2) + eps), then scale and offset.
     The tangent dc = dh @ wc is centred the same way, so its JVP is
@@ -183,20 +301,19 @@ def _walk(params: ParamSet, x, spec: MlpSpec, tangent=None, keep: bool = False):
     runs.
     """
     h = np.asarray(x, dtype=np.float64)
-    _check_arch(params, h, spec)
+    if h.ndim != 2 or h.shape[1] != spec.in_dim:
+        raise ConfigError(f"input shape {h.shape} does not match in_dim {spec.in_dim}")
+    layers = ParamSet.of(params).layers(spec)
     dh = None if tangent is None else np.asarray(tangent, dtype=np.float64)
     if dh is not None and dh.shape != h.shape:
         raise ContractError(f"tangent shape {dh.shape} != input shape {h.shape}")
     ws = _workspace
     rows = h.shape[0]
     cache = [] if keep else None
-    last = len(spec.layer_dims) - 1
-    for i, (_, width) in enumerate(spec.layer_dims):
-        w, b = params[f"w{i}"], params[f"b{i}"]
+    for i, (w, b, scale, offset) in enumerate(layers):
+        width = w.shape[1]
         layer_in = h
-        hidden = i < last
-        if hidden:
-            w, b = _centred(w, b)
+        hidden = scale is not None
         h = np.matmul(h, w, out=ws.take(_H + i % 2, rows, width) if hidden and not keep else None)
         h += b
         if dh is not None:
@@ -206,7 +323,6 @@ def _walk(params: ParamSet, x, spec: MlpSpec, tangent=None, keep: bool = False):
             tmp = ws.take(_TMP, rows, width)
             inv_std = 1.0 / np.sqrt(_row_mean_dot(h, h) + _LN_EPS)
             h *= inv_std
-            scale = params[f"ln{i}_scale"]
             if dh is not None:
                 np.multiply(h, _row_mean_dot(h, dh), out=tmp)
                 dh -= tmp
@@ -217,7 +333,7 @@ def _walk(params: ParamSet, x, spec: MlpSpec, tangent=None, keep: bool = False):
                 h = h * scale
             else:
                 h *= scale
-            h += params[f"ln{i}_offset"]
+            h += offset
             # GELU, tanh form: c = (1 + tanh(k (h + a h^3))) / 2 and gelu(h) = h c
             need_slope = dh is not None or keep
             np.multiply(h, h, out=tmp)
@@ -246,19 +362,21 @@ def _walk(params: ParamSet, x, spec: MlpSpec, tangent=None, keep: bool = False):
 
 
 def _vjp(params: ParamSet, cache: list, out_grad: np.ndarray, param_grads: bool,
-         input_grad: bool) -> tuple[ParamSet, np.ndarray | None]:
-    """Reverse pass over a ``_walk`` cache: (parameter grads, input grad).
+         input_grad: bool) -> tuple[ParamSet | None, np.ndarray | None]:
+    """Reverse pass over a ``_walk`` cache of ``params``: (parameter grads, input grad).
 
     Through a hidden layer's RMS normalization, g becomes
     (g - xhat * mean(g * xhat)) / std, with no mean(g) term: the centring
     sits in the weights, so its adjoint is ``_centred`` applied to the small
     gradients of w and b, and the input gradient multiplies by the centred
-    weights the walk kept. Each part is skipped, and returned empty or None,
-    when not asked for. The back-propagated ``g`` of every hidden layer and
-    its temporary live in the workspace; the grads are fresh arrays.
+    weights the walk kept. Each part is skipped, and returned None, when not
+    asked for. The back-propagated ``g`` of every hidden layer and its
+    temporary live in the workspace; the grads are a new set of ``params``'
+    names.
     """
     ws = _workspace
-    grads: ParamSet = {}
+    params = ParamSet.of(params)
+    grads = {}
     g = out_grad
     rows = g.shape[0]
     for i in range(len(cache) - 1, -1, -1):
@@ -281,9 +399,11 @@ def _vjp(params: ParamSet, cache: list, out_grad: np.ndarray, param_grads: bool,
                 gw, gb = _centred(gw, gb)
             grads[f"w{i}"], grads[f"b{i}"] = gw, gb
         if i == 0 and not input_grad:
-            return grads, None
+            break
         g = np.matmul(g, w.T, out=ws.take(_H + i % 2, rows, w.shape[0]) if i > 0 else None)
-    return grads, g
+    if param_grads:     # the walk's plan checked the names, so every one has its gradient
+        grads = params._derive(np.concatenate([grads[name].ravel() for name in params]))
+    return grads if param_grads else None, g if input_grad else None
 
 
 @dataclass
@@ -296,17 +416,22 @@ class Leaf:
 
 @dataclass
 class MlpTape:
-    """One forward pass kept for its reverse pass: output, parameter leaves, layer cache."""
+    """One forward pass kept for its reverse pass: output, parameter leaves, layer cache.
+
+    ``source`` is the set the pass walked; the reverse pass reads it.
+    """
 
     output: np.ndarray
     params: dict[str, Leaf]
     cache: list
+    source: ParamSet | None = None
 
 
-def mlp_forward(params: ParamSet, x, spec: MlpSpec) -> MlpTape:
+def mlp_forward(params: Mapping[str, np.ndarray], x, spec: MlpSpec) -> MlpTape:
     """Run the MLP on a (batch, in_dim) array and keep what its reverse pass reads."""
+    params = ParamSet.of(params)
     out, _, cache = _walk(params, x, spec, keep=True)
-    return MlpTape(out, {name: Leaf(arr) for name, arr in params.items()}, cache)
+    return MlpTape(out, {name: Leaf(arr) for name, arr in params.items()}, cache, params)
 
 
 def _output_grad(output_grad, shape: tuple[int, ...]) -> np.ndarray:
@@ -323,10 +448,10 @@ def backward(tape: MlpTape, output_grad) -> ParamSet:
     ``tape.params[name].grad``, replacing what an earlier call wrote.
     """
     g = _output_grad(output_grad, tape.output.shape)
-    grads, _ = _vjp({k: leaf.data for k, leaf in tape.params.items()}, tape.cache, g, True, False)
+    grads, _ = _vjp(tape.source, tape.cache, g, True, False)
     for name, leaf in tape.params.items():
         leaf.grad = grads[name]
-    return {name: leaf.grad for name, leaf in tape.params.items()}
+    return grads
 
 
 def input_vjp(tape: MlpTape, output_grad) -> np.ndarray:
@@ -335,7 +460,7 @@ def input_vjp(tape: MlpTape, output_grad) -> np.ndarray:
     No parameter gradient is computed and no leaf is written.
     """
     g = _output_grad(output_grad, tape.output.shape)
-    return _vjp({k: leaf.data for k, leaf in tape.params.items()}, tape.cache, g, False, True)[1]
+    return _vjp(tape.source, tape.cache, g, False, True)[1]
 
 
 @dataclass
@@ -357,12 +482,12 @@ class Loss:
         return backward(self.tape, self.output_grad)
 
 
-def mlp_value(params: ParamSet, x: np.ndarray, spec: MlpSpec) -> np.ndarray:
+def mlp_value(params: Mapping[str, np.ndarray], x: np.ndarray, spec: MlpSpec) -> np.ndarray:
     """Forward pass without a tape."""
     return _walk(params, x, spec)[0]
 
 
-def mlp_value_and_input_jvp(params: ParamSet, x: np.ndarray, spec: MlpSpec,
+def mlp_value_and_input_jvp(params: Mapping[str, np.ndarray], x: np.ndarray, spec: MlpSpec,
                             tangent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward pass plus the directional input derivative J @ tangent, per row.
 
@@ -379,10 +504,12 @@ class Net:
 
     A subclass declares its MLP's (input, output) widths for given state and
     action dims in ``widths`` and lays out its input rows in ``_inputs`` with
-    ``_rows``. ``params`` may be reassigned; dims and ``spec`` are fixed.
+    ``_rows``. ``params`` may be reassigned, and a mapping assigned to it is
+    copied into a ``ParamSet``; dims and ``spec`` are fixed.
     """
 
-    def __init__(self, state_dim: int, action_dim: int, params: ParamSet, spec: MlpSpec):
+    def __init__(self, state_dim: int, action_dim: int, params: Mapping[str, np.ndarray],
+                 spec: MlpSpec):
         want = self.widths(state_dim, action_dim)
         if (spec.in_dim, spec.out_dim) != want:
             raise ConfigError(f"{type(self).__name__} needs MLP widths (in, out) = {want}, "
@@ -391,6 +518,14 @@ class Net:
         self.action_dim = action_dim
         self.params = params
         self.spec = spec
+
+    @property
+    def params(self) -> ParamSet:
+        return self._params
+
+    @params.setter
+    def params(self, params: Mapping[str, np.ndarray]) -> None:
+        self._params = ParamSet.of(params)
 
     @staticmethod
     def widths(state_dim: int, action_dim: int) -> tuple[int, int]:
@@ -405,7 +540,7 @@ class Net:
         spec = MlpSpec(in_dim=in_dim, hidden=hidden, out_dim=out_dim)
         return cls(state_dim, action_dim, init_mlp(spec, rng), spec)
 
-    def with_params(self, params: ParamSet):
+    def with_params(self, params: Mapping[str, np.ndarray]):
         """A copy of this network, every other field kept, holding ``params``."""
         net = copy.copy(self)
         net.params = params

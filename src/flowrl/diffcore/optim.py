@@ -1,8 +1,9 @@
-"""Adam optimizer and target-network EMA updates."""
+"""Adam optimizer and target-network EMA updates, on a parameter set's flat vector."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,56 +15,45 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8   # Adam's moment decays and denominator
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the bias-correction step count."""
+    """First/second moment vectors, entry for entry with a set's ``flat``, and the step count."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
-    def for_params(cls, params: ParamSet) -> "AdamState":
-        return cls(m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()},
-                   step=0)
+    def for_params(cls, params: Mapping[str, np.ndarray]) -> "AdamState":
+        size = ParamSet.of(params).flat.size
+        return cls(m=np.zeros(size), v=np.zeros(size), step=0)
 
 
-def adam_step(params: ParamSet, grads: ParamSet, state: AdamState, lr: float
-              ) -> tuple[ParamSet, AdamState]:
-    """One bias-corrected Adam update. Raises on non-finite gradients."""
-    if set(grads) != set(params):
-        raise ConfigError("gradient names do not match parameter names")
-    for name, g in grads.items():
-        if g.shape != params[name].shape:
-            raise ConfigError(f"gradient shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name}")
+def adam_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
+              state: AdamState, lr: float) -> tuple[ParamSet, AdamState]:
+    """One bias-corrected Adam update. Raises on non-finite gradients.
 
+    ``grads`` must have the names and shapes of ``params``; a non-finite
+    gradient raises TrainingError naming its parameter.
+    """
+    params = ParamSet.of(params)
+    grads = params.aligned(grads, "gradient")
+    g = grads.flat
+    if not np.isfinite(g).all():
+        name = next(k for k, arr in grads.items() if not np.isfinite(arr).all())
+        raise TrainingError(f"non-finite gradient for parameter {name}")
+    if state.m.shape != g.shape or state.v.shape != g.shape:
+        raise ConfigError(f"Adam moments of shape {state.m.shape} for {g.size} parameters")
     t = state.step + 1
-    new_params: ParamSet = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    bc1 = 1.0 - _BETA1**t
-    bc2 = 1.0 - _BETA2**t
-    for name, p in params.items():
-        g = grads[name]
-        m = _BETA1 * state.m[name] + (1.0 - _BETA1) * g
-        v = _BETA2 * state.v[name] + (1.0 - _BETA2) * g * g
-        new_m[name] = m
-        new_v[name] = v
-        new_params[name] = p - lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
-    return new_params, AdamState(m=new_m, v=new_v, step=t)
+    m = _BETA1 * state.m + (1.0 - _BETA1) * g
+    v = _BETA2 * state.v + (1.0 - _BETA2) * g * g
+    new = params.flat - lr * (m / (1.0 - _BETA1**t)) / (np.sqrt(v / (1.0 - _BETA2**t)) + _EPS)
+    return params._derive(new), AdamState(m=m, v=v, step=t)
 
 
-def ema_update(target: ParamSet, online: ParamSet, rho: float) -> ParamSet:
+def ema_update(target: Mapping[str, np.ndarray], online: Mapping[str, np.ndarray],
+               rho: float) -> ParamSet:
     """target' = (1 - rho) * target + rho * online, elementwise."""
     if not 0.0 < rho <= 1.0:
         raise ConfigError(f"rho must be in (0, 1], got {rho}")
-    if set(target) != set(online):
-        raise ConfigError("target and online parameter names differ")
-    out: ParamSet = {}
-    for name, tgt in target.items():
-        on = online[name]
-        if tgt.shape != on.shape:
-            raise ConfigError(f"shape mismatch for {name}: {tgt.shape} vs {on.shape}")
-        out[name] = (1.0 - rho) * tgt + rho * on
-    return out
+    target = ParamSet.of(target)
+    online = target.aligned(online, "online parameter")
+    return target._derive((1.0 - rho) * target.flat + rho * online.flat)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from flowrl.diffcore.nn import ParamSet
 FORMAT_TAG = "flowrl-params-v1"
 
 
-def params_to_obj(params: ParamSet) -> dict:
+def params_to_obj(params: Mapping[str, np.ndarray]) -> dict:
     entries = {}
     for name, arr in params.items():
         arr = np.ascontiguousarray(arr, dtype=np.float64)
@@ -45,7 +46,7 @@ def params_from_obj(obj: dict) -> ParamSet:
     entries = obj.get("params")
     if not isinstance(entries, dict):
         raise ConfigError(f"'params' must be an object of named arrays, got {entries!r:.80}")
-    params: ParamSet = {}
+    params = {}
     for name, entry in entries.items():
         if not isinstance(entry, dict):
             raise ConfigError(f"{name}: entry must be an object, got {type(entry).__name__}")
@@ -60,12 +61,11 @@ def params_from_obj(obj: dict) -> ParamSet:
             raise ConfigError(f"{name}: data missing or not base64 ({exc!r})") from None
         if len(raw) != 8 * np.prod(shape, dtype=np.int64):
             raise ConfigError(f"{name}: {len(raw)} data bytes for float64 shape {shape}")
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-        params[name] = arr.copy()
-    return params
+        params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    return ParamSet(params)
 
 
-def save_params(params: ParamSet, path: str | Path) -> None:
+def save_params(params: Mapping[str, np.ndarray], path: str | Path) -> None:
     Path(path).write_text(json.dumps(params_to_obj(params)))
 
 

@@ -114,12 +114,14 @@ class ToyMdp:
         return None
 
     def validate_action(self, a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.float64).reshape(-1)
+        if type(a) is not np.ndarray or a.dtype != np.float64 or a.ndim != 1:
+            a = np.asarray(a, dtype=np.float64).reshape(-1)
         if a.shape != (self.action_dim,):
             raise ContractError(f"action shape {a.shape} != ({self.action_dim},)")
         # plain comparisons: NaN fails both, and this runs once per env step
-        if not all(-1.0 - 1e-9 <= x <= 1.0 + 1e-9 for x in a.tolist()):
-            raise ContractError(f"action {a} is not finite or lies outside the [-1, 1] box")
+        for x in a.tolist():
+            if not -1.0 - 1e-9 <= x <= 1.0 + 1e-9:
+                raise ContractError(f"action {a} is not finite or lies outside the [-1, 1] box")
         return a
 
     def is_terminal(self, s: np.ndarray) -> bool:

@@ -231,7 +231,17 @@ class ContinuousBandit1D(ToyMdp):
         return s[0] != 0.0
 
     def reward_curve(self, a: np.ndarray | float) -> np.ndarray | float:
+        """The mean reward at ``a``: an array for an array, a numpy scalar for a scalar.
+
+        A scalar is worked on as a numpy scalar from the start, not as a 0-d
+        array, whose operations cost several times more and return numpy
+        scalars anyway. The operations are unchanged: ``** 2`` on a scalar
+        is ``pow``, which differs in the last bit from ``x * x`` (the square
+        it is on an array) for a few inputs in ten thousand.
+        """
         a = np.asarray(a, dtype=np.float64)
+        if a.ndim == 0:
+            a = a[()]
         return (0.4 * np.exp(-(((a + 0.5) / 0.25) ** 2))
                 + 1.0 * np.exp(-(((a - 0.5) / 0.2) ** 2)))
 

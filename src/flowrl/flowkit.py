@@ -12,6 +12,9 @@ the flow off at an intermediate time t then costs no further field
 evaluation: with k the node at or before t, x(t) = x_k + (t - t_k) * v_k,
 the Euler step from node k cut short at t. The critic takes both its t = 1
 targets and its per-row z_t from one trajectory this way.
+
+A network is a flow field through :class:`ConditionedField`, which fixes
+its context columns and builds its input rows once per solve.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from flowrl.diffcore import mlp_value, mlp_value_and_input_jvp
 from flowrl.errors import ConfigError, ContractError, IntegrationError
 
 
@@ -41,6 +45,53 @@ class ScalarFlowField(FlowField, Protocol):
     """1-d flow field that can also report dv/dx at the queried points."""
 
     def velocity_and_derivative(self, x: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]: ...
+
+
+class ConditionedField:
+    """A network's velocity over its flow variable, with its context columns fixed.
+
+    ``net`` lays out its input rows as [x, t, context...] through
+    ``net._inputs(x, t, *context)``, and its output is as wide as x: one
+    velocity row per input row, flat when x is a flat vector of scalars. The
+    first call builds the rows, checked by ``_inputs``. A later call with x
+    of the same shape and a scalar t writes only the x and t columns into
+    them, so a solve builds its rows, and the unit tangent of
+    ``velocity_and_derivative``, once. Any other call builds them again.
+    The rows live on the view and go with it.
+    """
+
+    def __init__(self, net, *context):
+        self.net = net
+        self.context = context
+        self._shape = None
+        self._rows = None
+        self._tangent = None
+
+    def _inputs(self, x, t) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        rows = self._rows
+        if x.shape == self._shape and isinstance(t, float):
+            width = self.net.spec.out_dim
+            rows[:, :width] = x.reshape(-1, width)
+            rows[:, width] = t
+        else:
+            rows = self._rows = self.net._inputs(x, t, *self.context)
+            self._shape = x.shape
+            self._tangent = None
+        return rows
+
+    def velocity(self, x, t) -> np.ndarray:
+        out = mlp_value(self.net.params, self._inputs(x, t), self.net.spec)
+        return out if np.ndim(x) > 1 else out[:, 0]
+
+    def velocity_and_derivative(self, x, t) -> tuple[np.ndarray, np.ndarray]:
+        """Velocity and its derivative along the first input column, for a flat scalar x."""
+        rows = self._inputs(x, t)
+        if self._tangent is None:
+            self._tangent = np.zeros_like(rows)
+            self._tangent[:, 0] = 1.0
+        value, jvp = mlp_value_and_input_jvp(self.net.params, rows, self.net.spec, self._tangent)
+        return value[:, 0], jvp[:, 0]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 from flowrl.critic import ReturnField, ensemble_q, ensemble_q_and_action_grad
 from flowrl.diffcore import Loss, MlpTape, Net, mlp_forward, mlp_value
 from flowrl.errors import ContractError, check_int
-from flowrl.flowkit import IntegrationConfig, euler_integrate, sample_times
+from flowrl.flowkit import ConditionedField, IntegrationConfig, euler_integrate, sample_times
 
 
 class BcFlowPolicy(Net):
@@ -29,15 +29,9 @@ class BcFlowPolicy(Net):
         return np.concatenate(self._rows((a_t, self.action_dim), (np.reshape(t, (-1, 1)), 1),
                                          (s, self.state_dim)), axis=1)
 
-    def velocity_given(self, s: np.ndarray):
-        """flowkit-compatible conditioned field over the action space."""
-        policy = self
-
-        class _Cond:
-            def velocity(self, x, t):
-                return mlp_value(policy.params, policy._inputs(x, t, s), policy.spec)
-
-        return _Cond()
+    def velocity_given(self, s: np.ndarray) -> ConditionedField:
+        """The field over actions at fixed states ``s``: one row, or one per action row."""
+        return ConditionedField(self, s)
 
 
 def bc_flow_loss(policy: BcFlowPolicy, s: np.ndarray, a: np.ndarray,

@@ -143,9 +143,9 @@ def fresh_walk(params: ParamSet, x: np.ndarray, spec: MlpSpec, tangent=None, kee
     return h, dh, cache
 
 
-def fresh_vjp(params: ParamSet, cache: list, out_grad: np.ndarray) -> tuple[ParamSet, np.ndarray]:
+def fresh_vjp(params: ParamSet, cache: list, out_grad: np.ndarray) -> tuple[dict, np.ndarray]:
     """Reverse pass over a ``fresh_walk`` cache: (parameter grads, input grad)."""
-    grads: ParamSet = {}
+    grads = {}
     g = out_grad
     for i in range(len(cache) - 1, -1, -1):
         layer_in, xhat, inv_std, slope, w = cache[i]
@@ -164,23 +164,22 @@ def fresh_vjp(params: ParamSet, cache: list, out_grad: np.ndarray) -> tuple[Para
     return grads, g
 
 
-def finite_diff_param_grads(loss_fn, params: ParamSet, step: float = 1e-4) -> ParamSet:
-    """Central-difference gradient of ``loss_fn(params)`` w.r.t. every entry."""
-    grads = {}
-    for name, arr in params.items():
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            hi = loss_fn(params)
-            flat[j] = orig - step
-            lo = loss_fn(params)
-            flat[j] = orig
-            gflat[j] = (hi - lo) / (2.0 * step)
-        grads[name] = g
-    return grads
+def finite_diff_param_grads(loss_fn, params, step: float = 1e-4) -> ParamSet:
+    """Central-difference gradient of ``loss_fn(params)`` w.r.t. every entry.
+
+    A set is never written, so each +/- probe is a new set with one entry moved.
+    """
+    params = ParamSet.of(params)
+    base = params.flat
+    grad = np.zeros_like(base)
+    for j in range(base.size):
+        probe = base.copy()
+        probe[j] = base[j] + step
+        hi = loss_fn(params.with_flat(probe))
+        probe[j] = base[j] - step
+        lo = loss_fn(params.with_flat(probe))
+        grad[j] = (hi - lo) / (2.0 * step)
+    return params.with_flat(grad)
 
 
 def grad_match_fraction(analytic: ParamSet, numeric: ParamSet,
@@ -207,15 +206,14 @@ def loss_grad_match(net, loss_of) -> float:
     loss, tape = loss_of(net.params)[:2]
     loss.backward()
     analytic = {name: leaf.grad for name, leaf in tape.params.items()}
-    numeric = finite_diff_param_grads(lambda ps: float(loss_of(ps)[0].data),
-                                      {k: v.copy() for k, v in net.params.items()})
+    numeric = finite_diff_param_grads(lambda ps: float(loss_of(ps)[0].data), net.params)
     return grad_match_fraction(analytic, numeric)
 
 
 def random_params_like(params: ParamSet, rng: np.random.Generator,
                        scale: float = 0.4) -> ParamSet:
     """Re-randomize every parameter (including norms/biases) for gradient checks."""
-    return {k: rng.normal(0.0, scale, size=v.shape) for k, v in params.items()}
+    return ParamSet({k: rng.normal(0.0, scale, size=v.shape) for k, v in params.items()})
 
 
 def q_estimate(field, s, a, noises: np.ndarray) -> float:

@@ -489,19 +489,33 @@ class TestValueFlowLoss:
 
 
 class _CountingField(ReturnField):
-    """ReturnField that counts its value and value-and-JVP evaluations."""
+    """ReturnField that counts its value passes, its views, and their value and JVP passes.
+
+    An Euler solve evaluates the field through a ``conditioned`` view, so the
+    view's methods are where its per-step passes are counted.
+    """
 
     def __init__(self, base: ReturnField):
         super().__init__(base.state_dim, base.action_dim, base.params, base.spec)
-        self.calls = {"velocity": 0, "velocity_and_dz": 0}
+        self.calls = {"velocity": 0, "conditioned": 0, "view.velocity": 0,
+                      "view.velocity_and_derivative": 0}
 
     def velocity(self, z, t, s, a):
         self.calls["velocity"] += 1
         return super().velocity(z, t, s, a)
 
-    def velocity_and_dz(self, z, t, s, a):
-        self.calls["velocity_and_dz"] += 1
-        return super().velocity_and_dz(z, t, s, a)
+    def conditioned(self, s, a):
+        self.calls["conditioned"] += 1
+        view = super().conditioned(s, a)
+        for name in ("velocity", "velocity_and_derivative"):
+            view.__dict__[name] = self._counted(f"view.{name}", getattr(view, name))
+        return view
+
+    def _counted(self, key, method):
+        def counted(x, t):
+            self.calls[key] += 1
+            return method(x, t)
+        return counted
 
 
 class TestTargetTrajectory:
@@ -512,7 +526,8 @@ class TestTargetTrajectory:
         batch.terminal[::2] = True
         value_flow_loss(random_field(19), target, uniform_action_sampler, batch,
                         wide_config(flow_steps=flow_steps), np.random.default_rng(51))
-        assert target.calls == {"velocity": 1, "velocity_and_dz": flow_steps}
+        assert target.calls == {"velocity": 1, "conditioned": 1, "view.velocity": 0,
+                                "view.velocity_and_derivative": flow_steps}
 
     def test_z_t_is_the_euler_path_cut_short_at_t(self):
         target = random_field(22)

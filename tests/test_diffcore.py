@@ -1,7 +1,9 @@
 """Tests for the MLP and its closed-form reverse pass, optimizer, EMA, and serialization."""
 
 import base64
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,6 +381,84 @@ class TestInputDerivative:
             assert jvp[row, 0] == pytest.approx(gx[row, 1], rel=1e-10, abs=1e-12)
 
 
+class TestParamSet:
+    @staticmethod
+    def net():
+        spec = small_spec()
+        return spec, init_mlp(spec, np.random.default_rng(31))
+
+    def test_one_flat_vector_under_named_read_only_views(self):
+        spec, params = self.net()
+        assert list(params) == ["w0", "b0", "ln0_scale", "ln0_offset", "w1", "b1", "ln1_scale",
+                                "ln1_offset", "w2", "b2"]
+        assert np.array_equal(np.concatenate([v.ravel() for v in params.values()]), params.flat)
+        assert all(np.shares_memory(v, params.flat) for v in params.values())
+        centred_w, centred_b = params.layers(spec)[0][:2]
+        for target in (params.flat, params["w1"], params["ln0_scale"], centred_w, centred_b):
+            with pytest.raises(ValueError, match="read-only"):
+                target[0] = 1.0
+        with pytest.raises(TypeError):
+            params["w0"] = np.zeros((3, 5))
+
+    def test_a_mapping_is_copied_once_and_a_set_passes_through(self):
+        spec, params = self.net()
+        arrays = {k: v.copy() for k, v in params.items()}
+        copied = nn.ParamSet.of(arrays)
+        assert nn.ParamSet.of(copied) is copied and nn.ParamSet.of(params) is params
+        arrays["w0"][0, 0] = 5.0
+        assert copied["w0"][0, 0] == params["w0"][0, 0]
+
+    def test_every_writer_builds_a_new_set(self):
+        spec, params = self.net()
+        before = params.flat.copy()
+        tape = mlp_forward(params, np.ones((4, 3)), spec)
+        grads = backward(tape, mean_square_grad(tape.output))
+        new, _ = adam_step(params, grads, AdamState.for_params(params), 1e-2)
+        others = [clone_params(params), new, ema_update(params, new, 0.5), grads]
+        assert all(isinstance(p, nn.ParamSet) and p is not params for p in others)
+        assert len({id(p.flat) for p in others + [params]}) == 5
+        assert np.array_equal(params.flat, before)
+
+    def test_walks_centre_once_per_set_and_again_after_each_write(self, monkeypatch):
+        calls = []
+
+        def counting_centred(w, b):
+            calls.append(w.shape)
+            return centred(w, b)
+
+        centred = nn._centred
+        monkeypatch.setattr(nn, "_centred", counting_centred)
+        spec, params = self.net()
+        x = np.random.default_rng(33).normal(size=(6, 3))
+        hidden = len(spec.hidden)
+        for _ in range(10):
+            mlp_value(params, x, spec)
+        assert len(calls) == hidden
+        state = AdamState.for_params(params)
+        for _ in range(3):
+            calls.clear()
+            new, state = adam_step(params, {k: np.ones_like(v) for k, v in params.items()},
+                                   state, 1e-2)
+            for _ in range(10):
+                mlp_value(new, x, spec)
+            assert len(calls) == hidden
+            calls.clear()
+            params = ema_update(params, new, 0.5)
+            for _ in range(10):
+                mlp_value_and_input_jvp(params, x, spec, np.ones_like(x))
+            assert len(calls) == hidden
+
+    def test_a_plan_is_made_for_its_spec_and_checked_against_it(self):
+        spec, params = self.net()
+        x = np.zeros((2, 3))
+        mlp_value(params, x, spec)
+        with pytest.raises(ConfigError):
+            mlp_value(params, x, MlpSpec(in_dim=3, hidden=(5, 5), out_dim=1))
+        extra = dict(params, extra=np.zeros(2))
+        with pytest.raises(ConfigError):
+            mlp_value(extra, x, spec)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         params = {"w": np.array([1.0, -2.0])}
@@ -415,6 +495,44 @@ class TestAdam:
         with pytest.raises(TrainingError):
             adam_step(params, {"w": np.array([np.nan])}, AdamState.for_params(params), 1e-3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_names_its_parameter(self, bad):
+        spec = small_spec()
+        params = init_mlp(spec, np.random.default_rng(3))
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
+        grads["ln1_scale"][2] = bad
+        with pytest.raises(TrainingError, match="ln1_scale"):
+            adam_step(params, grads, AdamState.for_params(params), 1e-3)
+
+    @pytest.mark.parametrize("damage", ["missing", "extra", "shape"])
+    def test_gradient_name_or_shape_mismatch_raises_config_error(self, damage):
+        params = {"w": np.zeros((2, 3)), "b": np.zeros(3)}
+        grads = {"w": np.zeros((2, 3)), "b": np.zeros(3)}
+        if damage == "missing":
+            del grads["b"]
+        elif damage == "extra":
+            grads["c"] = np.zeros(1)
+        else:
+            grads["w"] = np.zeros((3, 2))
+        with pytest.raises(ConfigError):
+            adam_step(params, grads, AdamState.for_params(params), 1e-3)
+
+    def test_flat_update_matches_the_per_array_update_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        spec = small_spec()
+        params = random_params_like(init_mlp(spec, rng), rng)
+        state = AdamState.for_params(params)
+        want, m, v = {k: a.copy() for k, a in params.items()}, {}, {}
+        for t in (1, 2, 3):
+            grads = {k: rng.normal(size=a.shape) for k, a in params.items()}
+            params, state = adam_step(params, grads, state, 1e-2)
+            for k, g in grads.items():
+                m[k] = 0.9 * m.get(k, 0.0) + (1.0 - 0.9) * g
+                v[k] = 0.999 * v.get(k, 0.0) + (1.0 - 0.999) * g * g
+                want[k] = want[k] - 1e-2 * (m[k] / (1.0 - 0.9**t)) / (
+                    np.sqrt(v[k] / (1.0 - 0.999**t)) + 1e-8)
+        assert _bit_equal(params, want)
+
 
 class TestEma:
     def test_rho_one_copies_online(self):
@@ -450,7 +568,9 @@ class TestSerialization:
         rng = np.random.default_rng(42)
         spec = MlpSpec(in_dim=4, hidden=(8,), out_dim=2)
         params = init_mlp(spec, rng)
-        params["w0"][0, 0] = np.pi  # make sure non-trivial bits survive
+        flat = params.flat.copy()
+        flat[0] = np.pi  # w0[0, 0]: make sure non-trivial bits survive
+        params = params.with_flat(flat)
         path = tmp_path / "params.json"
         save_params(params, path)
         loaded = load_params(path)
@@ -458,6 +578,22 @@ class TestSerialization:
         for name in params:
             assert loaded[name].dtype == np.float64
             assert np.array_equal(loaded[name], params[name])
+
+    def test_a_file_of_the_dict_format_loads_bit_for_bit(self):
+        # written before parameter sets were flat: init_mlp then three Adam steps, replayed here
+        path = Path(__file__).parent / "data" / "params_v1.json"
+        spec = MlpSpec(in_dim=4, hidden=(8, 8), out_dim=2)
+        rng = np.random.default_rng(2016)
+        params = init_mlp(spec, rng)
+        state = AdamState.for_params(params)
+        for _ in range(3):
+            tape = mlp_forward(params, rng.normal(size=(16, 4)), spec)
+            grads = backward(tape, tape.output * (2.0 / tape.output.size))
+            params, state = adam_step(params, grads, state, lr=0.05)
+        loaded = load_params(path)
+        assert list(loaded) == list(params)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        assert json.dumps(params_to_obj(loaded)) == path.read_text()
 
     @pytest.mark.parametrize("shape,data", [([2, 2], None), ([2, 3], b"\0" * 47)])
     def test_data_length_must_match_shape(self, shape, data):

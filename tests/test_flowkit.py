@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from flowrl.diffcore import AdamState, adam_step
+from flowrl.critic import ReturnField
+from flowrl.diffcore import AdamState, adam_step, mlp_value, mlp_value_and_input_jvp
 from flowrl.errors import ConfigError, ContractError, IntegrationError
 from flowrl.flowkit import (
     IntegrationConfig,
@@ -181,6 +182,67 @@ class TestSampleTimes:
         t = sample_times(rng, 10_000)
         assert t.min() > 0.0
         assert t.max() <= 1.0
+
+
+class _RowCountingField(ReturnField):
+    """ReturnField that counts how often its (z, t, s, a) rows are built."""
+
+    builds = 0
+
+    def _inputs(self, z, t, s, a):
+        self.builds += 1
+        return super()._inputs(z, t, s, a)
+
+
+class TestConditionedField:
+    """A view builds its rows once per solve and gives the net's own values bit for bit."""
+
+    @staticmethod
+    def field() -> _RowCountingField:
+        base = ReturnField.create(2, 1, np.random.default_rng(4), hidden=(16, 16))
+        return _RowCountingField(2, 1, base.params, base.spec)
+
+    @pytest.mark.parametrize("one_state", [False, True])
+    def test_one_row_build_per_solve_and_the_field_values_at_every_step(self, one_state):
+        field = self.field()
+        rng = np.random.default_rng(5)
+        s = rng.normal(size=(1 if one_state else 7, 2))
+        a = rng.uniform(-1, 1, size=(7, 1))
+        view = field.conditioned(s, a)
+        x = rng.normal(size=7)
+        for k in range(5):
+            t = k / 5
+            v, dv = view.velocity_and_derivative(x, t)
+            assert np.array_equal(view.velocity(x, t), v)
+            rows = ReturnField._inputs(field, x, t, s, a)
+            tangent = np.zeros_like(rows)
+            tangent[:, 0] = 1.0
+            want_v, want_dv = mlp_value_and_input_jvp(field.params, rows, field.spec, tangent)
+            assert np.array_equal(v, want_v[:, 0]) and np.array_equal(dv, want_dv[:, 0])
+            x = x + v * 0.2
+        assert field.builds == 1
+
+    def test_another_row_count_or_a_per_row_time_rebuilds_the_rows(self):
+        field = self.field()
+        rng = np.random.default_rng(6)
+        view = field.conditioned(rng.normal(size=2), rng.uniform(-1, 1, size=1))
+        euler_integrate(view, rng.normal(size=5), IntegrationConfig(10))
+        assert field.builds == 1
+        z = rng.normal(size=3)
+        t = np.array([0.1, 0.5, 0.9])
+        got = view.velocity(z, t)
+        assert field.builds == 2
+        rows = ReturnField._inputs(field, z, t, *view.context)
+        assert np.array_equal(got, mlp_value(field.params, rows, field.spec)[:, 0])
+        euler_integrate(view, rng.normal(size=5), IntegrationConfig(10))
+        assert field.builds == 3
+
+    def test_a_bad_flow_variable_is_rejected_after_the_rows_are_built(self):
+        view = BcFlowPolicy.create(2, 2, np.random.default_rng(7), hidden=(8,)).velocity_given(
+            np.zeros(2))
+        view.velocity(np.zeros((4, 2)), 0.0)
+        with pytest.raises(ContractError):
+            view.velocity(np.zeros((4, 3)), 0.1)
 
 
 @pytest.mark.slow

@@ -6,14 +6,12 @@ action itself, or the policy's action noise): the rows of the two must agree,
 except that one row broadcasts.
 """
 
-import copy
-
 import numpy as np
 import pytest
 
 from flowrl.baselines import CategoricalCritic, QuantileCritic
 from flowrl.critic import ReturnField
-from flowrl.diffcore import Net
+from flowrl.diffcore import Net, ParamSet
 from flowrl.errors import ContractError
 from flowrl.policies import BcFlowPolicy, OneStepPolicy, sample_bc_action
 
@@ -49,14 +47,24 @@ def batch(rows_s, rows_a, ds=DS, da=DA):
 def test_with_params_keeps_class_dims_spec_and_extras_and_leaves_the_original(case):
     net, _ = case
     assert isinstance(net, Net)
-    before = copy.deepcopy(net.params)
-    params = {k: v + 1.0 for k, v in net.params.items()}
+    original, before = net.params, net.params.flat.copy()
+    params = net.params.with_flat(net.params.flat + 1.0)
     other = net.with_params(params)
     assert type(other) is type(net) and other.params is params
     assert (other.state_dim, other.action_dim, other.spec) == (DS, DA, net.spec)
     if isinstance(net, CategoricalCritic):
         assert np.array_equal(other.support, net.support)
-    assert all(np.array_equal(net.params[k], before[k]) for k in before)
+    assert net.params is original and np.array_equal(net.params.flat, before)
+
+
+def test_a_mapping_given_as_params_is_copied_into_a_set(case):
+    net, _ = case
+    arrays = {k: v + 1.0 for k, v in net.params.items()}
+    other = net.with_params(arrays)
+    assert isinstance(other.params, ParamSet) and list(other.params) == list(arrays)
+    assert all(np.array_equal(other.params[k], arrays[k]) for k in arrays)
+    arrays["b0"][0] = 9.0    # the set holds its own copy
+    assert other.params["b0"][0] != 9.0
 
 
 @pytest.mark.parametrize("shapes", [

@@ -116,6 +116,23 @@ class TestSampleBcAction:
 
 
 class TestRejectionSampling:
+    def test_choices_over_20_seeds_are_pinned(self):
+        # digest of the choices with 64-wide random nets, taken when parameters were dicts
+        # of arrays and every walk and Euler step rebuilt its centred weights and input rows
+        rng = np.random.default_rng(77)
+        fields = []
+        for _ in range(2):
+            field = ReturnField.create(DS, DA, rng)
+            fields.append(field.with_params(random_params_like(field.params, rng, 0.3)))
+        bc = BcFlowPolicy.create(DS, DA, rng)
+        bc = bc.with_params(random_params_like(bc.params, rng, 0.3))
+        choices = []
+        for seed in range(20):
+            r = np.random.default_rng(seed)
+            s = r.uniform(-1, 1, size=DS)
+            choices.append(rejection_sample_action(fields, bc, s, 32, r.standard_normal(8), r))
+        assert digest(np.stack(choices)) == "a3d34fda5141112c"
+
     def test_single_candidate_unconditional(self):
         policy = linear_policy(bias=[0.9, 0.9])
         got = rejection_sample_action([q_field_on_action([1.0, 0.0])], policy, STATE,
