@@ -280,9 +280,9 @@ def _walk(params: Mapping[str, np.ndarray], x, spec: MlpSpec, tangent=None, keep
 
     The layers' arrays come from the set's plan (``ParamSet.layers``); only
     the input's shape is checked on every call. A hidden layer multiplies by
-    centred weights (``_centred``), so its
-    pre-activation c already has row mean 0, and its LayerNorm is RMS
-    normalization: xhat = c / sqrt(mean(c^2) + eps), then scale and offset.
+    centred weights (``_centred``), so its pre-activation c already has row
+    mean 0, and its LayerNorm is RMS normalization:
+    xhat = c / sqrt(mean(c^2) + eps), then scale and offset.
     The tangent dc = dh @ wc is centred the same way, so its JVP is
     d(xhat) = (dc - xhat * mean(xhat * dc)) / std. Each row statistic is one
     ``einsum`` over the rows it reads.
@@ -375,7 +375,6 @@ def _vjp(params: ParamSet, cache: list, out_grad: np.ndarray, param_grads: bool,
     names.
     """
     ws = _workspace
-    params = ParamSet.of(params)
     grads = {}
     g = out_grad
     rows = g.shape[0]
@@ -401,9 +400,11 @@ def _vjp(params: ParamSet, cache: list, out_grad: np.ndarray, param_grads: bool,
         if i == 0 and not input_grad:
             break
         g = np.matmul(g, w.T, out=ws.take(_H + i % 2, rows, w.shape[0]) if i > 0 else None)
-    if param_grads:     # the walk's plan checked the names, so every one has its gradient
-        grads = params._derive(np.concatenate([grads[name].ravel() for name in params]))
-    return grads if param_grads else None, g if input_grad else None
+    g = g if input_grad else None
+    if not param_grads:
+        return None, g
+    # the walk's plan checked the names against the spec, so every one has its gradient
+    return params._derive(np.concatenate([grads[name].ravel() for name in params])), g
 
 
 @dataclass
