@@ -117,8 +117,8 @@ class TestSampleBcAction:
 
 class TestRejectionSampling:
     def test_choices_over_20_seeds_are_pinned(self):
-        # digest of the choices with 64-wide random nets, taken when parameters were dicts
-        # of arrays and every walk and Euler step rebuilt its centred weights and input rows
+        # recorded before parameter sets were flat and Euler solves reused their rows: both
+        # must leave every choice of these 64-wide random nets unchanged
         rng = np.random.default_rng(77)
         fields = []
         for _ in range(2):
