@@ -191,8 +191,9 @@ class ParamSet(Mapping):
     def items(self):
         return self._views.items()
 
-    def __deepcopy__(self, memo) -> "ParamSet":
-        return self     # nothing in a set can change, so a copy would only cost memory
+    def __reduce__(self):
+        # copies and pickles rebuild the set, so their views view their own read-only vector
+        return ParamSet, (dict(self.items()),)
 
     def __repr__(self) -> str:
         return f"ParamSet({', '.join(f'{k}{v.shape}' for k, v in self._views.items())})"

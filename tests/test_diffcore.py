@@ -1,7 +1,9 @@
 """Tests for the MLP and its closed-form reverse pass, optimizer, EMA, and serialization."""
 
 import base64
+import copy
 import json
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -399,6 +401,10 @@ class TestParamSet:
                 target[0] = 1.0
         with pytest.raises(TypeError):
             params["w0"] = np.zeros((3, 5))
+        pickled = pickle.loads(pickle.dumps(params))
+        for copied in (copy.copy(params), copy.deepcopy(params), pickled):
+            assert list(copied) == list(params) and copied.flat.tobytes() == params.flat.tobytes()
+            assert not copied.flat.flags.writeable and np.shares_memory(copied["w1"], copied.flat)
 
     def test_a_mapping_is_copied_once_and_a_set_passes_through(self):
         spec, params = self.net()
