@@ -91,7 +91,7 @@ class ToyMdp:
 
     Subclasses define ``env_id``, dims, reward bounds, gamma, and the dynamics.
     Finite-state envs additionally expose ``outcomes`` (the enumerable branch
-    structure) and ``state_key`` for tabular oracles.
+    structure), which their ``step`` samples from.
     """
 
     env_id: str = "toy"
@@ -129,7 +129,7 @@ class ToyMdp:
 
     def _step_inner(self, s: np.ndarray, a: np.ndarray,
                     rng: np.random.Generator) -> tuple[np.ndarray, float, bool]:
-        raise NotImplementedError
+        return self._sample_outcome(s, a, rng)
 
     # finite-state hooks -----------------------------------------------------
 
@@ -154,9 +154,6 @@ class ToyMdp:
             if u < acc:
                 break
         return branch[1].copy(), branch[2], branch[3]
-
-    def state_key(self, s: np.ndarray):
-        return tuple(np.round(np.asarray(s, dtype=np.float64), 12))
 
 
 def _frozen(x: np.ndarray) -> np.ndarray:
@@ -189,6 +186,10 @@ class BranchTable:
 
     def atom_id(self, a: np.ndarray) -> int | None:
         return self._atom_ids.get(np.asarray(a, dtype=np.float64).tobytes())
+
+    def find(self, s: np.ndarray) -> int | None:
+        """The id of a state the table holds, else None; unlike ``state_id`` it adds none."""
+        return self._state_ids.get(np.asarray(s, dtype=np.float64).tobytes())
 
     def state_id(self, s: np.ndarray) -> int:
         s = np.asarray(s, dtype=np.float64)

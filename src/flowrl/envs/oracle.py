@@ -14,13 +14,15 @@ frontier size.
 
 The histogram-level Bellman operator discretizes the density backup for
 contraction and fixed-point harnesses, as one matrix step over all reachable
-pairs. Its policy-free part (the reachable pairs and their keys, the
-next-state index, the per-reward branch matrices and the terminal branches)
-is built once and kept on the env's branch table, because reachability from
-the start state depends only on the dynamics. The policy mix comes from the
-branch table's dense view (:meth:`~flowrl.envs.base.DenseBranches.action_probs`,
-the table lockstep rollouts draw their actions from), so each application
-builds only the mixed histograms and the products.
+pairs, on return tables: float64 (pairs, bins) arrays whose row
+``table_key(mdp, s, a)`` is the histogram of (s, a). Its policy-free part
+(the pairs, the next states, the per-reward branch matrices and the terminal
+branches) is built once and kept on the env's branch table, because
+reachability from the start state depends only on the dynamics. The policy
+mix comes from the branch table's dense view
+(:meth:`~flowrl.envs.base.DenseBranches.action_probs`, the table lockstep
+rollouts draw their actions from), so each application builds only the mixed
+histograms and the products.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from flowrl.envs.base import ToyMdp, branch_table, check_start
-from flowrl.errors import ContractError, OracleError, check_int
+from flowrl.errors import ContractError, OracleError, check_edges, check_int
 
 PATH_GUARD = 1_000_000    # frontier entries per depth of the enumeration DP
 
@@ -51,11 +53,6 @@ class ReturnAtomSet:
     def variance(self) -> float:
         mu = self.mean()
         return float(np.dot((self.values - mu) ** 2, self.masses))
-
-    def sorted(self) -> "ReturnAtomSet":
-        order = np.argsort(self.values)
-        return ReturnAtomSet(self.values[order], self.masses[order], self.horizon,
-                             self.truncated_mass, self.value_tol)
 
 
 def enumerate_return_distribution(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndarray,
@@ -137,44 +134,40 @@ def enumerate_return_distribution(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndar
 
 # -- discretized density-level Bellman operator --------------------------------
 
-HistTable = dict[tuple, np.ndarray]
 
-
-def _reachable_states(mdp: ToyMdp) -> list[int]:
-    """Branch-table ids of the nonterminal states reachable from the start."""
+def _reachable_states(mdp: ToyMdp) -> dict[int, int]:
+    """Branch-table id -> scan position of each nonterminal state reachable from the start."""
     table = branch_table(mdp)
     if not table.atoms:
         raise ContractError("reachability scan needs a finite action set")
     start = table.state_id(mdp.initial_state(np.random.default_rng(0)))
-    seen = {start: None}
+    seen = {start: 0}
     frontier = [start]
     while frontier:
         sid = frontier.pop()
         for aid in range(len(table.atoms)):
             for _, _, _, terminal, nid in table.row(sid, aid):
                 if not terminal and nid not in seen:
-                    seen[nid] = None
+                    seen[nid] = len(seen)
                     frontier.append(nid)
-    return list(seen)
+    return seen
 
 
 @dataclass(frozen=True, eq=False)
 class _Backup:
     """The policy-free part of the histogram Bellman backup of a finite env.
 
-    Pairs are the reachable nonterminal states (``sids``, in reachability
-    scan order) times the action atoms, state-major. Column k of every
-    ``B_r`` is the nonterminal successor state ``next_ids[k]``, numbered in
-    the order the pairs' branches first reach it. Reachability from the
-    start state depends only on the dynamics, so :func:`_backup` builds this
-    once per branch table.
+    Pairs (the rows of a return table) are the reachable nonterminal states
+    ``sids`` times the action atoms, state-major. Column k of every ``B_r`` is
+    the nonterminal successor ``next_ids[k]`` (``sids`` position ``next_pos[k]``),
+    in the order the pairs' branches first reach it. Reachability depends only
+    on the dynamics, so :func:`_backup` builds this once per branch table.
     """
 
-    sids: list[int]
-    keys: list[tuple]              # table_key of each pair
-    atom_keys: list[tuple]         # _action_key of each atom
+    sids: dict[int, int]           # branch-table id -> scan position
+    n_pairs: int
     next_ids: list[int]
-    next_keys: list[tuple]         # state_key of each next state
+    next_pos: np.ndarray
     b_r: list[tuple[float, np.ndarray]]   # (r, B_r): (pairs, next states) branch probabilities
     term_rows: np.ndarray          # pair, reward and probability of each terminal branch
     term_r: np.ndarray
@@ -185,8 +178,6 @@ class _Backup:
         branches = branch_table(mdp)
         sids = _reachable_states(mdp)
         n_atoms = len(branches.atoms)
-        state_keys = {sid: mdp.state_key(branches.states[sid]) for sid in sids}
-        atom_keys = [_action_key(a) for a in branches.atoms]
         next_states: dict[int, int] = {}
         by_reward: dict[float, list] = {}
         term_rows, term_r, term_p = [], [], []
@@ -206,8 +197,7 @@ class _Backup:
             b = np.zeros((n_pairs, len(next_states)))
             np.add.at(b, (rows, cols), vals)
             b_r.append((r, b))
-        return cls(sids, [(state_keys[sid], key) for sid in sids for key in atom_keys],
-                   atom_keys, list(next_states), [state_keys[nid] for nid in next_states], b_r,
+        return cls(sids, n_pairs, list(next_states), np.array([sids[k] for k in next_states]), b_r,
                    np.array(term_rows, dtype=np.intp), np.array(term_r), np.array(term_p))
 
 
@@ -220,21 +210,24 @@ def _backup(mdp: ToyMdp) -> _Backup:
     return backup
 
 
-def reachable_state_actions(mdp: ToyMdp, policy) -> list[tuple[np.ndarray, np.ndarray]]:
-    """All nonterminal (s, a) pairs reachable from the initial state.
-
-    The arrays are the env's branch-table entries and are read-only.
+def reachable_state_actions(mdp: ToyMdp) -> list[tuple[np.ndarray, np.ndarray]]:
+    """All nonterminal (s, a) pairs reachable from the initial state; pair i is row i of
+    a return table. The arrays are the env's branch-table entries and are read-only.
     """
     table = branch_table(mdp)
     return [(table.states[sid], a) for sid in _backup(mdp).sids for a in table.atoms]
 
 
-def _action_key(a: np.ndarray) -> tuple:
-    return tuple(np.round(np.asarray(a, dtype=np.float64), 12))
+def table_key(mdp: ToyMdp, s: np.ndarray, a: np.ndarray) -> int:
+    """The row of (s, a) in a return table; ``s`` is found by its exact bytes, never added.
 
-
-def table_key(mdp: ToyMdp, s: np.ndarray, a: np.ndarray) -> tuple:
-    return (mdp.state_key(s), _action_key(a))
+    Raises ContractError unless ``s`` is a reachable nonterminal state and ``a`` an atom.
+    """
+    backup, table = _backup(mdp), branch_table(mdp)
+    pos, aid = backup.sids.get(table.find(s)), table.atom_id(a)
+    if pos is None or aid is None:
+        raise ContractError(f"no return-table row for ({s}, {a}): not a reachable state and atom")
+    return pos * len(table.atoms) + aid
 
 
 def _linear_split(values: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,11 +250,12 @@ def _projection_matrix(r: float, gamma: float, centers: np.ndarray) -> np.ndarra
     return m
 
 
-def bellman_histogram_operator(mdp: ToyMdp, policy, table: HistTable,
-                               edges: np.ndarray) -> HistTable:
+def bellman_histogram_operator(mdp: ToyMdp, policy, table: np.ndarray,
+                               edges: np.ndarray) -> np.ndarray:
     """One application of the density-level distributional Bellman backup.
 
-    Each (s, a) histogram becomes the mixture over outcomes of the next-pair
+    Maps a return table over ``edges`` (at least 2 bins) to a new one: each
+    (s, a) histogram becomes the mixture over outcomes of the next-pair
     histogram pushed through z -> r + gamma * z and re-projected onto the
     shared bin grid; terminal branches contribute a point mass at r.
 
@@ -271,35 +265,43 @@ def bellman_histogram_operator(mdp: ToyMdp, policy, table: HistTable,
     policy's atom probabilities there; ``B_r`` holds the probabilities of
     the nonterminal branches with reward r, ``M_r`` projects
     ``r + gamma * centers`` onto the bins and ``const`` holds the terminal
-    point masses. The pairs, their keys, ``B_r`` and the terminal branches
-    are read from the env's :class:`_Backup`, and ``P`` from the branch
-    table's dense view (:meth:`~flowrl.envs.base.DenseBranches.action_probs`);
+    point masses. The pairs, the next states, ``B_r`` and the terminal
+    branches are read from the env's :class:`_Backup`, and ``P`` from the
+    branch table's dense view (:meth:`~flowrl.envs.base.DenseBranches.action_probs`);
     each call builds ``H``, ``M_r``, ``const`` and the products. Raises
-    ContractError when ``policy.support`` puts mass off the action atoms or
-    its probabilities do not sum to 1.
+    ContractError for bad edges, a table that is not a finite float64 array of
+    shape (pairs, bins), and when ``policy.support`` puts mass off the action
+    atoms or its probabilities do not sum to 1.
     """
+    edges = check_edges(edges, least=2)
     centers = 0.5 * (edges[:-1] + edges[1:])
     backup = _backup(mdp)
+    shape = (backup.n_pairs, len(centers))
+    if not (isinstance(table, np.ndarray) and table.dtype == np.float64
+            and table.shape == shape and np.isfinite(table).all()):
+        raise ContractError(f"a return table is a finite float64 array of shape {shape}, got "
+                            f"{type(table).__name__} {getattr(table, 'dtype', '')}")
     probs = branch_table(mdp).dense().action_probs(policy)
     if probs is None:
         raise ContractError("the Bellman backup needs a policy whose support lies on the "
                             "action atoms")
-    new = np.zeros((len(backup.keys), len(centers)))
+    new = np.zeros(shape)
     if backup.term_rows.size:
         idx, frac = _linear_split(backup.term_r, centers)
-        p = backup.term_p
-        np.add.at(new, (backup.term_rows, idx), p * (1.0 - frac))
-        np.add.at(new, (backup.term_rows, idx + 1), p * frac)
+        np.add.at(new, (backup.term_rows, idx), backup.term_p * (1.0 - frac))
+        np.add.at(new, (backup.term_rows, idx + 1), backup.term_p * frac)
     if backup.next_ids:
-        pairs = np.array([[table[(key, atom)] for atom in backup.atom_keys]
-                          for key in backup.next_keys])
+        pairs = table.reshape(len(backup.sids), -1, len(centers))[backup.next_pos]
         per_state = np.einsum("ka,kab->kb", probs[backup.next_ids], pairs)
         for r, b_r in backup.b_r:
             new += (b_r @ per_state) @ _projection_matrix(r, mdp.gamma, centers)
-    return dict(zip(backup.keys, new))
+    return new
 
 
-def uniform_table(mdp: ToyMdp, policy, edges: np.ndarray) -> HistTable:
-    n = len(edges) - 1
-    return {key: np.full(n, 1.0 / n) for key in _backup(mdp).keys}
+def uniform_table(mdp: ToyMdp, policy, edges: np.ndarray) -> np.ndarray:
+    """The return table of uniform histograms over ``edges`` (at least 2 bins).
 
+    ``policy`` is unused; it stays only because the benchmark's oracle loop passes it.
+    """
+    n = len(check_edges(edges, least=2)) - 1
+    return np.full((_backup(mdp).n_pairs, n), 1.0 / n)

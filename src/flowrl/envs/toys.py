@@ -65,9 +65,6 @@ class StochasticChain(ToyMdp):
             return [(self.p_win, end, 1.0, True), (1.0 - self.p_win, end, -1.0, True)]
         return [(1.0, _one_hot(pos + 1, self.state_dim), self.step_reward, False)]
 
-    def _step_inner(self, s, a, rng):
-        return self._sample_outcome(s, a, rng)
-
 
 class BranchingTree(ToyMdp):
     """Descend a binary tree of depth D; edges carry signed rewards.
@@ -124,9 +121,6 @@ class BranchingTree(ToyMdp):
             out.append((prob, _one_hot(child, self.state_dim),
                         self._edge_reward(level, left), terminal))
         return out
-
-    def _step_inner(self, s, a, rng):
-        return self._sample_outcome(s, a, rng)
 
 
 def coin_flip_env(gamma: float = 0.9) -> BranchingTree:
@@ -202,9 +196,6 @@ class WindyGrid(ToyMdp):
             r = 1.0 if reached_goal else -0.05
             out.append((prob, self._encode(nr, nc), r, reached_goal))
         return out
-
-    def _step_inner(self, s, a, rng):
-        return self._sample_outcome(s, a, rng)
 
 
 class ContinuousBandit1D(ToyMdp):

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the integer check of counts and seeds."""
+"""Exception types shared across the package, and the checks of counts, seeds and bin edges."""
 
 from numbers import Integral
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -40,3 +42,13 @@ def check_int(name: str, value, least: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def check_edges(edges, least: int = 1) -> np.ndarray:
+    """Float64 ``edges``; ContractError unless 1-d, finite, strictly rising, >= ``least`` bins."""
+    edges = np.asarray(edges, dtype=np.float64)
+    if (edges.ndim != 1 or edges.size <= least or not np.all(np.isfinite(edges))
+            or np.any(np.diff(edges) <= 0)):
+        raise ContractError(f"histogram edges must be {least + 1} or more finite, strictly "
+                            f"ascending values: {edges}")
+    return edges

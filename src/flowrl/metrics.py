@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from flowrl.envs.base import ToyMdp, _episode_returns
-from flowrl.errors import ContractError, check_int
+from flowrl.errors import ContractError, check_edges, check_int
 
 
 def wasserstein1_samples(x: np.ndarray, y: np.ndarray) -> float:
@@ -68,7 +68,7 @@ class ReturnHistogram:
     masses: np.ndarray
 
     def __post_init__(self):
-        self.edges = _checked_edges(self.edges)
+        self.edges = check_edges(self.edges)
         self.masses = np.asarray(self.masses, dtype=np.float64)
         if self.masses.shape != (self.edges.size - 1,):
             raise ContractError("masses length must be len(edges) - 1")
@@ -79,13 +79,6 @@ class ReturnHistogram:
     @property
     def centers(self) -> np.ndarray:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-
-def _checked_edges(edges) -> np.ndarray:
-    edges = np.asarray(edges, dtype=np.float64)
-    if edges.ndim != 1 or not np.all(np.isfinite(edges)) or np.any(np.diff(edges) <= 0):
-        raise ContractError(f"histogram edges must be finite and strictly ascending: {edges}")
-    return edges
 
 
 def histogram_edges(support: tuple[float, float], n_bins: int) -> np.ndarray:
@@ -99,7 +92,7 @@ def histogram_edges(support: tuple[float, float], n_bins: int) -> np.ndarray:
 def histogram_from_samples(samples: np.ndarray, edges: np.ndarray) -> tuple[ReturnHistogram, int]:
     """Bin finite samples (clipped into the support); also returns the clip count."""
     samples = np.asarray(samples, dtype=np.float64).reshape(-1)
-    edges = _checked_edges(edges)
+    edges = check_edges(edges)
     if samples.size == 0 or not np.all(np.isfinite(samples)):
         raise ContractError(f"need at least one sample, all finite; got {samples.size} "
                             f"with {np.count_nonzero(~np.isfinite(samples))} non-finite")
@@ -112,7 +105,7 @@ def histogram_from_samples(samples: np.ndarray, edges: np.ndarray) -> tuple[Retu
 def histogram_from_atoms(values: np.ndarray, masses: np.ndarray,
                          edges: np.ndarray) -> ReturnHistogram:
     """Bin an exact atom set (e.g. an enumeration oracle) of finite values onto a grid."""
-    values, edges = np.asarray(values, dtype=np.float64), _checked_edges(edges)
+    values, edges = np.asarray(values, dtype=np.float64), check_edges(edges)
     masses = np.asarray(masses, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise ContractError("atom values must be finite")

@@ -301,11 +301,14 @@ def project_masses(values: np.ndarray, masses: np.ndarray, centers: np.ndarray) 
     return out
 
 
-def bellman_by_pairs(mdp: ToyMdp, policy, table: dict, edges: np.ndarray) -> dict:
-    """The histogram Bellman backup, one ``project_masses`` call per branch and action."""
+def bellman_by_pairs(mdp: ToyMdp, policy, table: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The histogram Bellman backup, one ``project_masses`` call per branch and action.
+
+    Row i of ``table`` and of the result is the i-th pair of ``reachable_state_actions``.
+    """
     centers = 0.5 * (edges[:-1] + edges[1:])
-    new_table = {}
-    for s, a in reachable_state_actions(mdp, policy):
+    new_table = []
+    for s, a in reachable_state_actions(mdp):
         masses = np.zeros(len(centers))
         for p_out, s_next, r, terminal in mdp.outcomes(s, a):
             if terminal:
@@ -315,5 +318,5 @@ def bellman_by_pairs(mdp: ToyMdp, policy, table: dict, edges: np.ndarray) -> dic
                 src = table[table_key(mdp, s_next, a_next)]
                 shifted = r + mdp.gamma * centers
                 masses += p_out * p_a * project_masses(shifted, src, centers)
-        new_table[table_key(mdp, s, a)] = masses
-    return new_table
+        new_table.append(masses)
+    return np.array(new_table)

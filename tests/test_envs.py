@@ -468,31 +468,37 @@ class TestLoadDataset:
             load_dataset(path)
 
 
+FIXED_POINT_DIGESTS = {   # 41 applications from uniform_table, 60 bins; recorded from the
+    # dict tables that preceded the arrays, rows in reachable_state_actions order
+    "branching-tree-3": "78c3c19c16e7b957",
+    "stochastic-chain-4": "76d932ff5f0625a0",
+    "windy-grid-5": "b183a2693f0c34ae",
+}
+
+
 class TestBellmanOperator:
+    @staticmethod
+    def random_table(env, rng):
+        """A return table of random 60-bin histograms."""
+        m = rng.random((len(reachable_state_actions(env)), 60)) ** 3
+        return m / m.sum(axis=1, keepdims=True)
+
     @pytest.mark.parametrize("env", [BranchingTree(), StochasticChain()])
     def test_gamma_contraction(self, env):
         policy = behavior_policy_for(env)
         edges = histogram_edges(env.z_bounds, 60)
         width = edges[1] - edges[0]
         rng = np.random.default_rng(0)
-        keys = [table_key(env, s, a) for s, a in reachable_state_actions(env, policy)]
 
-        def random_table():
-            table = {}
-            for key in keys:
-                m = rng.random(60) ** 3
-                table[key] = m / m.sum()
-            return table
+        def w1_max(p, q):
+            return max(wasserstein1_histograms(ReturnHistogram(edges, hp),
+                                               ReturnHistogram(edges, hq)) for hp, hq in zip(p, q))
 
         for _ in range(20):
-            p, q = random_table(), random_table()
+            p, q = self.random_table(env, rng), self.random_table(env, rng)
             tp = bellman_histogram_operator(env, policy, p, edges)
             tq = bellman_histogram_operator(env, policy, q, edges)
-            before = max(wasserstein1_histograms(ReturnHistogram(edges, p[k]),
-                                                 ReturnHistogram(edges, q[k])) for k in keys)
-            after = max(wasserstein1_histograms(ReturnHistogram(edges, tp[k]),
-                                                ReturnHistogram(edges, tq[k])) for k in keys)
-            assert after <= env.gamma * before + 2 * width
+            assert w1_max(tp, tq) <= env.gamma * w1_max(p, q) + 2 * width
 
     @staticmethod
     def fixed_point(env, policy, edges):
@@ -538,17 +544,12 @@ class TestBellmanOperator:
         env = make()
         policy = SkewedPolicy(env) if skewed else behavior_policy_for(env)
         edges = histogram_edges(env.z_bounds, 60)
-        rng = np.random.default_rng(1)
-        table = {}
-        for s, a in reachable_state_actions(env, policy):
-            m = rng.random(60) ** 3
-            table[table_key(env, s, a)] = m / m.sum()
+        table = self.random_table(env, np.random.default_rng(1))
         for _ in range(3):
             got = bellman_histogram_operator(env, policy, table, edges)
             ref = bellman_by_pairs(env, policy, table, edges)
-            assert list(got) == list(ref)
-            for key in ref:
-                np.testing.assert_allclose(got[key], ref[key], rtol=0.0, atol=1e-12)
+            assert got.shape == ref.shape == table.shape
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
             table = ref
 
     @staticmethod
@@ -574,7 +575,7 @@ class TestBellmanOperator:
         env = make()
         policy = behavior_policy_for(env)
         edges = histogram_edges(env.z_bounds, 60)
-        table = uniform_table(make(), policy, edges)   # keys from a second instance
+        table = uniform_table(make(), policy, edges)   # rows from a second instance
         calls = {"outcomes": 0, "reachable": 0}
         outcomes, reachable = env.outcomes, envs_oracle._reachable_states
 
@@ -594,8 +595,8 @@ class TestBellmanOperator:
             seen.append(dict(calls))
         assert seen[0]["outcomes"] > 0 and seen[0]["reachable"] == 1
         assert seen[1] == seen[2] == seen[0]
-        assert list(uniform_table(env, policy, edges)) == list(table)
-        assert len(reachable_state_actions(env, policy)) == len(table)
+        assert uniform_table(env, policy, edges).shape == table.shape
+        assert len(reachable_state_actions(env)) == len(table)
         assert calls == seen[0]
 
     def test_matches_per_pair_loop_after_the_table_gains_states(self):
@@ -607,21 +608,98 @@ class TestBellmanOperator:
         s0 = env.initial_state(None)
         edges = histogram_edges(env.z_bounds, 60)
         monte_carlo_returns(env, policy, 0.5 * s0, np.array([0.3]), 10, 3, seed=0)
-        keys = list(uniform_table(fresh, policy, edges))
-        rng = np.random.default_rng(2)
-        table = {}
-        for key in keys:
-            m = rng.random(60) ** 3
-            table[key] = m / m.sum()
+        table = self.random_table(fresh, np.random.default_rng(2))
         for i in range(3):
             got = bellman_histogram_operator(env, policy, table, edges)
             ref = bellman_by_pairs(env, policy, table, edges)
-            assert list(got) == list(ref) == keys
-            for key in ref:
-                np.testing.assert_allclose(got[key], ref[key], rtol=0.0, atol=1e-12)
+            assert got.shape == ref.shape == table.shape
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
             monte_carlo_returns(env, policy, (0.25 + i) * s0, np.array([0.3]), 10, 3, seed=i)
             table = ref
         assert len(branch_table(env).states) == len(branch_table(fresh).states) + 4
+        assert ([(s.tobytes(), a.tobytes()) for s, a in reachable_state_actions(env)]
+                == [(s.tobytes(), a.tobytes()) for s, a in reachable_state_actions(fresh)])
+
+    @pytest.mark.parametrize("env_id", sorted(FIXED_POINT_DIGESTS))
+    def test_fixed_point_is_pinned(self, env_id):
+        env = make_env(env_id)
+        policy = behavior_policy_for(env)
+        edges = histogram_edges(env.z_bounds, 60)
+        table = uniform_table(env, policy, edges)
+        for _ in range(41):
+            table = bellman_histogram_operator(env, policy, table, edges)
+        assert digest(table) == FIXED_POINT_DIGESTS[env_id]
+
+
+class TestReturnTable:
+    @pytest.mark.parametrize("make", FINITE_ENVS)
+    def test_rows_follow_reachable_state_actions(self, make):
+        env = make()
+        pairs = reachable_state_actions(env)
+        n_states = len(branch_table(env).states)
+        # copies: a state is found by its bytes, and a found state is not added again
+        assert [table_key(env, s.copy(), a.copy()) for s, a in pairs] == list(range(len(pairs)))
+        assert len(branch_table(env).states) == n_states
+        table = uniform_table(env, behavior_policy_for(env), histogram_edges(env.z_bounds, 60))
+        assert table.shape == (len(pairs), 60) and np.all(table == 1.0 / 60)
+
+    @pytest.mark.parametrize("make", FINITE_ENVS)
+    @pytest.mark.parametrize("case", ["unreachable", "unreachable-but-held", "terminal",
+                                      "not-an-atom"])
+    def test_table_key_refuses_a_pair_without_a_row(self, make, case):
+        env = make()
+        table = branch_table(env)
+        s0, a0 = env.initial_state(None), env.action_atoms()[0]
+        n_pairs = len(reachable_state_actions(env))
+        s, a = {
+            "unreachable": (0.5 * s0, a0),
+            "unreachable-but-held": (table.states[table.state_id(0.5 * s0)], a0),
+            "terminal": (next(s for s in table.states if env.is_terminal(s)), a0),
+            "not-an-atom": (s0, np.full(env.action_dim, 0.3)),
+        }[case]
+        n_states = len(table.states)
+        with pytest.raises(ContractError, match="row"):
+            table_key(env, s, a)
+        assert len(table.states) == n_states
+        assert len(reachable_state_actions(env)) == n_pairs
+
+    @pytest.mark.parametrize("bad", ["dict", "list", "bins", "pairs", "float32", "nan", "inf"])
+    def test_operator_refuses_a_table_that_is_not_a_return_table(self, bad):
+        env = BranchingTree()
+        policy = behavior_policy_for(env)
+        edges = histogram_edges(env.z_bounds, 60)
+        table = uniform_table(env, policy, edges)
+        nan_at = table.copy()
+        nan_at[3, 7] = np.nan
+        inf_at = table.copy()
+        inf_at[0, 0] = np.inf
+        table = {
+            "dict": dict(enumerate(table)),
+            "list": table.tolist(),
+            "bins": table[:, 1:],
+            "pairs": table[1:],
+            "float32": table.astype(np.float32),
+            "nan": nan_at,
+            "inf": inf_at,
+        }[bad]
+        with pytest.raises(ContractError, match="return table"):
+            bellman_histogram_operator(env, policy, table, edges)
+
+    @pytest.mark.parametrize("bad", ["one-bin", "descending", "nan"])
+    def test_bad_edges_are_a_contract_error(self, bad):
+        env = BranchingTree()
+        policy = behavior_policy_for(env)
+        edges = {
+            "one-bin": np.array(env.z_bounds),
+            "descending": histogram_edges(env.z_bounds, 60)[::-1],
+            "nan": np.where(np.arange(61) == 5, np.nan, histogram_edges(env.z_bounds, 60)),
+        }[bad]
+        n_bins = len(edges) - 1
+        table = np.full((len(reachable_state_actions(env)), n_bins), 1.0 / n_bins)
+        with pytest.raises(ContractError, match="edges"):
+            uniform_table(env, policy, edges)
+        with pytest.raises(ContractError, match="edges"):
+            bellman_histogram_operator(env, policy, table, edges)
 
 
 class TestBranchTable:
@@ -629,7 +707,7 @@ class TestBranchTable:
     def test_rows_equal_outcomes_in_order(self, make):
         env = make()
         table = branch_table(env)
-        pairs = reachable_state_actions(env, behavior_policy_for(env))
+        pairs = reachable_state_actions(env)
         assert pairs
         for s, a in pairs:
             row = table.row(table.state_id(s), table.atom_id(a))
@@ -986,7 +1064,7 @@ class TestCountsAndSeeds:
 def test_enumeration_dp_matches_path_walk(env_index, horizon, pair_index, skewed):
     env = REFEREE_ENVS[env_index]
     policy = SkewedPolicy(env) if skewed else behavior_policy_for(env)
-    pairs = reachable_state_actions(env, policy)
+    pairs = reachable_state_actions(env)
     s, a = pairs[pair_index % len(pairs)]
     got = enumerate_return_distribution(env, policy, s, a, horizon, mass_tol=1.0)
     want = enumerate_by_paths(env, policy, s, a, horizon)
@@ -1028,7 +1106,7 @@ class TestMakeEnv:
         def branch_rows(mdp):
             table = branch_table(mdp)
             return [(p, s_next.tobytes(), r, terminal)
-                    for s, a in reachable_state_actions(mdp, behavior_policy_for(mdp))
+                    for s, a in reachable_state_actions(mdp)
                     for p, s_next, r, terminal, _ in table.branches(table.state_id(s), a)]
 
         assert branch_rows(rebuilt) == branch_rows(env)

@@ -86,6 +86,16 @@ def test_non_finite_samples_edges_and_masses_rejected(bad):
         ReturnHistogram(edges, [bad, 0.5])
 
 
+@pytest.mark.parametrize("edges", [[0.5], [], [[0.0, 1.0]]], ids=["one-edge", "empty", "2-d"])
+def test_edges_that_bound_no_bin_rejected(edges):
+    with pytest.raises(ContractError, match="edges"):
+        histogram_from_samples([0.5], edges)
+    with pytest.raises(ContractError, match="edges"):
+        histogram_from_atoms(np.array([0.5]), np.array([1.0]), edges)
+    with pytest.raises(ContractError, match="edges"):
+        ReturnHistogram(edges, [])
+
+
 def test_histogram_csv_with_a_gap_between_bins_rejected(tmp_path):
     path = tmp_path / "hist.csv"
     path.write_text("bin_left,bin_right,mass\n0.0,1.0,0.5\n1.5,2.0,0.5\n")
