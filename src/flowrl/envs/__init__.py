@@ -11,6 +11,7 @@ from flowrl.envs.base import (
     monte_carlo_returns,
     save_dataset,
     step,
+    tabulate,
 )
 from flowrl.envs.oracle import (
     ReturnAtomSet,
@@ -33,7 +34,7 @@ from flowrl.envs.toys import (
 __all__ = [
     "Dataset", "ToyMdp", "UniformBoxPolicy", "UniformDiscretePolicy",
     "behavior_policy_for", "generate_dataset", "load_dataset", "monte_carlo_returns",
-    "save_dataset", "step",
+    "save_dataset", "step", "tabulate",
     "ReturnAtomSet", "bellman_histogram_operator", "enumerate_return_distribution",
     "reachable_state_actions", "table_key", "uniform_table",
     "ENV_REGISTRY", "BranchingTree", "ContinuousBandit1D", "StochasticChain",

@@ -13,10 +13,14 @@ selectors without ``support``) calls the policy and ``step`` one transition
 at a time (:func:`_stepwise`). Each path is one loop that yields its steps:
 :func:`generate_dataset` records them, and :func:`monte_carlo_returns` and
 ``flowrl.metrics.evaluate_policy`` (through :func:`_episode_returns`) sum
-them with :func:`_returns`. :meth:`DenseBranches.action_probs` reads
-``policy.support`` over the action atoms for both the lockstep walk and the
-histogram Bellman backup (``flowrl.envs.oracle``), whose policy-free
-structure the branch table also keeps, built on first use.
+them with :func:`_returns`. :meth:`DenseBranches.action_probs` gives the
+probabilities of ``policy.support`` over the action atoms for both the
+lockstep walk and the histogram Bellman backup (``flowrl.envs.oracle``),
+whose policy-free structure the branch table also keeps, built on first use.
+It reads ``support`` at every state on every call, unless the policy was
+made by :func:`tabulate` on the same env: such a policy reads each state of
+the branch table once and keeps the rows. :func:`behavior_policy_for` gives
+finite envs such a policy.
 """
 
 from __future__ import annotations
@@ -244,7 +248,7 @@ class BranchTable:
                 rows.append(row)
             sid += 1
         view = self.__dict__["_dense"] = DenseBranches.from_rows(
-            np.stack(self.states), np.stack(self.atoms), rows)
+            np.stack(self.states), np.stack(self.atoms), rows, self)
         return view
 
 
@@ -265,6 +269,40 @@ def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u[:, None] < cdf).argmax(axis=1)
 
 
+def checked_support(support, s: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """The entries of ``support(s)`` with positive mass, as (float, float64 vector) pairs.
+
+    Raises ContractError unless every probability is finite and >= 0 and
+    they sum to 1 within 1e-9. Entries of zero mass are dropped, whatever
+    their action.
+    """
+    entries = [(float(p), a) for p, a in support(s)]
+    if not (all(0.0 <= p < math.inf for p, _ in entries)   # NaN fails the range
+            and abs(sum(p for p, _ in entries) - 1.0) <= 1e-9):
+        raise ContractError("policy support must hold finite non-negative probabilities "
+                            "summing to 1")
+    return [(p, np.asarray(a, dtype=np.float64)) for p, a in entries if p > 0.0]
+
+
+def _atom_rows(policy, states, atom_ids: dict[bytes, int]) -> list[np.ndarray]:
+    """Probabilities of ``policy.support`` over the atoms ``atom_ids`` numbers, one row per state.
+
+    Reads the states in order and stops before the first one whose support
+    puts mass on an action that is not an atom, so fewer rows than states
+    means the support leaves the atoms.
+    """
+    rows = []
+    for s in states:
+        row = np.zeros(len(atom_ids))
+        for p, a in checked_support(policy.support, s):
+            aid = atom_ids.get(a.tobytes())
+            if aid is None:
+                return rows
+            row[aid] += p
+        rows.append(row)
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class DenseBranches:
     """A branch table as arrays over pairs ``sid * n_atoms + aid``.
@@ -273,7 +311,9 @@ class DenseBranches:
     columns of ``prob``, ``next_id``, ``reward`` and ``terminal``; shorter
     rows are padded with probability 0. ``cdf`` is the
     :func:`_inverse_cdf_table` of ``prob``, so ``_draw`` picks the branch
-    ``ToyMdp._sample_outcome`` picks for the same uniform.
+    ``ToyMdp._sample_outcome`` picks for the same uniform. ``table`` is the
+    branch table whose :meth:`BranchTable.dense` built the view (None for
+    the one-row view of a start action).
     """
 
     states: np.ndarray   # (n_states, state_dim)
@@ -284,9 +324,10 @@ class DenseBranches:
     next_id: np.ndarray
     reward: np.ndarray
     terminal: np.ndarray
+    table: BranchTable | None = None
 
     @classmethod
-    def from_rows(cls, states, atoms, rows) -> "DenseBranches":
+    def from_rows(cls, states, atoms, rows, table=None) -> "DenseBranches":
         width = max(len(row) for row in rows)
         shape = (len(rows), width)
         prob, reward = np.zeros(shape), np.zeros(shape)
@@ -296,8 +337,8 @@ class DenseBranches:
             for j, (p, _, r, done, nid) in enumerate(row):
                 prob[i, j], reward[i, j], terminal[i, j], next_id[i, j] = p, r, done, nid
         view = cls(states, atoms, count, prob,
-                   _inverse_cdf_table(prob, count), next_id, reward, terminal)
-        for x in vars(view).values():
+                   _inverse_cdf_table(prob, count), next_id, reward, terminal, table)
+        for x in (states, atoms, count, prob, view.cdf, next_id, reward, terminal):
             x.flags.writeable = False
         return view
 
@@ -306,40 +347,30 @@ class DenseBranches:
         flat = pair * self.cdf.shape[1] + _draw(self.cdf[pair], u)
         return self.next_id.take(flat), self.reward.take(flat), self.terminal.take(flat)
 
+    def _policy_rows(self, policy):
+        # a policy tabulated on another table, or not at all, is read afresh and not kept
+        if not (isinstance(policy, TabulatedPolicy) and policy.table is self.table):
+            policy = TabulatedPolicy(policy, self.table)
+        return policy.rows(len(self.states))
+
     def action_probs(self, policy) -> np.ndarray | None:
         """Probabilities of ``policy.support`` over the atoms at every state, (state, atom).
 
+        A policy :func:`tabulate` made on this view's branch table gives its
+        kept rows; any other policy's ``support`` is read at every state, on
+        every call, by the same arithmetic (:meth:`TabulatedPolicy.rows`).
         None when the support puts mass on an action that is not an atom.
-        Raises ContractError unless every row is non-negative and sums to 1.
+        Raises ContractError unless every state's support passes
+        :func:`checked_support`.
         """
-        ids = {a.tobytes(): i for i, a in enumerate(self.atoms)}
-        probs = np.zeros((len(self.states), len(self.atoms)))
-        for sid, s in enumerate(self.states):
-            for p, a in policy.support(s):
-                aid = ids.get(np.asarray(a, dtype=np.float64).tobytes())
-                if aid is None:
-                    if p > 0.0:
-                        return None
-                    continue
-                probs[sid, aid] += p
-        # |sum - 1| <= 1e-9 is np.allclose(sums, 1, rtol=0, atol=1e-9) without its overhead
-        if not (np.isfinite(probs).all() and (probs >= 0.0).all()
-                and (np.abs(probs.sum(axis=1) - 1.0) <= 1e-9).all()):
-            raise ContractError("policy support must hold non-negative probabilities "
-                                "summing to 1")
-        return probs
+        return self._policy_rows(policy)[0]
 
     def action_cdf(self, policy) -> np.ndarray | None:
         """Inverse-CDF table of :meth:`action_probs`; None where that is None.
 
         Such a policy is rolled out step by step.
         """
-        probs = self.action_probs(policy)
-        if probs is None:
-            return None
-        # fall through to the last atom with mass, never to a trailing zero
-        last = len(self.atoms) - np.argmax(probs[:, ::-1] > 0.0, axis=1)
-        return _inverse_cdf_table(probs, last)
+        return self._policy_rows(policy)[1]
 
 
 class _Lockstep:
@@ -495,11 +526,77 @@ class UniformBoxPolicy:
         return rng.uniform(-1.0, 1.0, size=self.dim)
 
 
+class TabulatedPolicy:
+    """A policy with ``support`` whose atom probabilities are read once per state
+    of one env's branch table; made by :func:`tabulate`.
+
+    ``support``, ``__call__`` and ``behavior_id`` are the wrapped policy's.
+    :meth:`rows` reads the wrapped ``support`` at the table states it has
+    not read yet, in id order, and keeps each row and its inverse-CDF row.
+    :meth:`DenseBranches.action_probs` reads every other policy through a
+    fresh instance that it drops, so both give the same rows. The wrapped
+    policy's support must not change after the first read.
+    """
+
+    def __init__(self, policy, table: BranchTable):
+        self.policy, self.table = policy, table
+        self._ids = {a.tobytes(): i for i, a in enumerate(table.atoms)}
+        self._probs = self._cdf = np.zeros((0, len(table.atoms)))
+        self._off = False   # the support leaves the atoms at the state after the last row
+
+    @property
+    def behavior_id(self) -> str:
+        return getattr(self.policy, "behavior_id", "custom")
+
+    def support(self, s: np.ndarray):
+        return self.policy.support(s)
+
+    def __call__(self, s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return self.policy(s, rng)
+
+    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
+        """Read-only (state, atom) probabilities and inverse-CDF rows of table states 0..n-1.
+
+        ``(None, None)`` when the support puts mass off the atoms at one of
+        those states; the states after the first such state are never read.
+        """
+        done = len(self._probs)
+        if n > done and not self._off:
+            new = _atom_rows(self.policy, self.table.states[done:n], self._ids)
+            self._off = len(new) < n - done
+            if new:
+                probs = np.array(new)
+                # fall through to the last atom with mass, never to a trailing zero
+                last = probs.shape[1] - np.argmax(probs[:, ::-1] > 0.0, axis=1)
+                self._probs = _frozen(np.concatenate([self._probs, probs]))
+                self._cdf = _frozen(np.concatenate([self._cdf, _inverse_cdf_table(probs, last)]))
+        if n > len(self._probs):
+            return None, None
+        return self._probs[:n], self._cdf[:n]
+
+
+def tabulate(mdp: ToyMdp, policy) -> TabulatedPolicy:
+    """``policy``, its ``support`` read once per state of ``mdp``'s branch table.
+
+    Lockstep rollouts and the histogram Bellman backup on ``mdp`` then take
+    its atom probabilities from the kept rows, which are bit-identical to a
+    fresh read; on any other env instance it is read on every call, like
+    any policy. Reads nothing until first used. Raises ContractError unless
+    ``mdp`` has action atoms and ``policy`` has ``support``.
+    """
+    table = branch_table(mdp)
+    if not table.atoms or getattr(policy, "support", None) is None:
+        raise ContractError("tabulate needs an env with action atoms and a policy with support(s)")
+    return TabulatedPolicy(policy, table)
+
+
 def behavior_policy_for(mdp: ToyMdp) -> Policy:
+    """The uniform behavior policy: over the action atoms, tabulated on ``mdp``
+    (:func:`tabulate`), or over the action box for an env without atoms."""
     atoms = mdp.action_atoms()
     if atoms is None:
         return UniformBoxPolicy(mdp.action_dim)
-    return UniformDiscretePolicy(tuple(tuple(a) for a in atoms))
+    return tabulate(mdp, UniformDiscretePolicy(tuple(tuple(a) for a in atoms)))
 
 
 # -- rollouts -------------------------------------------------------------------

@@ -18,11 +18,13 @@ pairs, on return tables: float64 (pairs, bins) arrays whose row
 ``table_key(mdp, s, a)`` is the histogram of (s, a). Its policy-free part
 (the pairs, the next states, the per-reward branch matrices and the terminal
 branches) is built once and kept on the env's branch table, because
-reachability from the start state depends only on the dynamics. The policy
+reachability from the start state depends only on the dynamics; its
+projections onto the last bin grid seen are kept beside it. The policy
 mix comes from the branch table's dense view
 (:meth:`~flowrl.envs.base.DenseBranches.action_probs`, the table lockstep
-rollouts draw their actions from), so each application builds only the mixed
-histograms and the products.
+rollouts draw their actions from), which a policy made by
+:func:`~flowrl.envs.base.tabulate` on the env reads once per state, so each
+application builds only the mixed histograms and the products.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowrl.envs.base import ToyMdp, branch_table, check_start
+from flowrl.envs.base import ToyMdp, branch_table, check_start, checked_support
 from flowrl.errors import ContractError, OracleError, check_edges, check_int
 
 PATH_GUARD = 1_000_000    # frontier entries per depth of the enumeration DP
@@ -71,7 +73,8 @@ def enumerate_return_distribution(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndar
     their total probability is reported as ``truncated_mass`` and the value
     truncation bound as ``value_tol``. Raises :class:`OracleError` when a
     frontier would hold more than ``PATH_GUARD`` entries. ``policy.support``
-    may put mass on actions that are not atoms.
+    may put mass on actions that are not atoms; at every state it reaches it
+    must pass :func:`~flowrl.envs.base.checked_support`, else ContractError.
     """
     horizon = check_int("horizon", horizon)
     if not 0.0 <= mass_tol < np.inf:
@@ -90,12 +93,10 @@ def enumerate_return_distribution(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndar
         out = supports.get(sid)
         if out is None:
             out = supports[sid] = []
-            for p_a, a_next in policy_support(table.states[sid]):
-                if p_a > 0.0:
-                    a_next = np.asarray(a_next, dtype=np.float64)
-                    key = a_next.tobytes()
-                    actions.setdefault(key, a_next)
-                    out.append((p_a, key))
+            for p_a, a_next in checked_support(policy_support, table.states[sid]):
+                key = a_next.tobytes()
+                actions.setdefault(key, a_next)
+                out.append((p_a, key))
         return out
 
     atoms: dict[float, float] = {}
@@ -162,6 +163,7 @@ class _Backup:
     the nonterminal successor ``next_ids[k]`` (``sids`` position ``next_pos[k]``),
     in the order the pairs' branches first reach it. Reachability depends only
     on the dynamics, so :func:`_backup` builds this once per branch table.
+    :meth:`on_grid` keeps the projections of one bin grid, the last it saw.
     """
 
     sids: dict[int, int]           # branch-table id -> scan position
@@ -199,6 +201,27 @@ class _Backup:
             b_r.append((r, b))
         return cls(sids, n_pairs, list(next_states), np.array([sids[k] for k in next_states]), b_r,
                    np.array(term_rows, dtype=np.intp), np.array(term_r), np.array(term_p))
+
+    def on_grid(self, gamma: float, centers: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The backup's projections onto the bin grid ``centers``: ``(const, M)``.
+
+        ``const`` (read-only, (pairs, bins)) holds the terminal branches'
+        point masses; ``M[i]`` is the ``M_r`` of ``b_r[i]``. Kept for the last
+        (gamma, centers) asked for and rebuilt when they change, so one grid's
+        projections are held at a time.
+        """
+        key = (gamma, centers.tobytes())
+        kept = self.__dict__.get("_grid")
+        if kept is None or kept[0] != key:
+            const = np.zeros((self.n_pairs, len(centers)))
+            if self.term_rows.size:
+                idx, frac = _linear_split(self.term_r, centers)
+                np.add.at(const, (self.term_rows, idx), self.term_p * (1.0 - frac))
+                np.add.at(const, (self.term_rows, idx + 1), self.term_p * frac)
+            const.flags.writeable = False
+            kept = self.__dict__["_grid"] = (
+                key, const, [_projection_matrix(r, gamma, centers) for r, _ in self.b_r])
+        return kept[1], kept[2]
 
 
 def _backup(mdp: ToyMdp) -> _Backup:
@@ -266,12 +289,15 @@ def bellman_histogram_operator(mdp: ToyMdp, policy, table: np.ndarray,
     the nonterminal branches with reward r, ``M_r`` projects
     ``r + gamma * centers`` onto the bins and ``const`` holds the terminal
     point masses. The pairs, the next states, ``B_r`` and the terminal
-    branches are read from the env's :class:`_Backup`, and ``P`` from the
-    branch table's dense view (:meth:`~flowrl.envs.base.DenseBranches.action_probs`);
-    each call builds ``H``, ``M_r``, ``const`` and the products. Raises
-    ContractError for bad edges, a table that is not a finite float64 array of
-    shape (pairs, bins), and when ``policy.support`` puts mass off the action
-    atoms or its probabilities do not sum to 1.
+    branches are read from the env's :class:`_Backup`, ``M_r`` and ``const``
+    from the projections it keeps for the last bin grid (built again when
+    the edges change), and ``P`` from the branch table's dense view
+    (:meth:`~flowrl.envs.base.DenseBranches.action_probs`, read once per state
+    for a policy :func:`~flowrl.envs.base.tabulate` made on this env); each
+    call builds only ``H`` and the products. Raises ContractError for bad
+    edges, a table that is not a finite float64 array of shape (pairs, bins),
+    and when ``policy.support`` puts mass off the action atoms or fails
+    :func:`~flowrl.envs.base.checked_support`.
     """
     edges = check_edges(edges, least=2)
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -285,16 +311,13 @@ def bellman_histogram_operator(mdp: ToyMdp, policy, table: np.ndarray,
     if probs is None:
         raise ContractError("the Bellman backup needs a policy whose support lies on the "
                             "action atoms")
-    new = np.zeros(shape)
-    if backup.term_rows.size:
-        idx, frac = _linear_split(backup.term_r, centers)
-        np.add.at(new, (backup.term_rows, idx), backup.term_p * (1.0 - frac))
-        np.add.at(new, (backup.term_rows, idx + 1), backup.term_p * frac)
+    const, m = backup.on_grid(mdp.gamma, centers)
+    new = const.copy()
     if backup.next_ids:
         pairs = table.reshape(len(backup.sids), -1, len(centers))[backup.next_pos]
         per_state = np.einsum("ka,kab->kb", probs[backup.next_ids], pairs)
-        for r, b_r in backup.b_r:
-            new += (b_r @ per_state) @ _projection_matrix(r, mdp.gamma, centers)
+        for (_, b_r), m_r in zip(backup.b_r, m):
+            new += (b_r @ per_state) @ m_r
     return new
 
 

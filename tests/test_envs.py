@@ -17,6 +17,7 @@ from flowrl.envs import (
     StochasticChain,
     ToyMdp,
     UniformBoxPolicy,
+    UniformDiscretePolicy,
     WindyGrid,
     behavior_policy_for,
     bellman_histogram_operator,
@@ -30,6 +31,7 @@ from flowrl.envs import (
     save_dataset,
     step,
     table_key,
+    tabulate,
     uniform_table,
 )
 import flowrl.envs.base as envs_base
@@ -837,13 +839,14 @@ class TestLockstepRollouts:
                 return np.array([0.3])
 
         s, a = env.initial_state(None), np.array([1.0])
-        got = monte_carlo_returns(env, Tilted(), s, a, 300, 3, seed=1)
-        want = monte_carlo_returns(env, Tilted().__call__, s, a, 300, 3, seed=1)
-        assert got.tobytes() == want.tobytes()
-        ds = generate_dataset(env, Tilted(), 30, seed=1)
-        assert (ds.a == 0.3).all()
-        assert (evaluate_policy(env, Tilted(), 300, 3, seed=1)
-                == evaluate_policy(env, Tilted().__call__, 300, 3, seed=1))
+        for policy in (Tilted(), tabulate(env, Tilted())):
+            got = monte_carlo_returns(env, policy, s, a, 300, 3, seed=1)
+            want = monte_carlo_returns(env, Tilted().__call__, s, a, 300, 3, seed=1)
+            assert got.tobytes() == want.tobytes()
+            ds = generate_dataset(env, policy, 30, seed=1)
+            assert (ds.a == 0.3).all()
+            assert (evaluate_policy(env, policy, 300, 3, seed=1)
+                    == evaluate_policy(env, Tilted().__call__, 300, 3, seed=1))
 
     @pytest.mark.parametrize("make", FINITE_ENVS)
     def test_dataset_matches_step_by_step(self, make):
@@ -1054,6 +1057,214 @@ class TestCountsAndSeeds:
         else:
             assert np.array_equal(getattr(got, "mean_return", got),
                                   getattr(want, "mean_return", want))
+
+
+def _uniform(env):
+    return UniformDiscretePolicy(tuple(tuple(a) for a in env.action_atoms()))
+
+
+def _oracle_sequence(env, policy):
+    """Every result of a fixed run of the support readers on ``env``, as arrays.
+
+    41 Bellman applications; Monte Carlo from the start state with an atom
+    and with an off-atom action, then from a start state off the reachable
+    set, which grows the branch table; evaluations, a dataset, and one more
+    application over the grown table.
+    """
+    edges = histogram_edges(env.z_bounds, 60)
+    s0, atom = env.initial_state(None), env.action_atoms()[-1]
+    off_atom = np.linspace(0.3, -0.6, env.action_dim)
+    out = []
+    table = uniform_table(env, policy, edges)
+    for _ in range(41):
+        table = bellman_histogram_operator(env, policy, table, edges)
+        out.append(table)
+    out.append(monte_carlo_returns(env, policy, s0, atom, 50, env.episode_cap, 1))
+    out.append(monte_carlo_returns(env, policy, s0, off_atom, 50, env.episode_cap, 2))
+    n_states = len(branch_table(env).states)
+    out.append(monte_carlo_returns(env, policy, 0.5 * s0, atom, 50, env.episode_cap, 3))
+    assert len(branch_table(env).states) > n_states
+    out.append(monte_carlo_returns(env, policy, s0, atom, 400, 5, 4))
+    for seed in range(3):
+        result = evaluate_policy(env, policy, 100, 5, seed)
+        out.append(np.array([result.mean_return, result.std_return]))
+    out.extend(generate_dataset(env, policy, 300, 5).arrays().values())
+    out.append(bellman_histogram_operator(env, policy, table, edges))
+    return out
+
+
+def _assert_bytes_equal(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class CountedSupport:
+    """A policy that records the bytes of every state its ``support`` is read at."""
+
+    def __init__(self, policy):
+        self.policy, self.calls = policy, []
+
+    def support(self, s):
+        self.calls.append(np.asarray(s).tobytes())
+        return self.policy.support(s)
+
+
+class TestTabulatedPolicy:
+    @pytest.mark.parametrize("env_id", ["windy-grid-5", "branching-tree-3", "stochastic-chain-4"])
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_results_are_bytes_equal_to_untabulated(self, env_id, skewed):
+        env, ref = make_env(env_id), make_env(env_id)
+        base = SkewedPolicy(env) if skewed else _uniform(env)
+        _assert_bytes_equal(_oracle_sequence(env, tabulate(env, base)),
+                            _oracle_sequence(ref, base))
+
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_on_another_env_instance_it_is_read_per_call(self, skewed):
+        bound, env, ref = WindyGrid(), WindyGrid(), WindyGrid()
+        base = SkewedPolicy(env) if skewed else _uniform(env)
+        policy = tabulate(bound, base)
+        _assert_bytes_equal(_oracle_sequence(env, policy), _oracle_sequence(ref, base))
+        assert not branch_table(bound).states
+
+    def test_wraps_support_call_and_behavior_id(self):
+        env = WindyGrid()
+        base = _uniform(env)
+        policy = behavior_policy_for(env)
+        assert policy.behavior_id == base.behavior_id == "uniform-discrete"
+        assert tabulate(env, SkewedPolicy(env)).behavior_id == "custom"
+        s = env.initial_state(None)
+        for (p, a), (p0, a0) in zip(policy.support(s), base.support(s), strict=True):
+            assert p == p0 and np.array_equal(a, a0)
+        assert policy(s, np.random.default_rng(3)).tobytes() == \
+            base(s, np.random.default_rng(3)).tobytes()
+        with pytest.raises(ContractError):
+            tabulate(env, base.__call__)
+        with pytest.raises(ContractError):
+            tabulate(ContinuousBandit1D(), base)
+
+    def test_support_is_read_once_per_branch_table_state(self):
+        env = make_env("windy-grid-5")
+        counted = CountedSupport(_uniform(env))
+        policy = tabulate(env, counted)
+        edges = histogram_edges(env.z_bounds, 60)
+        s0, a0 = env.initial_state(None), env.action_atoms()[0]
+        generate_dataset(env, policy, 3000, 0)
+        table = uniform_table(env, policy, edges)
+        for _ in range(41):
+            table = bellman_histogram_operator(env, policy, table, edges)
+        for seed in range(8):
+            monte_carlo_returns(env, policy, s0, a0, 50, env.episode_cap, seed)
+        monte_carlo_returns(env, policy, s0, a0, 400, 5, 8)
+        for seed in range(16):
+            evaluate_policy(env, policy, 100, 5, seed)
+        states = branch_table(env).states
+        assert counted.calls == [s.tobytes() for s in states]
+        # a new start state: only the states the table gains are read
+        n_states = len(states)
+        monte_carlo_returns(env, policy, 0.5 * s0, a0, 50, 5, 9)
+        evaluate_policy(env, policy, 100, 5, 10)
+        assert len(states) > n_states
+        assert counted.calls == [s.tobytes() for s in states]
+
+    def test_projections_are_built_once_per_bin_grid(self, monkeypatch):
+        env = make_env("windy-grid-5")
+        policy = behavior_policy_for(env)
+        built = []
+        project = envs_oracle._projection_matrix
+
+        def counted(r, gamma, centers):
+            built.append(len(centers))
+            return project(r, gamma, centers)
+
+        monkeypatch.setattr(envs_oracle, "_projection_matrix", counted)
+        n_rewards = len(envs_oracle._backup(env).b_r)
+        for n_bins in (60, 50, 60):
+            edges = histogram_edges(env.z_bounds, n_bins)
+            table = uniform_table(env, policy, edges)
+            for _ in range(41):
+                table = bellman_histogram_operator(env, policy, table, edges)
+        assert built == [60] * n_rewards + [50] * n_rewards + [60] * n_rewards
+
+    def test_a_changed_support_gets_fresh_rows(self):
+        # an untabulated policy is read on every call, so a change shows at once
+        env = BranchingTree()
+
+        class Weighted:
+            def __init__(self, w):
+                self.w = np.asarray(w, dtype=np.float64)
+
+            def support(self, s):
+                return list(zip(self.w / self.w.sum(), env.action_atoms()))
+
+        policy = Weighted([1.0, 1.0])
+        edges = histogram_edges(env.z_bounds, 60)
+        table = TestBellmanOperator.random_table(env, np.random.default_rng(0))
+        s0, a0 = env.initial_state(None), env.action_atoms()[0]
+
+        def results(p):
+            return [bellman_histogram_operator(env, p, table, edges),
+                    monte_carlo_returns(env, p, s0, a0, 200, 3, 0),
+                    np.array([evaluate_policy(env, p, 200, 3, 0).mean_return])]
+
+        first = results(policy)
+        policy.w = np.array([1.0, 3.0])
+        changed, fresh = results(policy), results(Weighted([1.0, 3.0]))
+        _assert_bytes_equal(changed, fresh)
+        assert all(x.tobytes() != y.tobytes() for x, y in zip(changed, first))
+
+
+def _support_of(fn):
+    return type("Policy", (), {"support": staticmethod(fn),
+                               "__call__": lambda self, s, rng: fn(s)[0][1]})()
+
+
+SUPPORT_READERS = ["evaluate_policy", "monte_carlo_returns", "generate_dataset", "bellman",
+                   "enumerate"]
+
+
+def _read_support(name, env, policy):
+    if name == "bellman":
+        edges = histogram_edges(env.z_bounds, 60)
+        return bellman_histogram_operator(env, policy, uniform_table(env, policy, edges), edges)
+    if name == "enumerate":
+        s, a = env.initial_state(None), env.action_atoms()[0]
+        return enumerate_return_distribution(env, policy, s, a, 3, mass_tol=1.0)
+    return _rollout(name, env, policy)
+
+
+class TestSupportCheck:
+    @pytest.mark.parametrize("name", SUPPORT_READERS)
+    @pytest.mark.parametrize("case", ["nan-off-atom", "negative-off-atom", "nan-on-atom",
+                                      "negative-on-atom", "inf-on-atom", "sum-above-one"])
+    @pytest.mark.parametrize("wrap", [False, True])
+    def test_bad_probabilities_are_a_contract_error(self, name, case, wrap):
+        env = WindyGrid()
+        a0, a1 = env.action_atoms()[:2]
+        off = np.array([0.3, 0.3])
+        support = {
+            "nan-off-atom": [(1.0, a0), (np.nan, off)],
+            "negative-off-atom": [(1.0, a0), (-0.5, off)],
+            "nan-on-atom": [(1.0, a0), (np.nan, a1)],
+            "negative-on-atom": [(1.5, a0), (-0.5, a1)],
+            "inf-on-atom": [(np.inf, a0)],
+            "sum-above-one": [(1.0, a0), (1e-8, a1)],
+        }[case]
+        policy = _support_of(lambda s: support)
+        with pytest.raises(ContractError, match="summing to 1"):
+            _read_support(name, env, tabulate(env, policy) if wrap else policy)
+
+    @pytest.mark.parametrize("name", SUPPORT_READERS)
+    def test_zero_mass_entries_are_skipped(self, name):
+        env, ref = WindyGrid(), WindyGrid()
+        a0, a1 = env.action_atoms()[:2]
+        padded = _support_of(lambda s: [(0.0, np.array([0.3, 0.3])), (0.25, a0), (0.0, a1),
+                                        (0.75, a1)])
+        plain = _support_of(lambda s: [(0.25, a0), (0.75, a1)])
+        got, want = _read_support(name, env, padded), _read_support(name, ref, plain)
+        if name == "enumerate":
+            got, want = [got.values, got.masses], [want.values, want.masses]
+        assert _case_digest(got) == _case_digest(want)
 
 
 @settings(max_examples=40, deadline=None)
