@@ -21,6 +21,12 @@ It reads ``support`` at every state on every call, unless the policy was
 made by :func:`tabulate` on the same env: such a policy reads each state of
 the branch table once and keeps the rows. :func:`behavior_policy_for` gives
 finite envs such a policy.
+
+A lockstep rollout pays for its start once per call, not once per episode:
+an ``initial_state`` that draws nothing from its generator is read once for
+all episodes (:meth:`_Lockstep.starts`), the default start's id is kept on
+the branch table (:meth:`BranchTable.start_id`), and Monte Carlo from an
+action atom samples the start pair's row of the dense view.
 """
 
 from __future__ import annotations
@@ -111,6 +117,12 @@ class ToyMdp:
         return self.r_min / (1.0 - self.gamma), self.r_max / (1.0 - self.gamma)
 
     def initial_state(self, rng: np.random.Generator) -> np.ndarray:
+        """A start state, a function of the draws it takes from ``rng`` alone.
+
+        Lockstep rollouts rely on this: a call that draws nothing gives every
+        episode the same start, so they read it once per call
+        (:meth:`_Lockstep.starts`).
+        """
         raise NotImplementedError
 
     def action_atoms(self) -> list[np.ndarray] | None:
@@ -176,8 +188,10 @@ class BranchTable:
     ``(prob, s_next, r, terminal, next_id)`` with ``s_next`` the read-only
     array ``states[next_id]``. Actions that are not atoms (``atom_id`` is
     None) are never stored: ``branches`` reads them from ``outcomes`` on every
-    call. ``dense()`` lays the rows out as arrays for lockstep rollouts. The
-    table assumes an env's dynamics do not change after first use.
+    call. ``dense()`` lays the rows out as arrays for lockstep rollouts.
+    ``start_id()`` is the id of ``initial_state(default_rng(0))``, the default
+    start of rollouts and oracles, read once and kept. The table assumes an
+    env's dynamics do not change after first use.
     """
 
     def __init__(self, mdp: ToyMdp):
@@ -187,6 +201,7 @@ class BranchTable:
         self.states: list[np.ndarray] = []
         self._state_ids: dict[bytes, int] = {}
         self._rows: dict[tuple[int, int], list] = {}
+        self._start: int | None = None
 
     def atom_id(self, a: np.ndarray) -> int | None:
         return self._atom_ids.get(np.asarray(a, dtype=np.float64).tobytes())
@@ -203,6 +218,12 @@ class BranchTable:
             sid = self._state_ids[key] = len(self.states)
             self.states.append(_frozen(s))
         return sid
+
+    def start_id(self) -> int:
+        """Id of the env's default start, ``initial_state(default_rng(0))``, read on first use."""
+        if self._start is None:
+            self._start = self.state_id(self._mdp.initial_state(np.random.default_rng(0)))
+        return self._start
 
     def _read(self, sid: int, a: np.ndarray) -> list:
         row = []
@@ -236,7 +257,7 @@ class BranchTable:
             return view
         mdp = self._mdp
         if not self.states:
-            self.state_id(mdp.initial_state(np.random.default_rng(0)))
+            self.start_id()
         rows = []
         sid = 0
         while sid < len(self.states):   # reading a row can append states
@@ -313,7 +334,7 @@ class DenseBranches:
     :func:`_inverse_cdf_table` of ``prob``, so ``_draw`` picks the branch
     ``ToyMdp._sample_outcome`` picks for the same uniform. ``table`` is the
     branch table whose :meth:`BranchTable.dense` built the view (None for
-    the one-row view of a start action).
+    the one-row view of a start action that is not an atom).
     """
 
     states: np.ndarray   # (n_states, state_dim)
@@ -398,7 +419,10 @@ class _Lockstep:
         table = branch_table(mdp)
         if not table.atoms or getattr(policy, "support", None) is None:
             return None
-        table.state_id(mdp.initial_state(np.random.default_rng(0)) if start is None else start)
+        if start is None:
+            table.start_id()
+        else:
+            table.state_id(start)
         lock = cls(mdp, policy, table)
         return lock if lock.refresh() else None
 
@@ -413,37 +437,51 @@ class _Lockstep:
         return self.act_cdf is not None
 
     def starts(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        """Ids of ``m`` start states, one ``initial_state(rng)`` each; the view covers them."""
-        cur = np.array([self.table.state_id(self.mdp.initial_state(rng)) for _ in range(m)])
+        """Ids of ``m`` start states, one ``initial_state(rng)`` each; the view covers them.
+
+        A first call that leaves ``rng``'s state unchanged drew nothing, so
+        its state is every episode's start (:meth:`ToyMdp.initial_state`);
+        otherwise ``initial_state`` runs ``m - 1`` more times.
+        """
+        before = rng.bit_generator.state
+        sid = self.table.state_id(self.mdp.initial_state(rng))
+        if rng.bit_generator.state == before:
+            cur = np.full(m, sid)
+        else:
+            cur = np.array([sid] + [self.table.state_id(self.mdp.initial_state(rng))
+                                    for _ in range(m - 1)])
         if not self.refresh():
             raise ContractError("policy support leaves the action atoms at a new start state")
         return cur
 
     def walk(self, cur: np.ndarray, steps: int, rng: np.random.Generator,
-             first: DenseBranches | None = None):
+             first: tuple[DenseBranches, int] | None = None):
         """Run episodes from the states ``cur`` in lockstep, yielding each time step.
 
-        Each of up to ``steps`` time steps draws one uniform per live episode
-        for its action (by inverse CDF over ``policy.support``), then one for
-        its branch (by the inverse-CDF rule of ``step``), and yields the step
+        Each of up to ``steps`` time steps draws two uniforms per live episode
+        in one ``rng.random`` call: the first half picks its action (by
+        inverse CDF over ``policy.support``), the second half its branch (by
+        the inverse-CDF rule of ``step``). That is the stream of one call per
+        half, since the generator fills doubles in sequence. Each step yields
         ``t`` and ``(episode, state, atom, reward, next_state, terminal)`` as
         arrays over the live episodes: episodes by their place in ``cur``,
         states and atoms by their ids in the view. An episode ends at its
         first terminal branch.
-        ``first``, a one-row :class:`DenseBranches`, holds the branches of a
-        start action that every episode takes: the first step then draws only
-        the branch uniforms and yields ``atom`` None.
+        ``first``, a view and one of its pairs, holds the branches of a start
+        action that every episode takes: the first step then draws only the
+        branch uniforms and yields ``atom`` None.
         """
         view, n_atoms = self.view, len(self.view.atoms)
         ep = np.arange(cur.size)
         for t in range(steps):
+            k = ep.size
             if first is None:
-                aid = _draw(self.act_cdf[cur], rng.random(ep.size))
-                nid, r, terminal = view.sample(cur * n_atoms + aid, rng.random(ep.size))
+                u = rng.random(2 * k)
+                aid = _draw(self.act_cdf[cur], u[:k])
+                nid, r, terminal = view.sample(cur * n_atoms + aid, u[k:])
             else:
                 aid = None
-                nid, r, terminal = first.sample(np.zeros(ep.size, dtype=np.intp),
-                                                rng.random(ep.size))
+                nid, r, terminal = first[0].sample(np.full(k, first[1]), rng.random(k))
                 first = None
             yield t, ep, cur, aid, r, nid, terminal
             cur = nid
@@ -629,12 +667,18 @@ def _returns(walk, n: int, gamma: float) -> np.ndarray:
 
     Summed in step order, ``ret += disc * r`` with step t's ``disc`` the
     product ``1.0 * gamma * ...`` of t factors, as a single rollout sums them.
+    While a lockstep step covers all ``n`` episodes its rewards are added
+    as one array; after that, and on the per-step path, through the episode
+    indices.
     """
     ret, discs = np.zeros(n), [1.0]
     for t, ep, _, _, r, _, _ in walk:
         if t == len(discs):
             discs.append(discs[-1] * gamma)
-        ret[ep] += discs[t] * r
+        if isinstance(ep, np.ndarray) and ep.size == n:
+            ret += discs[t] * r
+        else:
+            ret[ep] += discs[t] * r
     return ret
 
 
@@ -645,12 +689,12 @@ def monte_carlo_returns(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndarray,
     ``s`` and ``a`` are checked by :func:`check_start`. When the env has
     action atoms and ``policy.support(s)`` puts all its mass on them, the n
     episodes run in lockstep (:meth:`_Lockstep.walk`); the start action may
-    be any action in the box, and its branches are read once, from the
-    table or from ``outcomes``. Any other policy is called as
-    ``policy(s, rng)`` before each step after the first, and the env is
-    stepped one transition at a time (:func:`_stepwise`). Both paths draw
-    from one ``default_rng(seed)`` stream, each in its own order, so a seed
-    gives different samples on each.
+    be any action in the box. An atom's branches are sampled from its row of
+    the dense view, any other action's are read once from ``outcomes``. Any
+    other policy is called as ``policy(s, rng)`` before each step after the
+    first, and the env is stepped one transition at a time
+    (:func:`_stepwise`). Both paths draw from one ``default_rng(seed)``
+    stream, each in its own order, so a seed gives different samples on each.
     """
     n, horizon = check_int("n", n), check_int("horizon", horizon)
     rng = np.random.default_rng(check_int("seed", seed, least=0))
@@ -659,12 +703,18 @@ def monte_carlo_returns(mdp: ToyMdp, policy, s: np.ndarray, a: np.ndarray,
         return np.zeros(n)
     lock = _Lockstep.of(mdp, policy, s)
     if lock is not None:
-        sid = lock.table.state_id(s)
-        row = lock.table.branches(sid, a)
-        if lock.refresh():   # else the start action's branches led off the support
-            for branch in row:
-                check_reward(mdp, branch[2])
-            first = DenseBranches.from_rows(lock.view.states, lock.view.atoms, [row])
+        table = lock.table
+        sid, aid = table.state_id(s), table.atom_id(a)
+        first = None
+        if aid is not None:   # the view holds the start pair's row, its rewards checked
+            first = (lock.view, sid * len(table.atoms) + aid)
+        else:
+            row = table.branches(sid, a)
+            if lock.refresh():   # else the start action's branches led off the support
+                for branch in row:
+                    check_reward(mdp, branch[2])
+                first = (DenseBranches.from_rows(lock.view.states, lock.view.atoms, [row]), 0)
+        if first is not None:
             return _returns(lock.walk(np.full(n, sid), horizon, rng, first), n, mdp.gamma)
     steps = _stepwise(mdp, policy, itertools.repeat(rng, n), horizon, (s, a))
     return _returns(steps, n, mdp.gamma)

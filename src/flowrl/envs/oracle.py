@@ -141,7 +141,7 @@ def _reachable_states(mdp: ToyMdp) -> dict[int, int]:
     table = branch_table(mdp)
     if not table.atoms:
         raise ContractError("reachability scan needs a finite action set")
-    start = table.state_id(mdp.initial_state(np.random.default_rng(0)))
+    start = table.start_id()
     seen = {start: 0}
     frontier = [start]
     while frontier:

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the checks of counts, seeds and bin edges."""
 
+import math
 from numbers import Integral
 
 import numpy as np
@@ -45,10 +46,14 @@ def check_int(name: str, value, least: int = 1) -> int:
 
 
 def check_edges(edges, least: int = 1) -> np.ndarray:
-    """Float64 ``edges``; ContractError unless 1-d, finite, strictly rising, >= ``least`` bins."""
+    """Float64 ``edges``; ContractError unless 1-d, finite, strictly rising, >= ``least`` bins.
+
+    Strictly rising values between two finite ends are all finite, and NaN
+    fails every comparison, so only the ends are tested for finiteness.
+    """
     edges = np.asarray(edges, dtype=np.float64)
-    if (edges.ndim != 1 or edges.size <= least or not np.all(np.isfinite(edges))
-            or np.any(np.diff(edges) <= 0)):
+    if (edges.ndim != 1 or edges.size <= least or not (edges[1:] > edges[:-1]).all()
+            or not (math.isfinite(edges[0]) and math.isfinite(edges[-1]))):
         raise ContractError(f"histogram edges must be {least + 1} or more finite, strictly "
                             f"ascending values: {edges}")
     return edges

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,11 +83,21 @@ class ReturnHistogram:
 
 
 def histogram_edges(support: tuple[float, float], n_bins: int) -> np.ndarray:
+    """``n_bins + 1`` evenly spaced edges over ``support``, checked by ``check_edges``.
+
+    ContractError unless ``support`` is two finite numbers ``lo < hi`` whose
+    span ``hi - lo`` is finite too.
+    """
     n_bins = check_int("n_bins", n_bins)
-    lo, hi = support
-    if not lo < hi:
-        raise ContractError(f"bad histogram support {support}")
-    return np.linspace(lo, hi, n_bins + 1)
+    try:
+        pair = np.asarray(support, dtype=np.float64)
+    except (TypeError, ValueError):   # not numbers
+        pair = np.zeros(0)
+    lo, hi = pair.tolist() if pair.shape == (2,) else (math.nan, math.nan)
+    if not (lo < hi and math.isfinite(hi - lo)):   # a NaN, an infinite end or span fails
+        raise ContractError(f"histogram support must be two finite numbers lo < hi, "
+                            f"got {support!r}")
+    return check_edges(np.linspace(lo, hi, n_bins + 1))
 
 
 def histogram_from_samples(samples: np.ndarray, edges: np.ndarray) -> tuple[ReturnHistogram, int]:

@@ -240,6 +240,15 @@ def digest(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
+def ref_edges_ok(edges, least: int = 1) -> bool:
+    """Whether ``check_edges`` should accept ``edges``: the whole-array finiteness and
+    ``diff`` test it replaced (a ``diff`` that overflows to inf counts as rising)."""
+    edges = np.asarray(edges, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(edges.ndim == 1 and edges.size > least and np.all(np.isfinite(edges))
+                    and not np.any(np.diff(edges) <= 0))
+
+
 # -- env oracles that bypass the branch table ------------------------------------------
 
 def sample_from_outcomes(mdp: ToyMdp, s: np.ndarray, a: np.ndarray,

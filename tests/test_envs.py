@@ -88,6 +88,15 @@ class SkewedPolicy:
         return [(p, a) for p, a in zip(w / w.sum(), self.atoms)]
 
 
+class RandomStartChain(StochasticChain):
+    """A chain starting at position 0 or 1 by one ``rng.random()`` draw (test-only env)."""
+
+    def initial_state(self, rng):
+        s = np.zeros(self.state_dim)
+        s[int(rng.random() < 0.5)] = 1.0
+        return s
+
+
 FINITE_ENVS = [StochasticChain, BranchingTree, WindyGrid]
 REFEREE_ENVS = [StochasticChain(), BranchingTree(), WindyGrid(), UnitRewardLoop()]
 
@@ -1028,6 +1037,116 @@ STREAM_DIGESTS = {   # a changed digest is a changed seeded result
 @pytest.mark.parametrize("name", sorted(_stream_cases()))
 def test_seeded_streams_are_pinned(name):
     assert _case_digest(_stream_cases()[name]()) == STREAM_DIGESTS[name]
+
+
+def test_random_start_streams_are_pinned():
+    # an initial_state that draws from rng reads one start per episode
+    env = RandomStartChain()
+    policy = behavior_policy_for(env)
+    assert _case_digest(generate_dataset(env, policy, 300, 41)) == "ce746317d75db288"
+    assert _case_digest(evaluate_policy(env, policy, 200, env.episode_cap, 42)) == "c0fde397e93b1a4a"
+
+
+def _counted_initial_state(env):
+    """Count ``env.initial_state`` calls in the list it returns."""
+    calls, read = [], env.initial_state
+
+    def counted(rng):
+        calls.append(1)
+        return read(rng)
+
+    env.initial_state = counted
+    return calls
+
+
+def _one_row_monte_carlo(env, policy, s, a, n, horizon, seed):
+    """Lockstep Monte Carlo whose first step samples a one-row view of the start pair."""
+    lock = envs_base._Lockstep.of(env, policy, s)
+    sid = lock.table.state_id(s)
+    row = envs_base.DenseBranches.from_rows(lock.view.states, lock.view.atoms,
+                                            [lock.table.branches(sid, a)])
+    steps = lock.walk(np.full(n, sid), horizon, np.random.default_rng(seed), (row, 0))
+    return envs_base._returns(steps, n, env.gamma)
+
+
+class TestStartCosts:
+    """Lockstep rollouts read a fixed start and a start action's row once per call."""
+
+    @pytest.mark.parametrize("make,per_round", [(WindyGrid, lambda m: 1),
+                                                (RandomStartChain, lambda m: m)])
+    def test_initial_state_read_once_per_call_unless_it_draws(self, make, per_round,
+                                                              monkeypatch):
+        env = make()
+        policy = behavior_policy_for(env)
+        evaluate_policy(env, policy, 5, 3, seed=0)   # the table keeps the default start
+        calls, rounds, starts = _counted_initial_state(env), [], envs_base._Lockstep.starts
+
+        def counted_starts(lock, m, rng):
+            rounds.append(m)
+            return starts(lock, m, rng)
+
+        monkeypatch.setattr(envs_base._Lockstep, "starts", counted_starts)
+        evaluate_policy(env, policy, 100, 5, seed=1)
+        assert rounds == [100] and len(calls) == per_round(100)
+        calls.clear(), rounds.clear()
+        generate_dataset(env, policy, 3000, seed=2)
+        assert len(rounds) > 1 and len(calls) == sum(map(per_round, rounds))
+
+    def test_repeated_rollouts_build_only_their_seeded_generators(self, monkeypatch):
+        seeds, default_rng = [], np.random.default_rng
+
+        def counted(*args):
+            if sys._getframe(1).f_globals["__name__"] == envs_base.__name__:
+                seeds.append(args)
+            return default_rng(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        env = WindyGrid()
+        policy = behavior_policy_for(env)
+        for _ in range(3):
+            evaluate_policy(env, policy, 10, 5, seed=7)
+            generate_dataset(env, policy, 50, seed=8)
+        assert seeds == [(0,)] + [(7,), (8,)] * 3   # (0,): the default start, read once
+
+    def test_each_lockstep_step_draws_its_uniforms_in_one_call(self):
+        class Counted:   # forwards to a generator, counting ``random`` calls
+            def __init__(self, seed):
+                self.rng, self.sizes = np.random.default_rng(seed), []
+
+            def random(self, size):
+                self.sizes.append(size)
+                return self.rng.random(size)
+
+        env = WindyGrid()
+        lock = envs_base._Lockstep.of(env, behavior_policy_for(env))
+        rng = Counted(0)
+        steps = [ep.size for _, ep, *_ in lock.walk(np.zeros(30, dtype=np.intp), 20, rng)]
+        assert rng.sizes == [2 * k for k in steps] and steps[0] == 30
+
+    @pytest.mark.parametrize("env_id", ["windy-grid-5", "branching-tree-3", "stochastic-chain-4"])
+    def test_atom_start_monte_carlo_samples_the_view(self, env_id, monkeypatch):
+        env = make_env(env_id)
+        policy = behavior_policy_for(env)
+        view = branch_table(env).dense()
+        want = {(sid, aid): _one_row_monte_carlo(env, policy, s, a, 40, 8, seed=sid)
+                for sid, s in enumerate(view.states) if not env.is_terminal(s)
+                for aid, a in enumerate(view.atoms)}
+        built, from_rows = [], envs_base.DenseBranches.from_rows.__func__
+
+        def counted(cls, *args, **kwargs):
+            built.append(len(args[2]))
+            return from_rows(cls, *args, **kwargs)
+
+        monkeypatch.setattr(envs_base.DenseBranches, "from_rows", classmethod(counted))
+        for (sid, aid), returns in want.items():
+            got = monte_carlo_returns(env, policy, view.states[sid], view.atoms[aid], 40, 8,
+                                      seed=sid)
+            assert got.tobytes() == returns.tobytes()
+        assert want and not built
+        s, off_atom = env.initial_state(None), np.linspace(0.3, -0.6, env.action_dim)
+        got = monte_carlo_returns(env, policy, s, off_atom, 40, 8, seed=1)
+        assert built == [1]
+        assert got.tobytes() == _one_row_monte_carlo(env, policy, s, off_atom, 40, 8, 1).tobytes()
 
 
 ROLLOUTS = ["evaluate_policy", "monte_carlo_returns", "generate_dataset"]

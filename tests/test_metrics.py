@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowrl.errors import ContractError
+from flowrl.errors import ContractError, check_edges
 from flowrl.metrics import (
     ReturnHistogram,
     export_histogram,
@@ -16,6 +16,8 @@ from flowrl.metrics import (
     wasserstein1_histograms,
     wasserstein1_samples,
 )
+
+from helpers import ref_edges_ok
 
 
 @settings(max_examples=40, deadline=None)
@@ -144,3 +146,53 @@ class TestW1InputChecks:
 def test_histogram_bin_count_must_be_a_positive_integer(n_bins):
     with pytest.raises(ContractError):
         histogram_edges((0.0, 1.0), n_bins)
+
+
+EDGE_CASES = {
+    "rising": [0.0, 0.5, 1.0],
+    "nan-first": [np.nan, 0.5, 1.0],
+    "nan-middle": [0.0, np.nan, 1.0],
+    "nan-last": [0.0, 0.5, np.nan],
+    "inf-first": [-np.inf, 0.5, 1.0],
+    "inf-last": [0.0, 0.5, np.inf],
+    "inf-middle": [0.0, np.inf, 1.0],
+    "neg-inf-middle": [0.0, -np.inf, 1.0],
+    "signed-zeros": [-0.0, 0.0],
+    "equal-neighbours": [0.0, 1.0, 1.0, 2.0],
+    "falling": [1.0, 0.0],
+    "overflowing-diff": [-1e308, 1e308],
+    "2-d": [[0.0, 1.0], [2.0, 3.0]],
+    "0-d": 1.0,
+    "empty": [],
+    "one": [0.0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+@pytest.mark.parametrize("least", [1, 2])
+def test_check_edges_accepts_what_the_whole_array_test_accepts(name, least):
+    edges = EDGE_CASES[name]
+    for size in (least, least + 1, least + 2):   # sizes at and around the bin minimum
+        x = np.asarray(edges, dtype=np.float64)
+        if x.ndim == 1 and x.size > size:
+            x = x[:size]
+        if ref_edges_ok(x, least):
+            assert check_edges(x, least).tobytes() == x.tobytes()
+        else:
+            with pytest.raises(ContractError):
+                check_edges(x, least)
+    assert ref_edges_ok([0.0, 1.0, 2.0], 2) and not ref_edges_ok([0.0, 1.0], 2)
+
+
+@pytest.mark.parametrize("support", [
+    (-np.inf, 1.0), (0.0, np.inf), (-1e308, 1e308), (np.nan, 1.0), (1.0, 1.0), (1.0, 0.0),
+    (0, 1, 2), (0.0,), (), None, "01", ((0.0, 1.0), (2.0, 3.0)), ("a", 1.0)])
+def test_histogram_support_must_be_two_finite_numbers(support):
+    with pytest.raises(ContractError):   # never a NaN edge, a RuntimeWarning or a raw ValueError
+        histogram_edges(support, 4)
+
+
+def test_histogram_edges_that_round_together_rejected():
+    with pytest.raises(ContractError):   # a span of one subnormal cannot hold 4 distinct bins
+        histogram_edges((0.0, 5e-324), 4)
+    assert histogram_edges(np.array([-2, 3]), 5).tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
