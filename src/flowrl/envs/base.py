@@ -667,18 +667,12 @@ def _returns(walk, n: int, gamma: float) -> np.ndarray:
 
     Summed in step order, ``ret += disc * r`` with step t's ``disc`` the
     product ``1.0 * gamma * ...`` of t factors, as a single rollout sums them.
-    While a lockstep step covers all ``n`` episodes its rewards are added
-    as one array; after that, and on the per-step path, through the episode
-    indices.
     """
     ret, discs = np.zeros(n), [1.0]
     for t, ep, _, _, r, _, _ in walk:
         if t == len(discs):
             discs.append(discs[-1] * gamma)
-        if isinstance(ep, np.ndarray) and ep.size == n:
-            ret += discs[t] * r
-        else:
-            ret[ep] += discs[t] * r
+        ret[ep] += discs[t] * r
     return ret
 
 

@@ -90,13 +90,11 @@ def histogram_edges(support: tuple[float, float], n_bins: int) -> np.ndarray:
     """
     n_bins = check_int("n_bins", n_bins)
     try:
-        pair = np.asarray(support, dtype=np.float64)
-    except (TypeError, ValueError):   # not numbers
-        pair = np.zeros(0)
-    lo, hi = pair.tolist() if pair.shape == (2,) else (math.nan, math.nan)
+        lo, hi = np.asarray(support, dtype=np.float64).reshape(2).tolist()
+    except (TypeError, ValueError):
+        raise ContractError(f"histogram support must be two numbers, got {support!r}") from None
     if not (lo < hi and math.isfinite(hi - lo)):   # a NaN, an infinite end or span fails
-        raise ContractError(f"histogram support must be two finite numbers lo < hi, "
-                            f"got {support!r}")
+        raise ContractError(f"histogram support must be finite with lo < hi, got {support!r}")
     return check_edges(np.linspace(lo, hi, n_bins + 1))
 
 
