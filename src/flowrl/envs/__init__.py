@@ -11,7 +11,6 @@ from flowrl.envs.base import (
     monte_carlo_returns,
     save_dataset,
     step,
-    tabulate,
 )
 from flowrl.envs.oracle import (
     ReturnAtomSet,
@@ -34,7 +33,7 @@ from flowrl.envs.toys import (
 __all__ = [
     "Dataset", "ToyMdp", "UniformBoxPolicy", "UniformDiscretePolicy",
     "behavior_policy_for", "generate_dataset", "load_dataset", "monte_carlo_returns",
-    "save_dataset", "step", "tabulate",
+    "save_dataset", "step",
     "ReturnAtomSet", "bellman_histogram_operator", "enumerate_return_distribution",
     "reachable_state_actions", "table_key", "uniform_table",
     "ENV_REGISTRY", "BranchingTree", "ContinuousBandit1D", "StochasticChain",

@@ -13,14 +13,14 @@ selectors without ``support``) calls the policy and ``step`` one transition
 at a time (:func:`_stepwise`). Each path is one loop that yields its steps:
 :func:`generate_dataset` records them, and :func:`monte_carlo_returns` and
 ``flowrl.metrics.evaluate_policy`` (through :func:`_episode_returns`) sum
-them with :func:`_returns`. :meth:`DenseBranches.action_probs` gives the
+them with :func:`_returns`. One reader, :func:`_atom_probs`, gives the
 probabilities of ``policy.support`` over the action atoms for both the
 lockstep walk and the histogram Bellman backup (``flowrl.envs.oracle``),
 whose policy-free structure the branch table also keeps, built on first use.
-It reads ``support`` at every state on every call, unless the policy was
-made by :func:`tabulate` on the same env: such a policy reads each state of
-the branch table once and keeps the rows. :func:`behavior_policy_for` gives
-finite envs such a policy.
+It reads ``support`` at every state on every call, except for a
+:class:`UniformDiscretePolicy` (the one :func:`behavior_policy_for` gives
+finite envs): its support is the same at every state, so its row is read
+once and kept on the branch table.
 
 A lockstep rollout pays for its start once per call, not once per episode:
 an ``initial_state`` that draws nothing from its generator is read once for
@@ -190,7 +190,8 @@ class BranchTable:
     None) are never stored: ``branches`` reads them from ``outcomes`` on every
     call. ``dense()`` lays the rows out as arrays for lockstep rollouts.
     ``start_id()`` is the id of ``initial_state(default_rng(0))``, the default
-    start of rollouts and oracles, read once and kept. The table assumes an
+    start of rollouts and oracles, read once and kept. ``_uniform`` keeps the
+    atom rows of uniform policies (:func:`_atom_probs`). The table assumes an
     env's dynamics do not change after first use.
     """
 
@@ -202,6 +203,7 @@ class BranchTable:
         self._state_ids: dict[bytes, int] = {}
         self._rows: dict[tuple[int, int], list] = {}
         self._start: int | None = None
+        self._uniform: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def atom_id(self, a: np.ndarray) -> int | None:
         return self._atom_ids.get(np.asarray(a, dtype=np.float64).tobytes())
@@ -269,7 +271,7 @@ class BranchTable:
                 rows.append(row)
             sid += 1
         view = self.__dict__["_dense"] = DenseBranches.from_rows(
-            np.stack(self.states), np.stack(self.atoms), rows, self)
+            np.stack(self.states), np.stack(self.atoms), rows)
         return view
 
 
@@ -305,23 +307,48 @@ def checked_support(support, s: np.ndarray) -> list[tuple[float, np.ndarray]]:
     return [(p, np.asarray(a, dtype=np.float64)) for p, a in entries if p > 0.0]
 
 
-def _atom_rows(policy, states, atom_ids: dict[bytes, int]) -> list[np.ndarray]:
-    """Probabilities of ``policy.support`` over the atoms ``atom_ids`` numbers, one row per state.
+def _atom_probs(policy, table: BranchTable,
+                n: int) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
+    """(state, atom) probabilities of ``policy.support`` at table states 0..n-1, and their CDFs.
 
-    Reads the states in order and stops before the first one whose support
-    puts mass on an action that is not an atom, so fewer rows than states
-    means the support leaves the atoms.
+    The CDFs are the :func:`_inverse_cdf_table` of the probabilities.
+    ``support`` is read at every state, in id order, on every call, and
+    each read must pass :func:`checked_support`. ``(None, None)`` when
+    ``policy`` has no ``support`` or it puts mass on an action that is not
+    an atom; the states after the first such state are not read. A policy
+    whose type is exactly :class:`UniformDiscretePolicy` has one support at
+    every state: it is read at state 0, and the row is kept on the table by
+    the atoms' float64 bytes and ``n`` and served read-only to all n rows.
     """
+    support = getattr(policy, "support", None)
+    if support is None:
+        return None, None
+    key = None
+    if type(policy) is UniformDiscretePolicy:
+        try:
+            atoms = np.array(policy.atoms, dtype=np.float64)
+            key = (atoms.shape, atoms.tobytes(), n)
+        except (TypeError, ValueError):   # ragged or not numbers: read as any policy is
+            pass
+        kept = table._uniform.get(key)
+        if kept is not None:
+            return kept
     rows = []
-    for s in states:
-        row = np.zeros(len(atom_ids))
-        for p, a in checked_support(policy.support, s):
-            aid = atom_ids.get(a.tobytes())
+    for s in table.states[:1 if key else n]:
+        row = np.zeros(len(table.atoms))
+        for p, a in checked_support(support, s):
+            aid = table._atom_ids.get(a.tobytes())
             if aid is None:
-                return rows
+                return None, None
             row[aid] += p
         rows.append(row)
-    return rows
+    probs = np.array(rows)
+    # fall through to the last atom with mass, never to a trailing zero
+    last = probs.shape[1] - np.argmax(probs[:, ::-1] > 0.0, axis=1)
+    out = probs, _inverse_cdf_table(probs, last)
+    if key is not None:
+        out = table._uniform[key] = tuple(np.broadcast_to(x, (n, x.shape[1])) for x in out)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,9 +359,8 @@ class DenseBranches:
     columns of ``prob``, ``next_id``, ``reward`` and ``terminal``; shorter
     rows are padded with probability 0. ``cdf`` is the
     :func:`_inverse_cdf_table` of ``prob``, so ``_draw`` picks the branch
-    ``ToyMdp._sample_outcome`` picks for the same uniform. ``table`` is the
-    branch table whose :meth:`BranchTable.dense` built the view (None for
-    the one-row view of a start action that is not an atom).
+    ``ToyMdp._sample_outcome`` picks for the same uniform. The view holds
+    dynamics only: a policy's atom probabilities come from :func:`_atom_probs`.
     """
 
     states: np.ndarray   # (n_states, state_dim)
@@ -345,10 +371,9 @@ class DenseBranches:
     next_id: np.ndarray
     reward: np.ndarray
     terminal: np.ndarray
-    table: BranchTable | None = None
 
     @classmethod
-    def from_rows(cls, states, atoms, rows, table=None) -> "DenseBranches":
+    def from_rows(cls, states, atoms, rows) -> "DenseBranches":
         width = max(len(row) for row in rows)
         shape = (len(rows), width)
         prob, reward = np.zeros(shape), np.zeros(shape)
@@ -358,7 +383,7 @@ class DenseBranches:
             for j, (p, _, r, done, nid) in enumerate(row):
                 prob[i, j], reward[i, j], terminal[i, j], next_id[i, j] = p, r, done, nid
         view = cls(states, atoms, count, prob,
-                   _inverse_cdf_table(prob, count), next_id, reward, terminal, table)
+                   _inverse_cdf_table(prob, count), next_id, reward, terminal)
         for x in (states, atoms, count, prob, view.cdf, next_id, reward, terminal):
             x.flags.writeable = False
         return view
@@ -368,39 +393,14 @@ class DenseBranches:
         flat = pair * self.cdf.shape[1] + _draw(self.cdf[pair], u)
         return self.next_id.take(flat), self.reward.take(flat), self.terminal.take(flat)
 
-    def _policy_rows(self, policy):
-        # a policy tabulated on another table, or not at all, is read afresh and not kept
-        if not (isinstance(policy, TabulatedPolicy) and policy.table is self.table):
-            policy = TabulatedPolicy(policy, self.table)
-        return policy.rows(len(self.states))
-
-    def action_probs(self, policy) -> np.ndarray | None:
-        """Probabilities of ``policy.support`` over the atoms at every state, (state, atom).
-
-        A policy :func:`tabulate` made on this view's branch table gives its
-        kept rows; any other policy's ``support`` is read at every state, on
-        every call, by the same arithmetic (:meth:`TabulatedPolicy.rows`).
-        None when the support puts mass on an action that is not an atom.
-        Raises ContractError unless every state's support passes
-        :func:`checked_support`.
-        """
-        return self._policy_rows(policy)[0]
-
-    def action_cdf(self, policy) -> np.ndarray | None:
-        """Inverse-CDF table of :meth:`action_probs`; None where that is None.
-
-        Such a policy is rolled out step by step.
-        """
-        return self._policy_rows(policy)[1]
-
 
 class _Lockstep:
     """A policy whose ``support`` lies on an env's action atoms, rolled out in lockstep.
 
     Holds the env's branch table, its dense view and the inverse-CDF table of
-    ``policy.support`` over the view's states (``act_cdf``). :meth:`walk` is
-    the time loop of every lockstep rollout: datasets, Monte Carlo and policy
-    evaluation.
+    ``policy.support`` over the view's states (``act_cdf``, read by
+    :func:`_atom_probs`). :meth:`walk` is the time loop of every lockstep
+    rollout: datasets, Monte Carlo and policy evaluation.
     """
 
     def __init__(self, mdp: ToyMdp, policy, table: BranchTable):
@@ -433,7 +433,8 @@ class _Lockstep:
         """
         view = self.table.dense()
         if view is not self.view:
-            self.view, self.act_cdf = view, view.action_cdf(self.policy)
+            _, cdf = _atom_probs(self.policy, self.table, len(view.states))
+            self.view, self.act_cdf = view, cdf
         return self.act_cdf is not None
 
     def starts(self, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -564,77 +565,15 @@ class UniformBoxPolicy:
         return rng.uniform(-1.0, 1.0, size=self.dim)
 
 
-class TabulatedPolicy:
-    """A policy with ``support`` whose atom probabilities are read once per state
-    of one env's branch table; made by :func:`tabulate`.
-
-    ``support``, ``__call__`` and ``behavior_id`` are the wrapped policy's.
-    :meth:`rows` reads the wrapped ``support`` at the table states it has
-    not read yet, in id order, and keeps each row and its inverse-CDF row.
-    :meth:`DenseBranches.action_probs` reads every other policy through a
-    fresh instance that it drops, so both give the same rows. The wrapped
-    policy's support must not change after the first read.
-    """
-
-    def __init__(self, policy, table: BranchTable):
-        self.policy, self.table = policy, table
-        self._ids = {a.tobytes(): i for i, a in enumerate(table.atoms)}
-        self._probs = self._cdf = np.zeros((0, len(table.atoms)))
-        self._off = False   # the support leaves the atoms at the state after the last row
-
-    @property
-    def behavior_id(self) -> str:
-        return getattr(self.policy, "behavior_id", "custom")
-
-    def support(self, s: np.ndarray):
-        return self.policy.support(s)
-
-    def __call__(self, s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.policy(s, rng)
-
-    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
-        """Read-only (state, atom) probabilities and inverse-CDF rows of table states 0..n-1.
-
-        ``(None, None)`` when the support puts mass off the atoms at one of
-        those states; the states after the first such state are never read.
-        """
-        done = len(self._probs)
-        if n > done and not self._off:
-            new = _atom_rows(self.policy, self.table.states[done:n], self._ids)
-            self._off = len(new) < n - done
-            if new:
-                probs = np.array(new)
-                # fall through to the last atom with mass, never to a trailing zero
-                last = probs.shape[1] - np.argmax(probs[:, ::-1] > 0.0, axis=1)
-                self._probs = _frozen(np.concatenate([self._probs, probs]))
-                self._cdf = _frozen(np.concatenate([self._cdf, _inverse_cdf_table(probs, last)]))
-        if n > len(self._probs):
-            return None, None
-        return self._probs[:n], self._cdf[:n]
-
-
-def tabulate(mdp: ToyMdp, policy) -> TabulatedPolicy:
-    """``policy``, its ``support`` read once per state of ``mdp``'s branch table.
-
-    Lockstep rollouts and the histogram Bellman backup on ``mdp`` then take
-    its atom probabilities from the kept rows, which are bit-identical to a
-    fresh read; on any other env instance it is read on every call, like
-    any policy. Reads nothing until first used. Raises ContractError unless
-    ``mdp`` has action atoms and ``policy`` has ``support``.
-    """
-    table = branch_table(mdp)
-    if not table.atoms or getattr(policy, "support", None) is None:
-        raise ContractError("tabulate needs an env with action atoms and a policy with support(s)")
-    return TabulatedPolicy(policy, table)
-
-
 def behavior_policy_for(mdp: ToyMdp) -> Policy:
-    """The uniform behavior policy: over the action atoms, tabulated on ``mdp``
-    (:func:`tabulate`), or over the action box for an env without atoms."""
+    """The uniform behavior policy: over the action atoms, or over the action box
+    for an env without atoms. :func:`_atom_probs` keeps the former's row on the
+    env's branch table, so rollouts and the Bellman backup read its support once
+    per table size."""
     atoms = mdp.action_atoms()
     if atoms is None:
         return UniformBoxPolicy(mdp.action_dim)
-    return tabulate(mdp, UniformDiscretePolicy(tuple(tuple(a) for a in atoms)))
+    return UniformDiscretePolicy(tuple(tuple(a) for a in atoms))
 
 
 # -- rollouts -------------------------------------------------------------------
@@ -649,8 +588,12 @@ def _stepwise(mdp: ToyMdp, policy: Policy, rngs, horizon: int, start: tuple | No
     episode's last step. An episode ends on a terminal step or after
     ``horizon`` steps; ``t`` counts its steps from 0. Each action is copied
     to a float64 vector, which ``step`` validates, so ``a`` is the action
-    ``step`` took whatever buffer or shape the policy returned.
+    ``step`` took whatever buffer or shape the policy returned. Raises
+    ContractError before the first step unless ``policy`` is callable.
     """
+    if not callable(policy):
+        raise ContractError("a policy whose support(s) does not lie on the action atoms "
+                            "must be callable as policy(s, rng)")
     for ep, rng in enumerate(rngs):
         s, a = (mdp.initial_state(rng), None) if start is None else start
         for t in range(horizon):
@@ -742,7 +685,7 @@ def generate_dataset(mdp: ToyMdp, behavior: Policy, n_transitions: int, seed: in
     with terminal=False on truncation.
 
     When the env has action atoms and ``behavior.support(s)`` puts all its
-    mass on them (:meth:`DenseBranches.action_cdf`), the episodes run in
+    mass on them (:func:`_atom_probs`), the episodes run in
     lockstep off the env's branch table, drawing actions from ``support``;
     otherwise ``behavior(s, rng)`` and ``step`` run one transition at a
     time. Nothing else selects the path. The two paths draw different

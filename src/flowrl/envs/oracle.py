@@ -20,11 +20,10 @@ pairs, on return tables: float64 (pairs, bins) arrays whose row
 branches) is built once and kept on the env's branch table, because
 reachability from the start state depends only on the dynamics; its
 projections onto the last bin grid seen are kept beside it. The policy
-mix comes from the branch table's dense view
-(:meth:`~flowrl.envs.base.DenseBranches.action_probs`, the table lockstep
-rollouts draw their actions from), which a policy made by
-:func:`~flowrl.envs.base.tabulate` on the env reads once per state, so each
-application builds only the mixed histograms and the products.
+mix comes from :func:`~flowrl.envs.base._atom_probs`, the reader lockstep
+rollouts draw their actions from, which keeps the uniform behavior policy's
+row on the branch table, so each application builds only the mixed
+histograms and the products.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowrl.envs.base import ToyMdp, branch_table, check_start, checked_support
+from flowrl.envs.base import ToyMdp, _atom_probs, branch_table, check_start, checked_support
 from flowrl.errors import ContractError, OracleError, check_edges, check_int
 
 PATH_GUARD = 1_000_000    # frontier entries per depth of the enumeration DP
@@ -291,12 +290,12 @@ def bellman_histogram_operator(mdp: ToyMdp, policy, table: np.ndarray,
     point masses. The pairs, the next states, ``B_r`` and the terminal
     branches are read from the env's :class:`_Backup`, ``M_r`` and ``const``
     from the projections it keeps for the last bin grid (built again when
-    the edges change), and ``P`` from the branch table's dense view
-    (:meth:`~flowrl.envs.base.DenseBranches.action_probs`, read once per state
-    for a policy :func:`~flowrl.envs.base.tabulate` made on this env); each
-    call builds only ``H`` and the products. Raises ContractError for bad
-    edges, a table that is not a finite float64 array of shape (pairs, bins),
-    and when ``policy.support`` puts mass off the action atoms or fails
+    the edges change), and ``P`` from :func:`~flowrl.envs.base._atom_probs`
+    at the states of the branch table's dense view, whose build checks every
+    reward (ConfigError); each call builds only ``H`` and the products.
+    Raises ContractError for bad edges, a table that is not a finite float64
+    array of shape (pairs, bins), and when ``policy`` has no ``support`` or
+    it puts mass off the action atoms or fails
     :func:`~flowrl.envs.base.checked_support`.
     """
     edges = check_edges(edges, least=2)
@@ -307,7 +306,8 @@ def bellman_histogram_operator(mdp: ToyMdp, policy, table: np.ndarray,
             and table.shape == shape and np.isfinite(table).all()):
         raise ContractError(f"a return table is a finite float64 array of shape {shape}, got "
                             f"{type(table).__name__} {getattr(table, 'dtype', '')}")
-    probs = branch_table(mdp).dense().action_probs(policy)
+    branches = branch_table(mdp)
+    probs, _ = _atom_probs(policy, branches, len(branches.dense().states))
     if probs is None:
         raise ContractError("the Bellman backup needs a policy whose support lies on the "
                             "action atoms")

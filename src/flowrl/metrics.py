@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -136,41 +135,6 @@ def wasserstein1_histograms(p: ReturnHistogram, q: ReturnHistogram) -> float:
     return float(np.sum(np.abs(np.cumsum(p.masses) - np.cumsum(q.masses)) * widths))
 
 
-def export_histogram(samples: np.ndarray, n_bins: int, support: tuple[float, float],
-                     path: str | Path) -> tuple[ReturnHistogram, int]:
-    """Write a ``bin_left,bin_right,mass`` CSV; returns (histogram, clip count)."""
-    hist, n_clipped = histogram_from_samples(samples, histogram_edges(support, n_bins))
-    lines = ["bin_left,bin_right,mass"]
-    for left, right, mass in zip(hist.edges[:-1], hist.edges[1:], hist.masses):
-        lines.append(f"{float(left)!r},{float(right)!r},{float(mass)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-    return hist, n_clipped
-
-
-def load_histogram_csv(path: str | Path) -> ReturnHistogram:
-    lines = Path(path).read_text().strip().split("\n")
-    if lines[0] != "bin_left,bin_right,mass":
-        raise ContractError(f"unexpected histogram CSV header: {lines[0]!r}")
-    if len(lines) < 2:
-        raise ContractError("histogram CSV has no bins")
-    rows = []
-    for n, line in enumerate(lines[1:], start=2):
-        try:
-            row = [float(x) for x in line.split(",")]
-        except ValueError:
-            row = []
-        if len(row) != 3 or not np.all(np.isfinite(row)):
-            raise ContractError(f"malformed histogram CSV line {n}: {line!r}; "
-                                f"expected three finite numbers")
-        if rows and row[0] != rows[-1][1]:
-            raise ContractError(f"histogram CSV line {n}: bin starts at {row[0]!r}, "
-                                f"previous bin ends at {rows[-1][1]!r}")
-        rows.append(row)
-    edges = [r[0] for r in rows] + [rows[-1][1]]
-    masses = [r[2] for r in rows]
-    return ReturnHistogram(np.array(edges), np.array(masses))
-
-
 @dataclass
 class PolicyEvalResult:
     env_id: str
@@ -188,7 +152,7 @@ def evaluate_policy(env: ToyMdp, action_selector, episodes: int, horizon: int,
     pick the path by the input alone, as ``generate_dataset`` and
     ``monte_carlo_returns`` do. When the env has action atoms and
     ``action_selector.support(s)`` puts all its mass on them
-    (:meth:`~flowrl.envs.base.DenseBranches.action_cdf`), every episode runs
+    (:func:`~flowrl.envs.base._atom_probs`), every episode runs
     in lockstep from one ``default_rng(seed)`` stream, drawing its actions
     from ``support``; the selector is never called. Any other selector (the
     bandit's, box policies, plain callables) is called as

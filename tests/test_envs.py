@@ -31,7 +31,6 @@ from flowrl.envs import (
     save_dataset,
     step,
     table_key,
-    tabulate,
     uniform_table,
 )
 import flowrl.envs.base as envs_base
@@ -581,6 +580,23 @@ class TestBellmanOperator:
         with pytest.raises(ContractError, match="summing to 1"):
             self.backup_of(env, lambda s: [(1.4 * p, a) for p, a in uniform.support(s)])
 
+    @pytest.mark.parametrize("policy", [lambda s, rng: s, None, object()],
+                             ids=["callable", "none", "object"])
+    def test_policy_without_support_is_a_contract_error(self, policy):
+        env = make_env("windy-grid-5")
+        edges = histogram_edges(env.z_bounds, 60)
+        with pytest.raises(ContractError, match="support lies on the action atoms"):
+            bellman_histogram_operator(env, policy, uniform_table(env, policy, edges), edges)
+
+    def test_reward_outside_the_bounds_is_a_config_error(self):
+        # the operator reads the dense view, whose build checks every reward
+        env = make_env("windy-grid-5")
+        env.r_max = 0.5
+        policy = behavior_policy_for(env)
+        edges = histogram_edges(env.z_bounds, 60)
+        with pytest.raises(ConfigError, match="emitted reward 1.0 outside"):
+            bellman_histogram_operator(env, policy, uniform_table(env, policy, edges), edges)
+
     @pytest.mark.parametrize("make", FINITE_ENVS)
     def test_structure_is_read_once_per_branch_table(self, make, monkeypatch):
         env = make()
@@ -848,14 +864,14 @@ class TestLockstepRollouts:
                 return np.array([0.3])
 
         s, a = env.initial_state(None), np.array([1.0])
-        for policy in (Tilted(), tabulate(env, Tilted())):
-            got = monte_carlo_returns(env, policy, s, a, 300, 3, seed=1)
-            want = monte_carlo_returns(env, Tilted().__call__, s, a, 300, 3, seed=1)
-            assert got.tobytes() == want.tobytes()
-            ds = generate_dataset(env, policy, 30, seed=1)
-            assert (ds.a == 0.3).all()
-            assert (evaluate_policy(env, policy, 300, 3, seed=1)
-                    == evaluate_policy(env, Tilted().__call__, 300, 3, seed=1))
+        policy = Tilted()
+        got = monte_carlo_returns(env, policy, s, a, 300, 3, seed=1)
+        want = monte_carlo_returns(env, policy.__call__, s, a, 300, 3, seed=1)
+        assert got.tobytes() == want.tobytes()
+        ds = generate_dataset(env, policy, 30, seed=1)
+        assert (ds.a == 0.3).all()
+        assert (evaluate_policy(env, policy, 300, 3, seed=1)
+                == evaluate_policy(env, policy.__call__, 300, 3, seed=1))
 
     @pytest.mark.parametrize("make", FINITE_ENVS)
     def test_dataset_matches_step_by_step(self, make):
@@ -964,7 +980,7 @@ def _rollout(name, env, policy, n=10, horizon=5, seed=0):
     if name == "evaluate_policy":
         return evaluate_policy(env, policy, n, horizon, seed)
     if name == "monte_carlo_returns":
-        s, a = env.initial_state(None), env.action_atoms()[0]
+        s, a = env.initial_state(None), (env.action_atoms() or [np.zeros(env.action_dim)])[0]
         return monte_carlo_returns(env, policy, s, a, n, horizon, seed)
     return generate_dataset(env, policy, n, seed)
 
@@ -1165,6 +1181,16 @@ class TestCountsAndSeeds:
         assert not branch_table(env).states
 
     @pytest.mark.parametrize("name", ROLLOUTS)
+    @pytest.mark.parametrize("env_id", ["windy-grid-5", "continuous-bandit-1d"])
+    @pytest.mark.parametrize("policy", [None, object()], ids=["none", "object"])
+    def test_a_selector_that_can_neither_act_nor_be_read_is_rejected(self, name, env_id,
+                                                                     policy):
+        env = make_env(env_id)
+        with pytest.raises(ContractError, match="callable"):
+            _rollout(name, env, policy)
+        assert not branch_table(env).states
+
+    @pytest.mark.parametrize("name", ROLLOUTS)
     def test_numpy_integers_accepted(self, name):
         env = StochasticChain()
         policy = behavior_policy_for(env)
@@ -1176,10 +1202,6 @@ class TestCountsAndSeeds:
         else:
             assert np.array_equal(getattr(got, "mean_return", got),
                                   getattr(want, "mean_return", want))
-
-
-def _uniform(env):
-    return UniformDiscretePolicy(tuple(tuple(a) for a in env.action_atoms()))
 
 
 def _oracle_sequence(env, policy):
@@ -1218,54 +1240,98 @@ def _assert_bytes_equal(got, want):
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-class CountedSupport:
-    """A policy that records the bytes of every state its ``support`` is read at."""
+class PlainSupport:
+    """Delegates ``support`` and ``__call__`` to a policy; no UniformDiscretePolicy (test-only)."""
 
     def __init__(self, policy):
-        self.policy, self.calls = policy, []
+        self.policy = policy
 
     def support(self, s):
-        self.calls.append(np.asarray(s).tobytes())
         return self.policy.support(s)
 
+    def __call__(self, s, rng):
+        return self.policy(s, rng)
 
-class TestTabulatedPolicy:
+
+class UniformSubclass(UniformDiscretePolicy):
+    """A subclass may change ``support``, so its rows are read like any policy's (test-only)."""
+
+
+class TestSupportReader:
+    """The one reader of ``support`` for lockstep rollouts and the Bellman backup."""
+
     @pytest.mark.parametrize("env_id", ["windy-grid-5", "branching-tree-3", "stochastic-chain-4"])
-    @pytest.mark.parametrize("skewed", [False, True])
-    def test_results_are_bytes_equal_to_untabulated(self, env_id, skewed):
+    def test_behavior_policy_matches_a_plain_support_policy(self, env_id):
         env, ref = make_env(env_id), make_env(env_id)
-        base = SkewedPolicy(env) if skewed else _uniform(env)
-        _assert_bytes_equal(_oracle_sequence(env, tabulate(env, base)),
-                            _oracle_sequence(ref, base))
-
-    @pytest.mark.parametrize("skewed", [False, True])
-    def test_on_another_env_instance_it_is_read_per_call(self, skewed):
-        bound, env, ref = WindyGrid(), WindyGrid(), WindyGrid()
-        base = SkewedPolicy(env) if skewed else _uniform(env)
-        policy = tabulate(bound, base)
-        _assert_bytes_equal(_oracle_sequence(env, policy), _oracle_sequence(ref, base))
-        assert not branch_table(bound).states
-
-    def test_wraps_support_call_and_behavior_id(self):
-        env = WindyGrid()
-        base = _uniform(env)
         policy = behavior_policy_for(env)
-        assert policy.behavior_id == base.behavior_id == "uniform-discrete"
-        assert tabulate(env, SkewedPolicy(env)).behavior_id == "custom"
-        s = env.initial_state(None)
-        for (p, a), (p0, a0) in zip(policy.support(s), base.support(s), strict=True):
-            assert p == p0 and np.array_equal(a, a0)
-        assert policy(s, np.random.default_rng(3)).tobytes() == \
-            base(s, np.random.default_rng(3)).tobytes()
-        with pytest.raises(ContractError):
-            tabulate(env, base.__call__)
-        with pytest.raises(ContractError):
-            tabulate(ContinuousBandit1D(), base)
+        assert type(policy) is UniformDiscretePolicy and policy.behavior_id == "uniform-discrete"
+        _assert_bytes_equal(_oracle_sequence(env, policy),
+                            _oracle_sequence(ref, PlainSupport(policy)))
 
-    def test_support_is_read_once_per_branch_table_state(self):
+    @pytest.mark.parametrize("variant", ["array-atoms", "reordered", "subset", "subclass"])
+    def test_uniform_variants_match_a_plain_support_policy(self, variant):
+        env, ref = WindyGrid(), WindyGrid()
+        atoms = [tuple(a) for a in env.action_atoms()]
+        policy = {"array-atoms": UniformDiscretePolicy(tuple(env.action_atoms())),
+                  "reordered": UniformDiscretePolicy(tuple(atoms[::-1])),
+                  "subset": UniformDiscretePolicy(tuple(atoms[1:3])),
+                  "subclass": UniformSubclass(tuple(atoms))}[variant]
+        behavior = behavior_policy_for(env)
+        # the behavior policy's row is kept first: a variant must not be served it
+        for e, p in ((env, behavior), (ref, PlainSupport(behavior))):
+            evaluate_policy(e, p, 10, 5, 0)
+        _assert_bytes_equal(_oracle_sequence(env, policy),
+                            _oracle_sequence(ref, PlainSupport(policy)))
+
+    def test_uniform_rows_are_kept_by_the_atoms_bytes(self):
+        # -0.0 == 0.0, but an atom of -0.0 is not the env's atom of 0.0
+        env = WindyGrid()
+        behavior = behavior_policy_for(env)
+        signed = UniformDiscretePolicy(tuple(tuple(-x if x == 0.0 else x for x in a)
+                                             for a in behavior.atoms))
+        assert signed.atoms == behavior.atoms
+        edges = histogram_edges(env.z_bounds, 60)
+        table = uniform_table(env, behavior, edges)
+        bellman_histogram_operator(env, behavior, table, edges)
+        with pytest.raises(ContractError, match="atoms"):
+            bellman_histogram_operator(env, signed, table, edges)
+        assert (evaluate_policy(env, signed, 50, 5, 0)
+                == evaluate_policy(env, signed.__call__, 50, 5, 0))
+
+    def test_ragged_uniform_atoms_are_read_like_any_policy(self):
+        env = BranchingTree()
+        ragged = UniformDiscretePolicy(((1.0,), (1.0, 0.0)))
+        edges = histogram_edges(env.z_bounds, 60)
+        with pytest.raises(ContractError, match="atoms"):
+            bellman_histogram_operator(env, ragged, uniform_table(env, ragged, edges), edges)
+
+    def test_uniform_atoms_changed_in_place_get_fresh_rows(self):
+        env, ref = BranchingTree(), BranchingTree()
+        atoms = tuple(np.array(a) for a in env.action_atoms())
+        policy = UniformDiscretePolicy(atoms)
+        s0 = env.initial_state(None)
+        evaluate_policy(env, policy, 50, 5, 0)
+        atoms[0][:] = atoms[1]
+        got = [monte_carlo_returns(env, policy, s0, atoms[0], 50, 5, 1),
+               np.array([evaluate_policy(env, policy, 50, 5, 2).mean_return])]
+        same = PlainSupport(UniformDiscretePolicy((atoms[1], atoms[1])))
+        evaluate_policy(ref, same, 50, 5, 0)
+        want = [monte_carlo_returns(ref, same, s0, atoms[0], 50, 5, 1),
+                np.array([evaluate_policy(ref, same, 50, 5, 2).mean_return])]
+        _assert_bytes_equal(got, want)
+
+    def test_uniform_support_is_read_once_per_table_size(self, monkeypatch):
         env = make_env("windy-grid-5")
-        counted = CountedSupport(_uniform(env))
-        policy = tabulate(env, counted)
+        policy = behavior_policy_for(env)
+        states = branch_table(env).states
+        reads = []
+        support = UniformDiscretePolicy.support
+
+        def counted(self, s):
+            reads.append(len(states))
+            return support(self, s)
+
+        monkeypatch.setattr(UniformDiscretePolicy, "support", counted)
         edges = histogram_edges(env.z_bounds, 60)
         s0, a0 = env.initial_state(None), env.action_atoms()[0]
         generate_dataset(env, policy, 3000, 0)
@@ -1277,14 +1343,13 @@ class TestTabulatedPolicy:
         monte_carlo_returns(env, policy, s0, a0, 400, 5, 8)
         for seed in range(16):
             evaluate_policy(env, policy, 100, 5, seed)
-        states = branch_table(env).states
-        assert counted.calls == [s.tobytes() for s in states]
-        # a new start state: only the states the table gains are read
+        assert reads == [len(states)]
+        # a new start state grows the table: one more read
         n_states = len(states)
         monte_carlo_returns(env, policy, 0.5 * s0, a0, 50, 5, 9)
         evaluate_policy(env, policy, 100, 5, 10)
         assert len(states) > n_states
-        assert counted.calls == [s.tobytes() for s in states]
+        assert reads == [n_states, len(states)]
 
     def test_projections_are_built_once_per_bin_grid(self, monkeypatch):
         env = make_env("windy-grid-5")
@@ -1306,7 +1371,8 @@ class TestTabulatedPolicy:
         assert built == [60] * n_rewards + [50] * n_rewards + [60] * n_rewards
 
     def test_a_changed_support_gets_fresh_rows(self):
-        # an untabulated policy is read on every call, so a change shows at once
+        # a policy that is not exactly a UniformDiscretePolicy is read on every call,
+        # so a change shows at once
         env = BranchingTree()
 
         class Weighted:
@@ -1356,8 +1422,7 @@ class TestSupportCheck:
     @pytest.mark.parametrize("name", SUPPORT_READERS)
     @pytest.mark.parametrize("case", ["nan-off-atom", "negative-off-atom", "nan-on-atom",
                                       "negative-on-atom", "inf-on-atom", "sum-above-one"])
-    @pytest.mark.parametrize("wrap", [False, True])
-    def test_bad_probabilities_are_a_contract_error(self, name, case, wrap):
+    def test_bad_probabilities_are_a_contract_error(self, name, case):
         env = WindyGrid()
         a0, a1 = env.action_atoms()[:2]
         off = np.array([0.3, 0.3])
@@ -1371,7 +1436,7 @@ class TestSupportCheck:
         }[case]
         policy = _support_of(lambda s: support)
         with pytest.raises(ContractError, match="summing to 1"):
-            _read_support(name, env, tabulate(env, policy) if wrap else policy)
+            _read_support(name, env, policy)
 
     @pytest.mark.parametrize("name", SUPPORT_READERS)
     def test_zero_mass_entries_are_skipped(self, name):

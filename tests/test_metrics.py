@@ -1,4 +1,4 @@
-"""Tests for the W1 distances and the histogram CSV files of the metrics module."""
+"""Tests for the W1 distances and the return histograms of the metrics module."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 from flowrl.errors import ContractError, check_edges
 from flowrl.metrics import (
     ReturnHistogram,
-    export_histogram,
     histogram_edges,
     histogram_from_atoms,
     histogram_from_samples,
-    load_histogram_csv,
     wasserstein1_discrete,
     wasserstein1_histograms,
     wasserstein1_samples,
@@ -52,27 +50,6 @@ def test_w1_variants_are_symmetric_zero_on_identical_input_and_agree_on_a_grid(
         wasserstein1_discrete(x, w, z, mz), rel=1e-12, abs=1e-12 * span)
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_bins=st.integers(1, 90),
-       lo=st.floats(-50.0, 50.0), span=st.floats(1e-3, 100.0))
-def test_histogram_csv_round_trip_bit_exact(tmp_path_factory, seed, n_bins, lo, span):
-    path = tmp_path_factory.mktemp("hist") / "hist.csv"
-    samples = np.random.default_rng(seed).normal(lo + span / 2, span, size=500)
-    hist, _ = export_histogram(samples, n_bins, (lo, lo + span), path)
-    back = load_histogram_csv(path)
-    assert back.edges.tobytes() == hist.edges.tobytes()
-    assert back.masses.tobytes() == hist.masses.tobytes()
-
-
-@pytest.mark.parametrize("row", ["0.0,1.0", "0.0,1.0,1.0,0.0", "0.0,1.0,one",
-                                 "0.0,1.0,np.float64(1.0)", "0.0,1.0,nan", "0.0,inf,1.0"])
-def test_malformed_histogram_csv_rejected(tmp_path, row):
-    path = tmp_path / "hist.csv"
-    path.write_text(f"bin_left,bin_right,mass\n{row}\n")
-    with pytest.raises(ContractError):
-        load_histogram_csv(path)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_samples_edges_and_masses_rejected(bad):
     edges = histogram_edges((0.0, 1.0), 2)
@@ -96,13 +73,6 @@ def test_edges_that_bound_no_bin_rejected(edges):
         histogram_from_atoms(np.array([0.5]), np.array([1.0]), edges)
     with pytest.raises(ContractError, match="edges"):
         ReturnHistogram(edges, [])
-
-
-def test_histogram_csv_with_a_gap_between_bins_rejected(tmp_path):
-    path = tmp_path / "hist.csv"
-    path.write_text("bin_left,bin_right,mass\n0.0,1.0,0.5\n1.5,2.0,0.5\n")
-    with pytest.raises(ContractError):
-        load_histogram_csv(path)
 
 
 class TestW1InputChecks:
