@@ -1422,8 +1422,12 @@ class TestSupportCheck:
     @pytest.mark.parametrize("name", SUPPORT_READERS)
     @pytest.mark.parametrize("case", ["nan-off-atom", "negative-off-atom", "nan-on-atom",
                                       "negative-on-atom", "inf-on-atom", "sum-above-one"])
-    def test_bad_probabilities_are_a_contract_error(self, name, case):
+    @pytest.mark.parametrize("kept", [False, True])
+    def test_bad_probabilities_are_a_contract_error(self, name, case, kept):
         env = WindyGrid()
+        if kept:
+            # the behavior policy's row is kept at this table size: it must not be served
+            _read_support(name, env, behavior_policy_for(env))
         a0, a1 = env.action_atoms()[:2]
         off = np.array([0.3, 0.3])
         support = {
