@@ -9,10 +9,10 @@ distributional TD construction, optionally weighted by a per-transition
 confidence weight that grows with return uncertainty.
 
 ``ReturnField`` is a ``diffcore.Net``: it adds only its (z, t, s, a) input
-layout and the field's methods. Every (z, t, s, a) row in the package,
-including the noise-major rows that every ensemble Q pass shares
-(:func:`ensemble_q`, :func:`ensemble_q_and_action_grad`), is built by its
-``_inputs``.
+layout and the field's methods. Every (z, t, s, a) row in the package is laid
+out by it: by ``_inputs``, or, for the noise-major rows that every ensemble Q
+pass shares (:func:`ensemble_q`, :func:`ensemble_q_and_action_grad`), by
+``_q_inputs``, which writes the same rows into one array.
 """
 
 from __future__ import annotations
@@ -65,6 +65,28 @@ class ReturnField(Net):
     def _inputs(self, z, t, s, a) -> np.ndarray:
         return np.concatenate(self._rows((np.reshape(z, (-1, 1)), 1), (np.reshape(t, (-1, 1)), 1),
                                          (s, self.state_dim), (a, self.action_dim)), axis=1)
+
+    def _q_inputs(self, noises: np.ndarray, s, a: np.ndarray) -> np.ndarray:
+        """The t = 0 rows of every (noise, action row) pair, noise-major, in one array.
+
+        Row j * n + i holds noise j, action row i and state row i, or the one
+        state row: the rows ``_inputs`` builds from the noises repeated n
+        times and ``s`` and ``a`` tiled m times, without those copies. ``a``
+        is (n, action_dim); ``s`` of another row count or width, or ``a`` of
+        another width, raises ContractError.
+        """
+        s = np.atleast_2d(np.asarray(s, dtype=np.float64))
+        n, sd = a.shape[0], self.state_dim
+        if (s.ndim != 2 or s.shape[0] not in (1, n) or s.shape[1] != sd or a.ndim != 2
+                or a.shape[1] != self.action_dim):
+            raise ContractError(f"Q rows need (1 or n, {sd}) states and (n, {self.action_dim}) "
+                                f"actions, got shapes {s.shape} and {a.shape}")
+        x = np.empty((noises.size, n, self.spec.in_dim))
+        x[:, :, 0] = noises[:, None]
+        x[:, :, 1] = 0.0
+        x[:, :, 2:2 + sd] = s
+        x[:, :, 2 + sd:] = a
+        return x.reshape(-1, self.spec.in_dim)
 
     def velocity(self, z, t, s, a) -> np.ndarray:
         return mlp_value(self.params, self._inputs(z, t, s, a), self.spec)[:, 0]
@@ -279,12 +301,7 @@ def _q_rows(fields: list[ReturnField], s, actions: np.ndarray,
         raise ContractError(f"need a 1-d set of at least one Q noise, all finite; got shape "
                             f"{noises.shape} with {np.count_nonzero(~np.isfinite(noises))} "
                             f"non-finite")
-    m = noises.size
-    s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-    n = actions.shape[0]
-    x = fields[0]._inputs(np.repeat(noises, n), 0.0, s if s.shape[0] == 1 else np.tile(s, (m, 1)),
-                          np.tile(actions, (m, 1)))
-    return x, m
+    return fields[0]._q_inputs(noises, s, actions), noises.size
 
 
 def _noise_mean(out: np.ndarray, m: int) -> np.ndarray:
@@ -301,7 +318,10 @@ def ensemble_q(fields: list[ReturnField], s, actions: np.ndarray, noises) -> np.
     """
     actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
     x, m = _q_rows(fields, s, actions, noises)
-    return np.stack([_noise_mean(mlp_value(f.params, x, f.spec), m) for f in fields]).min(axis=0)
+    q = _noise_mean(mlp_value(fields[0].params, x, fields[0].spec), m)
+    for f in fields[1:]:
+        np.minimum(q, _noise_mean(mlp_value(f.params, x, f.spec), m), out=q)
+    return q
 
 
 def ensemble_q_and_action_grad(fields: list[ReturnField], s: np.ndarray, actions: np.ndarray,

@@ -33,6 +33,15 @@ under a spec checks every name and shape against it and keeps the per-layer
 arrays the walks read (``ParamSet.layers``). Since a set is never written,
 they cannot go stale, and they go when the set goes.
 
+The GELU's factor 1/2 lives in those arrays too: a hidden layer's walk
+returns h (1 + tanh(...)), twice its GELU, and every later layer multiplies
+by half its weights. Scaling by a power of two commutes with rounding, so
+each product and sum is the same number as with the 1/2 taken in the
+activation, and every pass saves one multiply per hidden layer. The same
+doubling reaches the slope (its polynomial factor's constants are doubled),
+the tangent and the kept layer inputs, and ``_vjp`` halves the weight
+gradients of every layer after the first.
+
 ``_walk`` is the only forward pass. It returns the output and, on request,
 the input JVP J @ tangent and a per-layer cache, over which ``_vjp`` runs the
 closed-form reverse pass (linear, LayerNorm and GELU). ``mlp_forward``
@@ -62,8 +71,8 @@ from flowrl.errors import ConfigError, ContractError
 _LN_EPS = 1e-6
 _GELU_K = np.sqrt(2.0 / np.pi)         # tanh-form GELU: tanh(k (h + a h^3)), a = 0.044715
 _GELU_AK = 0.044715 * _GELU_K
-_GELU_Q0 = 0.5 * _GELU_K               # its slope's q = k/2 h (1 + 3a h^2) = h (Q0 + Q2 h^2)
-_GELU_Q2 = 1.5 * 0.044715 * _GELU_K
+_GELU_Q0 = _GELU_K                     # twice its slope's q = k/2 h (1 + 3a h^2) = h (Q0 + Q2 h^2)
+_GELU_Q2 = 3.0 * 0.044715 * _GELU_K
 
 
 @dataclass(frozen=True)
@@ -148,7 +157,11 @@ class ParamSet(Mapping):
 
         Hidden layer i gives (wc, bc, scale, offset): ``_centred`` of its
         weights and bias, then its LayerNorm's scale and offset; the output
-        layer gives (w, b, None, None); all of them are read-only. The first
+        layer gives (w, b, None, None); all of them are read-only. Every
+        layer after the first carries its weights halved: the GELU's 1/2,
+        which the layer before leaves out (see the module docstring). That
+        is exact, as halving a float is, so the plan's products are those
+        of the unhalved weights with the halved GELU, bit for bit. The first
         call checks every name and shape against ``spec`` (ConfigError on a
         mismatch) and keeps the result on the set, so later walks neither
         check nor centre again.
@@ -169,12 +182,14 @@ class ParamSet(Mapping):
         plan = []
         for i in range(last + 1):
             w, b = views[f"w{i}"], views[f"b{i}"]
-            if i < last:
+            hidden = i < last
+            if hidden:
                 w, b = _centred(w, b)
-                w.flags.writeable = b.flags.writeable = False
-                plan.append((w, b, views[f"ln{i}_scale"], views[f"ln{i}_offset"]))
-            else:
-                plan.append((w, b, None, None))
+            if i > 0:
+                w = w * 0.5
+            w.flags.writeable = b.flags.writeable = False
+            plan.append((w, b, views[f"ln{i}_scale"], views[f"ln{i}_offset"]) if hidden
+                        else (w, b, None, None))
         plan = tuple(plan)
         self._plan = (spec, plan)
         return plan
@@ -299,7 +314,9 @@ def _walk(params: Mapping[str, np.ndarray], x, spec: MlpSpec, tangent=None, keep
     allocated: the output, its JVP and, with ``keep``, the per-layer cache
     ``_vjp`` reads (layer input, xhat, inverse std, GELU slope, the weights
     the layer multiplied by), which a live tape holds until its backward
-    runs.
+    runs. Carrying the GELU's 1/2 on the next layer's weights, the kept
+    slopes, and the kept inputs of every layer after the first, are twice
+    the true ones.
     """
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != spec.in_dim:
@@ -322,7 +339,10 @@ def _walk(params: Mapping[str, np.ndarray], x, spec: MlpSpec, tangent=None, keep
         xhat = inv_std = slope = None
         if hidden:
             tmp = ws.take(_TMP, rows, width)
-            inv_std = 1.0 / np.sqrt(_row_mean_dot(h, h) + _LN_EPS)
+            inv_std = _row_mean_dot(h, h)       # 1 / sqrt(mean(c^2) + eps), in place
+            inv_std += _LN_EPS
+            np.sqrt(inv_std, out=inv_std)
+            np.divide(1.0, inv_std, out=inv_std)
             h *= inv_std
             if dh is not None:
                 np.multiply(h, _row_mean_dot(h, dh), out=tmp)
@@ -335,10 +355,12 @@ def _walk(params: Mapping[str, np.ndarray], x, spec: MlpSpec, tangent=None, keep
             else:
                 h *= scale
             h += offset
-            # GELU, tanh form: c = (1 + tanh(k (h + a h^3))) / 2 and gelu(h) = h c
+            # GELU, tanh form: c = (1 + tanh(k (h + a h^3))) / 2 and gelu(h) = h c; the walk
+            # goes on with 2 gelu(h), its slope and tangent doubled too, and the next layer's
+            # plan weights are halved (ParamSet.layers)
             need_slope = dh is not None or keep
             np.multiply(h, h, out=tmp)
-            if need_slope:          # q = k/2 h (1 + 3a h^2), in the dead layer input's slot
+            if need_slope:          # 2q = k h (1 + 3a h^2), in the dead layer input's slot
                 q = np.multiply(tmp, _GELU_Q2, out=ws.take(_H + (i + 1) % 2, rows, width))
                 q += _GELU_Q0
                 q *= h
@@ -346,12 +368,11 @@ def _walk(params: Mapping[str, np.ndarray], x, spec: MlpSpec, tangent=None, keep
             tmp += _GELU_K
             tmp *= h
             np.tanh(tmp, out=tmp)
-            if need_slope:          # GELU'(h) = c + q (1 - tanh^2)
+            if need_slope:          # 2 GELU'(h) = 2c + 2q (1 - tanh^2)
                 slope = np.multiply(tmp, tmp, out=None if keep else ws.take(_SLOPE, rows, width))
                 np.subtract(1.0, slope, out=slope)
                 slope *= q
-            tmp += 1.0
-            tmp *= 0.5              # c
+            tmp += 1.0              # 2c
             if need_slope:
                 slope += tmp
                 if dh is not None:
@@ -370,10 +391,13 @@ def _vjp(params: ParamSet, cache: list, out_grad: np.ndarray, param_grads: bool,
     (g - xhat * mean(g * xhat)) / std, with no mean(g) term: the centring
     sits in the weights, so its adjoint is ``_centred`` applied to the small
     gradients of w and b, and the input gradient multiplies by the centred
-    weights the walk kept. Each part is skipped, and returned None, when not
-    asked for. The back-propagated ``g`` of every hidden layer and its
-    temporary live in the workspace; the grads are a new set of ``params``'
-    names.
+    weights the walk kept. Those weights are halved after the first layer,
+    where the kept slope is doubled, so g reaches each hidden layer's
+    normalization at its true value; the kept inputs of those layers are
+    doubled, so their weight gradients are halved, which is exact. Each part
+    is skipped, and returned None, when not asked for. The back-propagated
+    ``g`` of every hidden layer and its temporary live in the workspace; the
+    grads are a new set of ``params``' names.
     """
     ws = _workspace
     grads = {}
@@ -395,6 +419,8 @@ def _vjp(params: ParamSet, cache: list, out_grad: np.ndarray, param_grads: bool,
             g *= inv_std
         if param_grads:
             gw, gb = layer_in.T @ g, g.sum(axis=0)
+            if i > 0:
+                gw *= 0.5           # layer_in is twice the GELU the layer before returns
             if hidden:
                 gw, gb = _centred(gw, gb)
             grads[f"w{i}"], grads[f"b{i}"] = gw, gb

@@ -34,7 +34,11 @@ class FlowField(Protocol):
     """Velocity rule: (points x, flow time t) -> velocity of the same shape.
 
     ``t`` may be a python float (shared by all rows) or a per-row array.
-    Conditioning context, if any, is baked into the instance.
+    Conditioning context, if any, is baked into the instance. The integrators
+    never write into the x they pass or the velocity a field returns: each
+    Euler step makes a new x, so a field may return its input itself or an
+    array it keeps, and :func:`euler_trajectory` keeps every node and
+    velocity as it was.
     """
 
     def velocity(self, x: np.ndarray, t) -> np.ndarray: ...
@@ -53,11 +57,11 @@ class ConditionedField:
     ``net`` lays out its input rows as [x, t, context...] through
     ``net._inputs(x, t, *context)``, and its output is as wide as x: one
     velocity row per input row, flat when x is a flat vector of scalars. The
-    first call builds the rows, checked by ``_inputs``. A later call with x
-    of the same shape and a scalar t writes only the x and t columns into
-    them, so a solve builds its rows, and the unit tangent of
-    ``velocity_and_derivative``, once. Any other call builds them again.
-    The rows live on the view and go with it.
+    first call builds the rows, checked by ``_inputs``. A later call with an
+    array x of the same shape and a scalar t writes only the x and t columns
+    into them, through views kept with the rows, so a solve builds its rows,
+    and the unit tangent of ``velocity_and_derivative``, once. Any other
+    call builds them again. The rows live on the view and go with it.
     """
 
     def __init__(self, net, *context):
@@ -65,19 +69,24 @@ class ConditionedField:
         self.context = context
         self._shape = None
         self._rows = None
+        self._columns = None
         self._tangent = None
 
     def _inputs(self, x, t) -> np.ndarray:
+        if isinstance(t, float) and isinstance(x, np.ndarray) and x.shape == self._shape:
+            x_cols, t_col = self._columns
+            x_cols[...] = x
+            t_col[...] = t
+            return self._rows
         x = np.asarray(x, dtype=np.float64)
-        rows = self._rows
-        if x.shape == self._shape and isinstance(t, float):
-            width = self.net.spec.out_dim
-            rows[:, :width] = x.reshape(-1, width)
-            rows[:, width] = t
-        else:
-            rows = self._rows = self.net._inputs(x, t, *self.context)
-            self._shape = x.shape
-            self._tangent = None
+        rows = self._rows = self.net._inputs(x, t, *self.context)
+        width = self.net.spec.out_dim
+        x_cols = rows[:, :width]
+        if x_cols.size == x.size:   # else x is one row, broadcast over the rows
+            x_cols = x_cols.reshape(x.shape)
+        self._shape = x.shape
+        self._columns = x_cols, rows[:, width]
+        self._tangent = None
         return rows
 
     def velocity(self, x, t) -> np.ndarray:
@@ -106,7 +115,7 @@ class IntegrationConfig:
 
 
 def _check_finite(v: np.ndarray, k: int) -> None:
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise IntegrationError(f"non-finite field value at Euler step {k}", step_index=k)
 
 

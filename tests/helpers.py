@@ -90,10 +90,13 @@ def _row_mean_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def fresh_walk(params: ParamSet, x: np.ndarray, spec: MlpSpec, tangent=None, keep=False):
     """The layer walk with a fresh array for every temporary: (output, JVP, cache).
 
-    The same operations in the same order as ``flowrl.diffcore.nn._walk``,
-    whose outputs, JVPs and cache must equal these bit for bit; only where
-    each intermediate is stored differs. A hidden layer multiplies by
-    centred weights and RMS-normalizes; ``ref_mlp`` is the plain LayerNorm.
+    A hidden layer multiplies by centred weights and RMS-normalizes
+    (``ref_mlp`` is the plain LayerNorm), and its GELU takes its factor 1/2
+    in the activation. ``flowrl.diffcore.nn._walk`` works in place and
+    carries that 1/2 on the next layer's weights instead, so its cache
+    differs from this one by exact factors of two; its outputs and JVPs, and
+    the gradients of ``_vjp`` over its cache, must equal these and those of
+    ``fresh_vjp`` bit for bit.
     """
     h = np.asarray(x, dtype=np.float64)
     dh = None if tangent is None else np.asarray(tangent, dtype=np.float64)
@@ -162,6 +165,28 @@ def fresh_vjp(params: ParamSet, cache: list, out_grad: np.ndarray) -> tuple[dict
         grads[f"w{i}"], grads[f"b{i}"] = gw, gb
         g = g @ w.T
     return grads, g
+
+
+def c51_scatter(values: np.ndarray, masses: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """The C51 projection scattered by two ``np.add.at`` calls, lower shares then upper.
+
+    Referee of ``flowrl.baselines.c51_project``'s single ``np.bincount``, which
+    must add each atom's shares in this order and so equal it bit for bit.
+    """
+    support = np.asarray(support, dtype=np.float64)
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    masses = np.atleast_2d(np.asarray(masses, dtype=np.float64))
+    n = support.size
+    b = (np.clip(values, support[0], support[-1]) - support[0]) / ((support[-1] - support[0])
+                                                                    / (n - 1))
+    lower = np.floor(b).astype(int)
+    upper = np.minimum(lower + 1, n - 1)
+    frac = b - lower
+    out = np.zeros((values.shape[0], n))
+    rows = np.broadcast_to(np.arange(values.shape[0])[:, None], lower.shape)
+    np.add.at(out, (rows, lower), masses * (1.0 - frac))
+    np.add.at(out, (rows, upper), masses * frac)
+    return out
 
 
 def finite_diff_param_grads(loss_fn, params, step: float = 1e-4) -> ParamSet:

@@ -15,7 +15,7 @@ from flowrl.baselines import (
 from flowrl.critic import CriticBatch, CriticConfig, ReturnField
 from flowrl.errors import ConfigError, ContractError
 
-from helpers import loss_grad_match, random_params_like
+from helpers import c51_scatter, loss_grad_match, random_params_like
 
 DS, DA = 2, 1
 Z_LO, Z_HI = -2.0, 2.0
@@ -47,6 +47,29 @@ class TestC51Project:
         # inside the support the linear split preserves the mean exactly
         clipped = np.clip(values, support[0], support[-1])
         np.testing.assert_allclose(mean, (masses * clipped).sum(axis=1), rtol=0, atol=1e-12)
+
+    def test_one_bincount_equals_two_add_at_scatters_bit_for_bit(self):
+        # values on atoms, outside the support and inside cells, shares summing on one atom
+        rng = np.random.default_rng(41)
+        for case in range(300):
+            n_atoms = int(rng.integers(2, 52))
+            support = rng.uniform(-3.0, 3.0) + np.linspace(0.0, rng.uniform(0.5, 20.0), n_atoms)
+            rows, n_values = int(rng.integers(1, 40)), int(rng.integers(1, 60))
+            values = rng.uniform(support[0] - 2.0, support[-1] + 2.0, size=(rows, n_values))
+            on_atom = rng.random(values.shape) < 0.3
+            values[on_atom] = rng.choice(support, size=int(on_atom.sum()))
+            masses = rng.dirichlet(np.ones(n_values), size=rows)
+            if case % 3 == 0:       # C51's own target shape: r + gamma z on one grid per row
+                values = rng.uniform(-1, 1, size=(rows, 1)) + 0.9 * support[None, :]
+                masses = rng.dirichlet(np.ones(n_atoms), size=rows)
+            got = c51_project(values, masses, support)
+            assert got.tobytes() == c51_scatter(values, masses, support).tobytes(), case
+
+    @pytest.mark.parametrize("shape", [(3, 3, 4), (2, 3, 4)])
+    def test_values_of_more_than_two_dimensions_are_a_contract_error(self, shape):
+        # a (rows, k, M) array once spread its rows over its middle axis without an error
+        with pytest.raises(ContractError, match="values must be"):
+            c51_project(np.zeros(shape), np.full(shape, 0.25), np.linspace(-1.0, 1.0, 5))
 
 
 class TestLossGradients:

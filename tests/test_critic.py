@@ -580,6 +580,26 @@ class TestEnsemble:
         rng = np.random.default_rng(seed)
         return rng.normal(size=(n, DS)), rng.uniform(-1, 1, size=(n, DA))
 
+    @pytest.mark.parametrize("state_rows", [1, 5])
+    def test_noise_major_rows_are_the_rows_inputs_builds(self, state_rows):
+        field = random_field(30)
+        s, a = self.batch(5, 2)
+        s = s[:state_rows]
+        noises = np.array([0.4, -0.4, 1.1])
+        s_rows = s if state_rows == 1 else np.tile(s, (3, 1))
+        want = field._inputs(np.repeat(noises, 5), 0.0, s_rows, np.tile(a, (3, 1)))
+        assert field._q_inputs(noises, s, a).tobytes() == want.tobytes()
+        assert field._q_inputs(noises, s[0], a).tobytes() == field._q_inputs(
+            noises, np.tile(s[0], (5, 1)), a).tobytes()
+
+    @pytest.mark.parametrize("s_shape,a_shape", [((3, DS), (5, DA)), ((5, DS + 1), (5, DA)),
+                                                 ((1, DS), (5, DA + 1)), ((2, 5, DS), (5, DA))])
+    @pytest.mark.parametrize("q_pass", [ensemble_q, ensemble_q_and_action_grad])
+    def test_states_or_actions_of_the_wrong_shape_are_a_contract_error(self, q_pass, s_shape,
+                                                                       a_shape):
+        with pytest.raises(ContractError, match="Q rows need"):
+            q_pass([random_field(31)], np.zeros(s_shape), np.zeros(a_shape), np.array([0.5]))
+
     def test_q_matches_critic_ensemble_q_and_dq_da_central_differences(self):
         fields = [random_field(20), random_field(21), random_field(26)]
         s, a = self.batch(4, 0)

@@ -135,7 +135,9 @@ def gelu_and_slope(h: np.ndarray, width: int = 128) -> tuple[np.ndarray, np.ndar
 
     A one-hidden-layer net whose LayerNorm scale is 0 and offset holds the
     points feeds exactly them to the activation; an identity output layer
-    returns their GELU, and the kept cache holds the slope.
+    returns their GELU, and the kept cache holds twice the slope (the walk
+    carries the GELU's 1/2 on the next layer's weights), which is halved
+    here, exactly.
     """
     values, slopes = [], []
     for start in range(0, h.size, width):
@@ -146,7 +148,7 @@ def gelu_and_slope(h: np.ndarray, width: int = 128) -> tuple[np.ndarray, np.ndar
                   "ln0_offset": offset, "w1": np.eye(n), "b1": np.zeros(n)}
         out, _, cache = nn._walk(params, np.zeros((1, 1)), spec, keep=True)
         values.append(out[0])
-        slopes.append(cache[0][3][0])
+        slopes.append(cache[0][3][0] * 0.5)
     return np.concatenate(values), np.concatenate(slopes)
 
 
@@ -253,6 +255,11 @@ class TestWorkspace:
     def test_every_pass_matches_fresh_arithmetic_bit_for_bit(self):
         rng = np.random.default_rng(22)
         nets = self.nets()
+        # the same nets with every GELU input 30 times larger, most in the tails where tanh
+        # rounds to +-1: a LayerNorm's scale and offset set the GELU's inputs, while scaling
+        # the network's input would move none of them, as the normalization takes it out
+        nets += [(spec, nn.ParamSet({k: v * 30.0 if k.startswith("ln") else v
+                                     for k, v in params.items()})) for spec, params in nets]
         # ascending then descending row counts, the specs interleaved at each
         for rows in self.ROWS + self.ROWS[::-1]:
             for spec, params in nets:

@@ -194,6 +194,16 @@ class _RowCountingField(ReturnField):
         return super()._inputs(z, t, s, a)
 
 
+class _RowCountingPolicy(BcFlowPolicy):
+    """BcFlowPolicy that counts how often its (a, t, s) rows are built."""
+
+    builds = 0
+
+    def _inputs(self, a_t, t, s):
+        self.builds += 1
+        return super()._inputs(a_t, t, s)
+
+
 class TestConditionedField:
     """A view builds its rows once per solve and gives the net's own values bit for bit."""
 
@@ -236,6 +246,36 @@ class TestConditionedField:
         assert np.array_equal(got, mlp_value(field.params, rows, field.spec)[:, 0])
         euler_integrate(view, rng.normal(size=5), IntegrationConfig(10))
         assert field.builds == 3
+
+    @staticmethod
+    def policy() -> _RowCountingPolicy:
+        base = BcFlowPolicy.create(2, 2, np.random.default_rng(8), hidden=(8, 8))
+        return _RowCountingPolicy(2, 2, base.params, base.spec)
+
+    def test_action_rows_are_written_in_place_and_give_the_net_values(self):
+        policy = self.policy()
+        rng = np.random.default_rng(9)
+        s = rng.normal(size=(6, 2))
+        view = policy.velocity_given(s)
+        x = rng.normal(size=(6, 2))
+        for k in range(4):
+            got = view.velocity(x.tolist() if k == 2 else x, k / 4)   # a list x is taken too
+            rows = BcFlowPolicy._inputs(policy, x, k / 4, s)
+            assert np.array_equal(got, mlp_value(policy.params, rows, policy.spec))
+            x = x + got * 0.25
+        assert policy.builds == 2   # the first call and the list
+
+    def test_one_action_row_over_many_states_is_written_over_every_row(self):
+        policy = self.policy()
+        rng = np.random.default_rng(10)
+        s = rng.normal(size=(5, 2))
+        view = policy.velocity_given(s)
+        for k in range(3):
+            x = rng.normal(size=(1, 2))
+            rows = BcFlowPolicy._inputs(policy, x, 0.5, s)
+            assert np.array_equal(view.velocity(x, 0.5), mlp_value(policy.params, rows,
+                                                                   policy.spec))
+        assert policy.builds == 1
 
     def test_a_bad_flow_variable_is_rejected_after_the_rows_are_built(self):
         view = BcFlowPolicy.create(2, 2, np.random.default_rng(7), hidden=(8,)).velocity_given(

@@ -180,13 +180,15 @@ class TestRejectionSampling:
         q = np.minimum(*(f.velocity(z, 0.0, s_rows, a_rows).reshape(n, -1).mean(axis=1)
                          for f in fields))
         calls = []
-        build = ReturnField._inputs
 
-        def counting_inputs(self, *args):
-            calls.append(args)
-            return build(self, *args)
+        def counting(build):
+            def counted(self, *args):
+                calls.append(args)
+                return build(self, *args)
+            return counted
 
-        monkeypatch.setattr(ReturnField, "_inputs", counting_inputs)
+        for name in ("_inputs", "_q_inputs"):     # either builder counts as a build
+            monkeypatch.setattr(ReturnField, name, counting(getattr(ReturnField, name)))
         chosen = rejection_sample_action(fields, policy, STATE, n, noises,
                                          np.random.default_rng(8))
         np.testing.assert_array_equal(chosen, candidates[int(np.argmax(q))])
