@@ -44,7 +44,7 @@ class CategoricalCritic(Net):
         return cls(state_dim, action_dim, init_mlp(spec, rng), spec, support)
 
     def _inputs(self, s, a) -> np.ndarray:
-        return np.concatenate(self._rows((s, self.state_dim), (a, self.action_dim)), axis=1)
+        return self._rows((s, self.state_dim), (a, self.action_dim))
 
     def probs(self, s, a) -> np.ndarray:
         logits = mlp_value(self.params, self._inputs(s, a), self.spec)
@@ -85,11 +85,6 @@ def c51_project(values: np.ndarray, masses: np.ndarray, support: np.ndarray) -> 
     return np.bincount(index, shares, minlength=rows * n).reshape(rows, n)
 
 
-def _check_gamma(gamma: float) -> None:
-    if not 0.0 <= gamma < 1.0:
-        raise ConfigError(f"gamma must be in [0, 1), got {gamma}")
-
-
 def c51_project_and_loss(online: CategoricalCritic, target: CategoricalCritic,
                          next_action_sampler, batch, rng: np.random.Generator,
                          gamma: float) -> tuple[Loss, MlpTape]:
@@ -99,15 +94,13 @@ def c51_project_and_loss(online: CategoricalCritic, target: CategoricalCritic,
     With p the projected target and G = -p / n, the logits' gradient is
     G - softmax * rowsum(G), the log-softmax reverse pass.
     """
-    _check_gamma(gamma)
+    discounts = batch.discounts(gamma)
     if not np.array_equal(online.support, target.support):
         raise ConfigError("online and target critics must share one support")
     n = len(batch)
-    a_next = np.atleast_2d(np.asarray(next_action_sampler(batch.s_next, rng),
-                                      dtype=np.float64))
+    a_next = batch.next_actions(next_action_sampler, rng)
     next_probs = target.probs(batch.s_next, a_next)
-    gamma_eff = gamma * (~batch.terminal)
-    shifted = batch.r[:, None] + gamma_eff[:, None] * online.support[None, :]
+    shifted = batch.r[:, None] + discounts[:, None] * online.support[None, :]
     projected = c51_project(shifted, next_probs, online.support)
     tape = mlp_forward(online.params, online._inputs(batch.s, batch.a), online.spec)
     logits = tape.output - tape.output.max(axis=1, keepdims=True)
@@ -125,11 +118,10 @@ class QuantileCritic(Net):
         return state_dim + action_dim + 1, 1
 
     def _inputs(self, s, a, u) -> np.ndarray:
-        """Rows = batch x fractions, for u of shape (batch, k); one row of s, a or u broadcasts."""
-        k = np.shape(u)[-1]
-        s, a, u = self._rows((s, self.state_dim), (a, self.action_dim), (u, k))
-        return np.concatenate([np.repeat(s, k, axis=0), np.repeat(a, k, axis=0),
-                               u.reshape(-1, 1)], axis=1)
+        """Row i * k + j is (s_i, a_i, u[i, j]), u (batch, k); one row of s, a or u broadcasts."""
+        return self._rows((np.atleast_2d(s)[:, None], self.state_dim),
+                          (np.atleast_2d(a)[:, None], self.action_dim),
+                          (np.atleast_2d(u)[:, :, None], 1))
 
     def quantiles(self, s, a, u) -> np.ndarray:
         """(batch, k) quantile values at the fractions u of shape (batch, k)."""
@@ -150,18 +142,16 @@ def quantile_huber_loss(online: QuantileCritic, target: QuantileCritic,
     TD residual as constant, so each online quantile's gradient is minus the
     weighted Huber slope summed over the target samples, over the pair count.
     """
-    _check_gamma(gamma)
+    discounts = batch.discounts(gamma)
     if not kappa > 0.0:
         raise ContractError(f"kappa must be positive, got {kappa}")
     n_quantiles = check_int("n_quantiles", n_quantiles)
     n = len(batch)
-    a_next = np.atleast_2d(np.asarray(next_action_sampler(batch.s_next, rng),
-                                      dtype=np.float64))
+    a_next = batch.next_actions(next_action_sampler, rng)
     u_online = rng.random((n, n_quantiles))
     u_target = rng.random((n, n_quantiles))
     z_next = target.quantiles(batch.s_next, a_next, u_target)
-    gamma_eff = gamma * (~batch.terminal)
-    y = batch.r[:, None] + gamma_eff[:, None] * z_next  # (n, k) target samples
+    y = batch.r[:, None] + discounts[:, None] * z_next  # (n, k) target samples
 
     tape = mlp_forward(online.params, online._inputs(batch.s, batch.a, u_online), online.spec)
     delta = y[:, None, :] - tape.output.reshape(n, n_quantiles, 1)  # (n, k_online, k_target)
@@ -189,9 +179,9 @@ def critic_histogram(critic, s, a, n_samples: int, n_bins: int,
     if not isinstance(critic, (ReturnField, CategoricalCritic, QuantileCritic)):
         raise ContractError(f"unsupported critic type: {type(critic).__name__}")
     n_samples = check_int("n_samples", n_samples)
-    s, a = critic._rows((s, critic.state_dim), (a, critic.action_dim))
-    if s.shape[0] != 1:
-        raise ContractError(f"critic_histogram takes one (s, a) pair, got {s.shape[0]} rows")
+    rows = critic._rows((s, critic.state_dim), (a, critic.action_dim)).shape[0]
+    if rows != 1:
+        raise ContractError(f"critic_histogram takes one (s, a) pair, got {rows} rows")
     edges = histogram_edges(support, n_bins)
     if isinstance(critic, ReturnField):
         if critic_cfg is None:

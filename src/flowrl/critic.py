@@ -9,10 +9,10 @@ distributional TD construction, optionally weighted by a per-transition
 confidence weight that grows with return uncertainty.
 
 ``ReturnField`` is a ``diffcore.Net``: it adds only its (z, t, s, a) input
-layout and the field's methods. Every (z, t, s, a) row in the package is laid
-out by it: by ``_inputs``, or, for the noise-major rows that every ensemble Q
-pass shares (:func:`ensemble_q`, :func:`ensemble_q_and_action_grad`), by
-``_q_inputs``, which writes the same rows into one array.
+layout and the field's methods. ``Net._rows`` writes every (z, t, s, a) row
+in that column order: for ``_inputs``, for the term-major DCFM and BCFM rows
+of :func:`value_flow_loss` and for the noise-major rows of :func:`_q_rows`,
+which every ensemble Q pass shares.
 """
 
 from __future__ import annotations
@@ -25,6 +25,11 @@ from flowrl.diffcore import Loss, MlpTape, Net, input_vjp, mlp_forward, mlp_valu
 from flowrl.errors import ConfigError, ContractError, check_int
 from flowrl.flowkit import ConditionedField, IntegrationConfig, euler_integrate, \
     euler_integrate_with_derivative, euler_trajectory, sample_times
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 <= gamma < 1.0:
+        raise ConfigError(f"gamma must be in [0, 1), got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +46,7 @@ class CriticConfig:
     clip_returns: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
+        _check_gamma(self.gamma)
         if not (self.lam >= 0.0 and self.tau > 0.0):
             raise ConfigError(f"need lam >= 0 and tau > 0, got {self}")
         if not self.z_lo <= self.z_hi:
@@ -63,30 +67,8 @@ class ReturnField(Net):
         return 2 + state_dim + action_dim, 1
 
     def _inputs(self, z, t, s, a) -> np.ndarray:
-        return np.concatenate(self._rows((np.reshape(z, (-1, 1)), 1), (np.reshape(t, (-1, 1)), 1),
-                                         (s, self.state_dim), (a, self.action_dim)), axis=1)
-
-    def _q_inputs(self, noises: np.ndarray, s, a: np.ndarray) -> np.ndarray:
-        """The t = 0 rows of every (noise, action row) pair, noise-major, in one array.
-
-        Row j * n + i holds noise j, action row i and state row i, or the one
-        state row: the rows ``_inputs`` builds from the noises repeated n
-        times and ``s`` and ``a`` tiled m times, without those copies. ``a``
-        is (n, action_dim); ``s`` of another row count or width, or ``a`` of
-        another width, raises ContractError.
-        """
-        s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        n, sd = a.shape[0], self.state_dim
-        if (s.ndim != 2 or s.shape[0] not in (1, n) or s.shape[1] != sd or a.ndim != 2
-                or a.shape[1] != self.action_dim):
-            raise ContractError(f"Q rows need (1 or n, {sd}) states and (n, {self.action_dim}) "
-                                f"actions, got shapes {s.shape} and {a.shape}")
-        x = np.empty((noises.size, n, self.spec.in_dim))
-        x[:, :, 0] = noises[:, None]
-        x[:, :, 1] = 0.0
-        x[:, :, 2:2 + sd] = s
-        x[:, :, 2 + sd:] = a
-        return x.reshape(-1, self.spec.in_dim)
+        return self._rows((np.reshape(z, (-1, 1)), 1), (np.reshape(t, (-1, 1)), 1),
+                          (s, self.state_dim), (a, self.action_dim))
 
     def velocity(self, z, t, s, a) -> np.ndarray:
         return mlp_value(self.params, self._inputs(z, t, s, a), self.spec)[:, 0]
@@ -174,6 +156,15 @@ class CriticBatch:
     def __len__(self):
         return self.r.size
 
+    def next_actions(self, sampler, rng: np.random.Generator) -> np.ndarray:
+        """The actions ``sampler`` draws at ``s_next`` from ``rng``, as a 2-d float array."""
+        return np.atleast_2d(np.asarray(sampler(self.s_next, rng), dtype=np.float64))
+
+    def discounts(self, gamma: float) -> np.ndarray:
+        """gamma on nonterminal rows, 0 on terminal ones; ConfigError unless 0 <= gamma < 1."""
+        _check_gamma(gamma)
+        return gamma * (~self.terminal)
+
 
 @dataclass
 class _LossDraws:
@@ -191,7 +182,7 @@ class _LossDraws:
 def _draw_loss_quantities(target: ReturnField, sampler, batch: CriticBatch,
                           cfg: CriticConfig, rng: np.random.Generator) -> _LossDraws:
     n = len(batch)
-    a_next = np.atleast_2d(np.asarray(sampler(batch.s_next, rng), dtype=np.float64))
+    a_next = batch.next_actions(sampler, rng)
     eps = rng.standard_normal(n)
     t = sample_times(rng, n)
     # one target trajectory: its end gives z1 and jac1, its nodes give z_t
@@ -227,16 +218,15 @@ def _bcfm_rows(batch: CriticBatch, d: _LossDraws, cfg: CriticConfig):
     The same eps that produced z1 interpolates z^t_td and forms the target
     velocity z1_td - eps. Terminal rows mask gamma to 0.
     """
-    gamma_eff = cfg.gamma * (~batch.terminal)
-    z1_td = batch.r + gamma_eff * d.z1
+    z1_td = batch.r + batch.discounts(cfg.gamma) * d.z1
     z_in = d.t * z1_td + (1.0 - d.t) * d.eps
     target = z1_td - d.eps
     return z_in, target
 
 
-def _weighted_regression(online: ReturnField, z_in, t, s, a, target, coeffs) -> Loss:
-    """sum(coeffs * (v - target)^2); its output gradient is 2 * coeffs * residual."""
-    tape = online.forward_tape(online._inputs(z_in, t, s, a))
+def _weighted_regression(online: ReturnField, x, target, coeffs) -> Loss:
+    """sum(coeffs * (v - target)^2) over rows x; its output gradient is 2 * coeffs * residual."""
+    tape = online.forward_tape(x)
     c = coeffs[:, None]
     residual = tape.output - target[:, None]
     return Loss((residual**2 * c).sum(), tape, 2.0 * c * residual)
@@ -260,14 +250,12 @@ def value_flow_loss(online: ReturnField, target: ReturnField, next_action_sample
 
     z_dc, tgt_dc = _dcfm_rows(batch, d, cfg)
     z_bc, tgt_bc = _bcfm_rows(batch, d, cfg)
-    z_in = np.concatenate([z_dc, z_bc])
-    t_in = np.concatenate([d.t, d.t])
-    s_in = np.concatenate([batch.s, batch.s])
-    a_in = np.concatenate([batch.a, batch.a])
+    x = online._rows((np.stack([z_dc, z_bc])[:, :, None], 1), (d.t[None, :, None], 1),
+                     (batch.s[None], online.state_dim), (batch.a[None], online.action_dim))
     targets = np.concatenate([tgt_dc, tgt_bc])
     coeffs = np.concatenate([weights / n, cfg.lam * weights / n])
 
-    loss = _weighted_regression(online, z_in, t_in, s_in, a_in, targets, coeffs)
+    loss = _weighted_regression(online, x, targets, coeffs)
 
     res = loss.tape.output[:, 0] - targets
     dcfm_val = float(np.mean(weights * res[:n] ** 2))
@@ -282,7 +270,6 @@ def value_flow_loss(online: ReturnField, target: ReturnField, next_action_sample
         "weight_p90": float(p90),
         "weight_share_above_0.55": float((weights > 0.55).mean()),
         "mean_abs_flow_derivative": float(np.abs(d.jac1).mean()),
-        "q_mean": float(online.velocity(d.eps, 0.0, batch.s, batch.a).mean()),
     }
     return loss, loss.tape, diagnostics
 
@@ -293,6 +280,8 @@ def _q_rows(fields: list[ReturnField], s, actions: np.ndarray,
 
     Rows are noise-major: row j * n + i pairs noise j with action row i and
     with state row i (or the one state row). Every field reads these rows.
+    ``actions`` is (n, action_dim); ``s`` of another row count or width, or
+    ``actions`` of another width, raises ContractError.
     """
     if not fields:
         raise ContractError("need at least one field")
@@ -301,7 +290,16 @@ def _q_rows(fields: list[ReturnField], s, actions: np.ndarray,
         raise ContractError(f"need a 1-d set of at least one Q noise, all finite; got shape "
                             f"{noises.shape} with {np.count_nonzero(~np.isfinite(noises))} "
                             f"non-finite")
-    return fields[0]._q_inputs(noises, s, actions), noises.size
+    field = fields[0]
+    s = np.atleast_2d(np.asarray(s, dtype=np.float64))
+    n, sd, ad = actions.shape[0], field.state_dim, field.action_dim
+    if (s.ndim != 2 or s.shape[0] not in (1, n) or s.shape[1] != sd or actions.ndim != 2
+            or actions.shape[1] != ad):
+        raise ContractError(f"Q rows need (1 or n, {sd}) states and (n, {ad}) "
+                            f"actions, got shapes {s.shape} and {actions.shape}")
+    x = field._rows((noises[:, None, None], 1), (np.zeros((1, 1, 1)), 1), (s[None], sd),
+                    (actions[None], ad))
+    return x, noises.size
 
 
 def _noise_mean(out: np.ndarray, m: int) -> np.ndarray:

@@ -532,8 +532,9 @@ class Net:
 
     A subclass declares its MLP's (input, output) widths for given state and
     action dims in ``widths`` and lays out its input rows in ``_inputs`` with
-    ``_rows``. ``params`` may be reassigned, and a mapping assigned to it is
-    copied into a ``ParamSet``; dims and ``spec`` are fixed.
+    ``_rows``, the package's one builder of input rows. ``params`` may be
+    reassigned, and a mapping assigned to it is copied into a ``ParamSet``;
+    dims and ``spec`` are fixed.
     """
 
     def __init__(self, state_dim: int, action_dim: int, params: Mapping[str, np.ndarray],
@@ -575,18 +576,26 @@ class Net:
         return net
 
     @staticmethod
-    def _rows(*blocks: tuple[object, int]) -> list[np.ndarray]:
-        """Input blocks, given as (array, width) pairs, as float arrays of n rows each.
+    def _rows(*blocks: tuple[object, int]) -> np.ndarray:
+        """Input blocks, given as (array, width) pairs, side by side in one (rows, width) array.
 
-        A block of one row, as (width,) or (1, width), is broadcast to n rows;
-        every other block has the same n rows. Any other row count, or a
-        wrong width, raises ContractError.
+        The blocks share one axis count (a 1-d block is one row) and their
+        last axis is their width. Each leading axis broadcasts: a block's size
+        on it is 1 or the common size, so 2-d blocks have 1 or n rows each.
+        Rows run row-major over the leading axes, (m, n) giving row j * n + i
+        for index (j, i). Any other shape raises ContractError.
         """
-        arrays = [np.atleast_2d(np.asarray(x, dtype=np.float64)) for x, _ in blocks]
-        counts = {x.shape[0] for x in arrays} - {1}
-        if len(counts) > 1 or any(x.ndim != 2 or x.shape[1] != width
-                                  for x, (_, width) in zip(arrays, blocks)):
-            raise ContractError(f"input blocks of widths {[width for _, width in blocks]} need "
-                                f"1 or n rows each, got shapes {[x.shape for x in arrays]}")
-        n = counts.pop() if counts else 1
-        return [x if x.shape[0] == n else np.broadcast_to(x, (n, x.shape[1])) for x in arrays]
+        arrays = [np.asarray(x, dtype=np.float64) for x, _ in blocks]
+        shapes = [x.shape if x.ndim > 1 else (1, 1, *x.shape)[-2:] for x in arrays]
+        widths = [width for _, width in blocks]
+        sizes = [set(axis) - {1} for axis in zip(*shapes)][:-1]
+        if any(len(shape) != len(shapes[0]) or shape[-1] != width
+               for shape, width in zip(shapes, widths)) or any(len(n) > 1 for n in sizes):
+            raise ContractError(f"input blocks of widths {widths} need one axis count and "
+                                f"leading sizes of 1 or n each, got shapes {shapes}")
+        out = np.empty([n.pop() if n else 1 for n in sizes] + [sum(widths)])
+        col = 0
+        for x, width in zip(arrays, widths):
+            out[..., col:col + width] = x
+            col += width
+        return out.reshape(-1, col)

@@ -56,12 +56,14 @@ class ConditionedField:
 
     ``net`` lays out its input rows as [x, t, context...] through
     ``net._inputs(x, t, *context)``, and its output is as wide as x: one
-    velocity row per input row, flat when x is a flat vector of scalars. The
-    first call builds the rows, checked by ``_inputs``. A later call with an
-    array x of the same shape and a scalar t writes only the x and t columns
-    into them, through views kept with the rows, so a solve builds its rows,
-    and the unit tangent of ``velocity_and_derivative``, once. Any other
-    call builds them again. The rows live on the view and go with it.
+    velocity row per input row, flat when x is a flat vector of scalars. A
+    flat x for a net of several output columns raises ContractError, and
+    ``velocity_and_derivative`` takes a flat x only. The first call builds
+    the rows, checked by ``_inputs``. A later call with an array x of the
+    same shape and a scalar t writes only the x and t columns into them,
+    through views kept with the rows, so a solve builds its rows, and the
+    unit tangent of ``velocity_and_derivative``, once. Any other call builds
+    them again. The rows live on the view and go with it.
     """
 
     def __init__(self, net, *context):
@@ -79,8 +81,10 @@ class ConditionedField:
             t_col[...] = t
             return self._rows
         x = np.asarray(x, dtype=np.float64)
-        rows = self._rows = self.net._inputs(x, t, *self.context)
         width = self.net.spec.out_dim
+        if x.ndim < 2 and width != 1:
+            raise ContractError(f"a flat x {x.shape} for a field of {width} velocity columns")
+        rows = self._rows = self.net._inputs(x, t, *self.context)
         x_cols = rows[:, :width]
         if x_cols.size == x.size:   # else x is one row, broadcast over the rows
             x_cols = x_cols.reshape(x.shape)
@@ -95,6 +99,8 @@ class ConditionedField:
 
     def velocity_and_derivative(self, x, t) -> tuple[np.ndarray, np.ndarray]:
         """Velocity and its derivative along the first input column, for a flat scalar x."""
+        if np.ndim(x) > 1:
+            raise ContractError(f"the derivative needs a flat x, got shape {np.shape(x)}")
         rows = self._inputs(x, t)
         if self._tangent is None:
             self._tangent = np.zeros_like(rows)

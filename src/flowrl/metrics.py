@@ -76,10 +76,6 @@ class ReturnHistogram:
             raise ContractError(f"masses must be finite, nonnegative and sum to 1, "
                                 f"got sum {self.masses.sum()}")
 
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
 
 def histogram_edges(support: tuple[float, float], n_bins: int) -> np.ndarray:
     """``n_bins + 1`` evenly spaced edges over ``support``, checked by ``check_edges``.

@@ -26,8 +26,7 @@ class BcFlowPolicy(Net):
         return action_dim + 1 + state_dim, action_dim
 
     def _inputs(self, a_t, t, s) -> np.ndarray:
-        return np.concatenate(self._rows((a_t, self.action_dim), (np.reshape(t, (-1, 1)), 1),
-                                         (s, self.state_dim)), axis=1)
+        return self._rows((a_t, self.action_dim), (np.reshape(t, (-1, 1)), 1), (s, self.state_dim))
 
     def velocity_given(self, s: np.ndarray) -> ConditionedField:
         """The field over actions at fixed states ``s``: one row, or one per action row."""
@@ -107,7 +106,7 @@ class OneStepPolicy(Net):
         return action_dim + state_dim, action_dim
 
     def _inputs(self, eps_d, s) -> np.ndarray:
-        return np.concatenate(self._rows((eps_d, self.action_dim), (s, self.state_dim)), axis=1)
+        return self._rows((eps_d, self.action_dim), (s, self.state_dim))
 
     def act(self, s: np.ndarray, eps_d: np.ndarray, clip: bool = True) -> np.ndarray:
         """(n, d) actions for one noise row per action; one row of s or eps_d broadcasts."""

@@ -16,6 +16,7 @@ from flowrl.critic import (
     variance_estimate,
     _dcfm_rows,
     _draw_loss_quantities,
+    _q_rows,
     _weight_from_jac,
 )
 from flowrl.diffcore import MlpSpec, MlpTape, input_vjp, mlp_forward
@@ -588,9 +589,10 @@ class TestEnsemble:
         noises = np.array([0.4, -0.4, 1.1])
         s_rows = s if state_rows == 1 else np.tile(s, (3, 1))
         want = field._inputs(np.repeat(noises, 5), 0.0, s_rows, np.tile(a, (3, 1)))
-        assert field._q_inputs(noises, s, a).tobytes() == want.tobytes()
-        assert field._q_inputs(noises, s[0], a).tobytes() == field._q_inputs(
-            noises, np.tile(s[0], (5, 1)), a).tobytes()
+        x, m = _q_rows([field], s, a, noises)
+        assert m == 3 and x.tobytes() == want.tobytes()
+        assert _q_rows([field], s[0], a, noises)[0].tobytes() == _q_rows(
+            [field], np.tile(s[0], (5, 1)), a, noises)[0].tobytes()
 
     @pytest.mark.parametrize("s_shape,a_shape", [((3, DS), (5, DA)), ((5, DS + 1), (5, DA)),
                                                  ((1, DS), (5, DA + 1)), ((2, 5, DS), (5, DA))])

@@ -284,6 +284,18 @@ class TestConditionedField:
         with pytest.raises(ContractError):
             view.velocity(np.zeros((4, 3)), 0.1)
 
+    def test_a_flat_x_is_rejected_for_a_field_of_several_velocity_columns(self):
+        view = self.policy().velocity_given(np.random.default_rng(11).normal(size=(5, 2)))
+        with pytest.raises(ContractError, match="flat x"):
+            view.velocity(np.zeros(2), 0.0)     # it would keep only the first velocity column
+        assert view.velocity(np.zeros((1, 2)), 0.0).shape == (5, 2)
+
+    def test_the_derivative_takes_a_flat_x_only(self):
+        view = self.field().conditioned(np.zeros(2), np.zeros(1))
+        with pytest.raises(ContractError, match="flat x"):    # not (4, 4) after one Euler step
+            euler_trajectory(view, np.zeros((4, 1)), IntegrationConfig(1))
+        assert euler_trajectory(view, np.zeros(4), IntegrationConfig(1)).x.shape == (4,)
+
 
 @pytest.mark.slow
 def test_trained_flow_fits_gaussian_mixture():

@@ -89,3 +89,39 @@ def test_one_row_broadcasts_bit_for_bit(case):
         assert np.array_equal(call(net, one_row, a), want)
     s, a = batch(4, 1)
     assert np.array_equal(call(net, s, a[0]), call(net, s, np.repeat(a, 4, axis=0)))
+
+
+def test_rows_lay_their_blocks_side_by_side_over_the_broadcast_leading_axes():
+    rng = np.random.default_rng(2)
+    m, n, k = 3, 4, 5
+    noises, z, t, u = rng.normal(size=m), rng.normal(size=(2, n)), rng.random(n), rng.random((n, k))
+    s, a = batch(n, n)
+    layouts = {
+        # noise-major: row j * n + i pairs noise j with row i of s and a
+        "noise": (Net._rows((noises[:, None, None], 1), (np.zeros((1, 1, 1)), 1), (s[None], DS),
+                            (a[None], DA)),
+                  np.concatenate([np.repeat(noises, n)[:, None], np.zeros((m * n, 1)),
+                                  np.tile(s, (m, 1)), np.tile(a, (m, 1))], axis=1)),
+        # batch x fraction: row i * k + j pairs row i of s and a with u[i, j]
+        "fraction": (Net._rows((s[:, None], DS), (a[:, None], DA), (u[:, :, None], 1)),
+                     np.concatenate([np.repeat(s, k, axis=0), np.repeat(a, k, axis=0),
+                                     u.reshape(-1, 1)], axis=1)),
+        # term-major: row j * n + i pairs term j's z with row i of t, s and a
+        "term": (Net._rows((z[:, :, None], 1), (t[None, :, None], 1), (s[None], DS),
+                           (a[None], DA)),
+                 np.concatenate([z.reshape(-1, 1), np.tile(t, 2)[:, None], np.tile(s, (2, 1)),
+                                 np.tile(a, (2, 1))], axis=1)),
+    }
+    for name, (got, want) in layouts.items():
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("shapes", [
+    ((2, 1, DS), (2, DA)),              # axis counts that disagree
+    ((2, 3, DS), (2, 3, DA + 1)),       # a wrong width
+    ((2, 3, DS), (3, 3, DA)),           # first leading sizes that disagree
+    ((1, 3, DS), (2, 4, DA)),           # second leading sizes that disagree
+])
+def test_rows_of_blocks_that_disagree_raise_contract_error(shapes):
+    with pytest.raises(ContractError):
+        Net._rows((np.zeros(shapes[0]), DS), (np.zeros(shapes[1]), DA))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowrl.critic import ReturnField, ensemble_q_and_action_grad
-from flowrl.diffcore import AdamState, MlpSpec, adam_step
+from flowrl.diffcore import AdamState, MlpSpec, Net, adam_step
 from flowrl.errors import ContractError
 from flowrl.policies import (
     BcFlowPolicy,
@@ -181,14 +181,11 @@ class TestRejectionSampling:
                          for f in fields))
         calls = []
 
-        def counting(build):
-            def counted(self, *args):
-                calls.append(args)
-                return build(self, *args)
-            return counted
+        def counted(*blocks):
+            calls.append(blocks)
+            return Net._rows(*blocks)
 
-        for name in ("_inputs", "_q_inputs"):     # either builder counts as a build
-            monkeypatch.setattr(ReturnField, name, counting(getattr(ReturnField, name)))
+        monkeypatch.setattr(ReturnField, "_rows", staticmethod(counted))
         chosen = rejection_sample_action(fields, policy, STATE, n, noises,
                                          np.random.default_rng(8))
         np.testing.assert_array_equal(chosen, candidates[int(np.argmax(q))])
