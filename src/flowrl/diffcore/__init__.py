@@ -1,7 +1,7 @@
 """Differentiation for the package's one network shape, plus optimizers and files.
 
 ``nn`` walks a GELU/LayerNorm MLP once for values, input JVPs and the
-closed-form parameter/input VJP. A loss head returns a ``Loss``: its value,
+closed-form parameter VJP. A loss head returns a ``Loss``: its value,
 the network's ``MlpTape`` and d(loss)/d(output), which ``backward`` carries
 to the parameters. A ``ParamSet`` holds one network's parameters as one
 read-only flat vector with named views; every writer makes a new set, and a
@@ -20,7 +20,6 @@ from flowrl.diffcore.nn import (
     backward,
     clone_params,
     init_mlp,
-    input_vjp,
     mlp_forward,
     mlp_value,
     mlp_value_and_input_jvp,
@@ -30,7 +29,7 @@ from flowrl.diffcore.serialize import load_params, params_from_obj, params_to_ob
 
 __all__ = [
     "Leaf", "Loss", "MlpSpec", "MlpTape", "Net", "ParamSet",
-    "backward", "clone_params", "init_mlp", "input_vjp",
+    "backward", "clone_params", "init_mlp",
     "mlp_forward", "mlp_value", "mlp_value_and_input_jvp",
     "AdamState", "adam_step", "ema_update",
     "load_params", "params_from_obj", "params_to_obj", "save_params",

@@ -45,10 +45,10 @@ gradients of every layer after the first.
 ``_walk`` is the only forward pass. It returns the output and, on request,
 the input JVP J @ tangent and a per-layer cache, over which ``_vjp`` runs the
 closed-form reverse pass (linear, LayerNorm and GELU). ``mlp_forward``
-keeps that cache on an ``MlpTape``; ``backward`` turns d(loss)/d(output)
-into parameter gradients and ``input_vjp`` into input gradients. Each loss
-head computes its own d(loss)/d(output) in numpy and returns it on a
-``Loss``, so there is no general differentiation engine.
+keeps that cache on an ``MlpTape``, and ``backward`` turns d(loss)/d(output)
+into parameter gradients. An input derivative is a JVP, taken without a
+tape. Each loss head computes its own d(loss)/d(output) in numpy and returns
+it on a ``Loss``, so there is no general differentiation engine.
 
 Both passes allocate nothing per hidden layer in steady state: their
 (batch, hidden) temporaries live in a per-thread workspace (``_Workspace``)
@@ -383,21 +383,19 @@ def _walk(params: Mapping[str, np.ndarray], x, spec: MlpSpec, tangent=None, keep
     return h, dh, cache
 
 
-def _vjp(params: ParamSet, cache: list, out_grad: np.ndarray, param_grads: bool,
-         input_grad: bool) -> tuple[ParamSet | None, np.ndarray | None]:
-    """Reverse pass over a ``_walk`` cache of ``params``: (parameter grads, input grad).
+def _vjp(params: ParamSet, cache: list, out_grad: np.ndarray) -> ParamSet:
+    """Reverse pass over a ``_walk`` cache of ``params``: the parameter gradients.
 
     Through a hidden layer's RMS normalization, g becomes
     (g - xhat * mean(g * xhat)) / std, with no mean(g) term: the centring
     sits in the weights, so its adjoint is ``_centred`` applied to the small
-    gradients of w and b, and the input gradient multiplies by the centred
+    gradients of w and b, and g goes back through a layer by the centred
     weights the walk kept. Those weights are halved after the first layer,
     where the kept slope is doubled, so g reaches each hidden layer's
     normalization at its true value; the kept inputs of those layers are
-    doubled, so their weight gradients are halved, which is exact. Each part
-    is skipped, and returned None, when not asked for. The back-propagated
-    ``g`` of every hidden layer and its temporary live in the workspace; the
-    grads are a new set of ``params``' names.
+    doubled, so their weight gradients are halved, which is exact. The
+    back-propagated ``g`` of every hidden layer and its temporary live in
+    the workspace; the grads are a new set of ``params``' names.
     """
     ws = _workspace
     grads = {}
@@ -409,29 +407,23 @@ def _vjp(params: ParamSet, cache: list, out_grad: np.ndarray, param_grads: bool,
         if hidden:
             g *= slope
             tmp = ws.take(_TMP, rows, g.shape[1])
-            if param_grads:
-                np.multiply(g, xhat, out=tmp)
-                grads[f"ln{i}_scale"] = tmp.sum(axis=0)
-                grads[f"ln{i}_offset"] = g.sum(axis=0)
+            np.multiply(g, xhat, out=tmp)
+            grads[f"ln{i}_scale"] = tmp.sum(axis=0)
+            grads[f"ln{i}_offset"] = g.sum(axis=0)
             g *= params[f"ln{i}_scale"]
             np.multiply(xhat, _row_mean_dot(g, xhat), out=tmp)
             g -= tmp
             g *= inv_std
-        if param_grads:
-            gw, gb = layer_in.T @ g, g.sum(axis=0)
-            if i > 0:
-                gw *= 0.5           # layer_in is twice the GELU the layer before returns
-            if hidden:
-                gw, gb = _centred(gw, gb)
-            grads[f"w{i}"], grads[f"b{i}"] = gw, gb
-        if i == 0 and not input_grad:
-            break
-        g = np.matmul(g, w.T, out=ws.take(_H + i % 2, rows, w.shape[0]) if i > 0 else None)
-    g = g if input_grad else None
-    if not param_grads:
-        return None, g
+        gw, gb = layer_in.T @ g, g.sum(axis=0)
+        if i > 0:
+            gw *= 0.5               # layer_in is twice the GELU the layer before returns
+        if hidden:
+            gw, gb = _centred(gw, gb)
+        grads[f"w{i}"], grads[f"b{i}"] = gw, gb
+        if i > 0:
+            g = np.matmul(g, w.T, out=ws.take(_H + i % 2, rows, w.shape[0]))
     # the walk's plan checked the names against the spec, so every one has its gradient
-    return params._derive(np.concatenate([grads[name].ravel() for name in params])), g
+    return params._derive(np.concatenate([grads[name].ravel() for name in params]))
 
 
 @dataclass
@@ -462,33 +454,19 @@ def mlp_forward(params: Mapping[str, np.ndarray], x, spec: MlpSpec) -> MlpTape:
     return MlpTape(out, {name: Leaf(arr) for name, arr in params.items()}, cache, params)
 
 
-def _output_grad(output_grad, shape: tuple[int, ...]) -> np.ndarray:
-    g = np.ascontiguousarray(output_grad, dtype=np.float64)
-    if g.shape != shape:
-        raise ContractError(f"output grad shape {g.shape} != output shape {shape}")
-    return g
-
-
 def backward(tape: MlpTape, output_grad) -> ParamSet:
     """Gradients of every parameter given d(loss)/d(output).
 
     Runs the closed-form reverse pass once and also writes each gradient to
     ``tape.params[name].grad``, replacing what an earlier call wrote.
     """
-    g = _output_grad(output_grad, tape.output.shape)
-    grads, _ = _vjp(tape.source, tape.cache, g, True, False)
+    g = np.ascontiguousarray(output_grad, dtype=np.float64)
+    if g.shape != tape.output.shape:
+        raise ContractError(f"output grad shape {g.shape} != output shape {tape.output.shape}")
+    grads = _vjp(tape.source, tape.cache, g)
     for name, leaf in tape.params.items():
         leaf.grad = grads[name]
     return grads
-
-
-def input_vjp(tape: MlpTape, output_grad) -> np.ndarray:
-    """d(output)/d(input) transposed times ``output_grad``: the input-only reverse pass.
-
-    No parameter gradient is computed and no leaf is written.
-    """
-    g = _output_grad(output_grad, tape.output.shape)
-    return _vjp(tape.source, tape.cache, g, False, True)[1]
 
 
 @dataclass
@@ -521,7 +499,8 @@ def mlp_value_and_input_jvp(params: Mapping[str, np.ndarray], x: np.ndarray, spe
 
     ``tangent`` has the same shape as ``x``; the returned pair is
     (output, d(output)/d(input) . tangent). Used for the per-sample dv/dz
-    needed by the flow-derivative ODE without building a tape per step.
+    needed by the flow-derivative ODE without building a tape per step, and
+    for the ensemble's dq/da along each action column.
     """
     value, jvp, _ = _walk(params, x, spec, tangent)
     return value, jvp

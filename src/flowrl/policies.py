@@ -123,7 +123,10 @@ def one_step_policy_loss(one_step: OneStepPolicy, bc_policy: BcFlowPolicy,
     The loss is mean(-q + alpha * |a - a_bc|^2). The same eps_d feeds both
     policies; gradients flow only into the one-step network (the critics and
     the BC policy are constants), whose output gradient is
-    -dq/da / n + 2 * alpha * (a - a_bc) / n.
+    -dq/da / n + 2 * alpha * (a - a_bc) / n. q and dq/da come from
+    :func:`~flowrl.critic.ensemble_q_and_action_grad`, in forward mode: one
+    input-JVP pass per critic and action column, and no critic tape. Only
+    the one-step network's pass is kept for its backward.
     """
     if not alpha >= 0.0:
         raise ContractError(f"alpha must be >= 0, got {alpha}")

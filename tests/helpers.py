@@ -6,7 +6,8 @@ cross-check the closed-form reverse pass and each head's hand-written
 d(loss)/d(output) (``loss_grad_match`` runs a loss's own backward only to
 compare it with them). ``FuncField`` turns plain callables into flow fields.
 ``q_estimate`` and ``critic_ensemble_q`` score one (s, a) pair at a time
-through a field's ``velocity`` and referee the batched ensemble Q passes.
+through a field's ``velocity`` and referee the batched ensemble Q passes;
+``reverse_action_grad`` referees the forward-mode dq/da in reverse mode.
 The env oracles at the end read every branch from ``outcomes()`` directly,
 never from an env's branch table, and referee the table-driven sampling,
 enumeration and Bellman backup.
@@ -165,6 +166,33 @@ def fresh_vjp(params: ParamSet, cache: list, out_grad: np.ndarray) -> tuple[dict
         grads[f"w{i}"], grads[f"b{i}"] = gw, gb
         g = g @ w.T
     return grads, g
+
+
+def reverse_action_grad(fields: list, s: np.ndarray, a: np.ndarray,
+                        noises: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble-min Q and dq/da in reverse mode: (q as (n, 1), dq/da as (n, action_dim)).
+
+    The rows are laid out noise-major with ``np.repeat``/``np.tile``. Each
+    field keeps a ``fresh_walk`` tape over all of them, and ``fresh_vjp``
+    seeds it 1/m on the rows where that field holds the minimum (the first
+    field on ties) and 0 elsewhere; the input gradients' action columns,
+    summed over the m noises, are dq/da. Referee of the forward-mode
+    ``flowrl.critic.ensemble_q_and_action_grad``.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    n, m = a.shape[0], noises.size
+    s = np.broadcast_to(np.atleast_2d(np.asarray(s, dtype=np.float64)), (n, np.shape(s)[-1]))
+    x = np.concatenate([np.repeat(noises, n)[:, None], np.zeros((m * n, 1)), np.tile(s, (m, 1)),
+                        np.tile(a, (m, 1))], axis=1)
+    walks = [fresh_walk(f.params, x, f.spec, keep=True) for f in fields]
+    per_field = np.stack([out[:, 0].reshape(m, n).mean(axis=0) for out, _, _ in walks])
+    owner = np.argmin(per_field, axis=0)
+    dq_da = np.zeros_like(a)
+    for j, (field, (_, _, cache)) in enumerate(zip(fields, walks)):
+        seed = np.tile(np.where(owner == j, 1.0 / m, 0.0), m)[:, None]
+        gx = fresh_vjp(field.params, cache, seed)[1]
+        dq_da += gx[:, -a.shape[1]:].reshape(m, n, -1).sum(axis=0)
+    return per_field.min(axis=0)[:, None], dq_da
 
 
 def c51_scatter(values: np.ndarray, masses: np.ndarray, support: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Tests for the return critic: estimators, confidence weight, and losses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,14 +21,14 @@ from flowrl.critic import (
     _q_rows,
     _weight_from_jac,
 )
-from flowrl.diffcore import MlpSpec, MlpTape, input_vjp, mlp_forward
+from flowrl.diffcore import MlpSpec, MlpTape, mlp_forward, mlp_value_and_input_jvp
 from flowrl.envs import BranchingTree
 from flowrl.errors import ConfigError, ContractError
 from flowrl.flowkit import IntegrationConfig, euler_integrate_with_derivative, euler_trajectory
 from scipy.stats import norm
 
 from helpers import FuncField, critic_ensemble_q, loss_grad_match, q_estimate, random_params_like, \
-    ref_mlp
+    ref_mlp, reverse_action_grad
 
 DS, DA = 2, 1
 STATE = np.array([0.3, -0.7])
@@ -577,9 +579,9 @@ class TestEnsemble:
             q_estimate(f, STATE, ACTION, noises))
 
     @staticmethod
-    def batch(n, seed):
+    def batch(n, seed, da=DA):
         rng = np.random.default_rng(seed)
-        return rng.normal(size=(n, DS)), rng.uniform(-1, 1, size=(n, DA))
+        return rng.normal(size=(n, DS)), rng.uniform(-1, 1, size=(n, da))
 
     @pytest.mark.parametrize("state_rows", [1, 5])
     def test_noise_major_rows_are_the_rows_inputs_builds(self, state_rows):
@@ -602,9 +604,10 @@ class TestEnsemble:
         with pytest.raises(ContractError, match="Q rows need"):
             q_pass([random_field(31)], np.zeros(s_shape), np.zeros(a_shape), np.array([0.5]))
 
-    def test_q_matches_critic_ensemble_q_and_dq_da_central_differences(self):
-        fields = [random_field(20), random_field(21), random_field(26)]
-        s, a = self.batch(4, 0)
+    @pytest.mark.parametrize("da", [1, 2])
+    def test_q_matches_critic_ensemble_q_and_dq_da_central_differences(self, da):
+        fields = [random_field(20, da=da), random_field(21, da=da), random_field(26, da=da)]
+        s, a = self.batch(4, 0, da)
         noises = np.array([0.4, -0.4, 1.1])
         q, dq_da = ensemble_q_and_action_grad(fields, s, a, noises)
         assert q.shape == (4, 1) and dq_da.shape == a.shape
@@ -612,9 +615,21 @@ class TestEnsemble:
         for i in range(4):
             assert q[i, 0] == pytest.approx(critic_ensemble_q(fields, s[i], a[i], noises),
                                             rel=1e-12)
-            fd = (critic_ensemble_q(fields, s[i], a[i] + h, noises)
-                  - critic_ensemble_q(fields, s[i], a[i] - h, noises)) / (2 * h)
-            assert dq_da[i, 0] == pytest.approx(fd, abs=1e-6)
+            for col, step in enumerate(np.eye(da) * h):
+                fd = (critic_ensemble_q(fields, s[i], a[i] + step, noises)
+                      - critic_ensemble_q(fields, s[i], a[i] - step, noises)) / (2 * h)
+                assert dq_da[i, col] == pytest.approx(fd, abs=1e-6)
+
+    @pytest.mark.parametrize("da", [1, 2, 3])
+    def test_forward_mode_dq_da_agrees_with_reverse_mode(self, da):
+        fields = [random_field(seed, da=da, hidden=(64, 64)) for seed in (34, 35)]
+        s, a = self.batch(64, 8, da)
+        noises = np.random.default_rng(9).standard_normal(4)
+        q, dq_da = ensemble_q_and_action_grad(fields, s, a, noises)
+        want_q, want = reverse_action_grad(fields, s, a, noises)
+        np.testing.assert_allclose(q, want_q, rtol=1e-14, atol=0)
+        # relative to the largest |dq/da|: single entries near 0 lose their relative digits
+        assert np.abs(dq_da - want).max() <= 1e-14 * np.abs(want).max()
 
     @staticmethod
     def action_slope_field(slope) -> ReturnField:
@@ -633,27 +648,63 @@ class TestEnsemble:
         assert np.array_equal(dq_da, np.full((3, DA), slopes[0]))
 
     def test_runs_one_pass_per_field(self, monkeypatch):
-        passes, seeded = [], []
+        forward, passes = [], []
 
         def counting_forward(params, x, spec):
-            passes.append(x.shape[0])
+            forward.append(x.shape[0])
             return mlp_forward(params, x, spec)
 
-        def counting_vjp(tape, output_grad):
-            seeded.append(np.count_nonzero(output_grad))
-            return input_vjp(tape, output_grad)
+        def counting_jvp(params, x, spec, tangent):
+            passes.append((x.shape[0], tangent))
+            return mlp_value_and_input_jvp(params, x, spec, tangent)
 
         monkeypatch.setattr(critic_module, "mlp_forward", counting_forward)
-        monkeypatch.setattr(critic_module, "input_vjp", counting_vjp)
-        fields = [random_field(24), random_field(25)]
-        s, a = self.batch(5, 2)
+        monkeypatch.setattr(critic_module, "mlp_value_and_input_jvp", counting_jvp)
+        fields = [random_field(24, da=2), random_field(25, da=2)]
+        s, a = self.batch(5, 2, da=2)
         noises = np.array([0.9, -0.3, 0.1])
         q, _ = ensemble_q_and_action_grad(fields, s, a, noises)
-        assert passes == [15, 15]  # 3 noises x 5 rows, once per field
-        assert sum(seeded) == 15 and len(seeded) <= 2  # each row seeded once, by its minimum
+        assert forward == []    # no tape is kept
+        # 3 noises x 5 rows, once per field and action column
+        assert [rows for rows, _ in passes] == [15, 15, 15, 15]
+        tangents = [tangent for _, tangent in passes]
+        assert tangents[0] is tangents[2] and tangents[1] is tangents[3]   # built once, shared
+        in_dim = fields[0].spec.in_dim
+        for col, tangent in zip((in_dim - 2, in_dim - 1), tangents):
+            want = np.zeros((15, in_dim))
+            want[:, col] = 1.0
+            assert np.array_equal(tangent, want)
         for i in range(5):
             assert q[i, 0] == pytest.approx(critic_ensemble_q(fields, s[i], a[i], noises),
                                             rel=1e-12)
+
+    def test_steady_state_call_allocates_less_than_one_hidden_array(self):
+        fields = [random_field(seed, hidden=(64, 64)) for seed in (36, 37)]
+        s, a = self.batch(256, 10)
+        noises = np.random.default_rng(11).standard_normal(4)
+        ensemble_q_and_action_grad(fields, s, a, noises)   # warm-up: the workspace grows here
+        tracemalloc.start()
+        try:
+            ensemble_q_and_action_grad(fields, s, a, noises)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < noises.size * a.shape[0] * 64 * 8
+
+    def test_actions_given_as_a_list_score_as_the_array(self):
+        fields = [random_field(38), random_field(39)]
+        s, a = self.batch(3, 12)
+        noises = np.array([0.6, -0.6])
+        for got, want in zip(ensemble_q_and_action_grad(fields, s, a.tolist(), noises),
+                             ensemble_q_and_action_grad(fields, s, a, noises)):
+            assert got.tobytes() == want.tobytes()
+        q, dq_da = ensemble_q_and_action_grad(fields, s[0], [[0.1]], noises)
+        assert q.shape == (1, 1) and dq_da.shape == (1, DA)
+
+    @pytest.mark.parametrize("q_pass", [ensemble_q, ensemble_q_and_action_grad])
+    def test_a_list_of_actions_of_the_wrong_width_is_a_contract_error(self, q_pass):
+        with pytest.raises(ContractError, match="Q rows need"):
+            q_pass([random_field(31)], STATE, [[0.1, 0.2]], np.array([0.5]))
 
     @pytest.mark.parametrize("fields,noises", [([], [0.1]), ([0], []), ([0], [[0.1, 0.2]])])
     @pytest.mark.parametrize("q_pass", [ensemble_q, ensemble_q_and_action_grad])
