@@ -28,6 +28,11 @@ class CategoricalCritic(Net):
         support = np.asarray(support, dtype=np.float64)
         if support.ndim != 1 or support.size < 2 or np.any(np.diff(support) <= 0):
             raise ConfigError("support must be >= 2 ascending atoms")
+        # c51_project splits mass by one atom gap; the tolerance lets linspace rounding through
+        gap = (support[-1] - support[0]) / (support.size - 1)
+        even = np.linspace(support[0], support[-1], support.size)
+        if not np.abs(support - even).max() <= 1e-6 * gap:   # NaN fails too
+            raise ConfigError(f"support must be evenly spaced, got {support}")
         self.support = support
         super().__init__(state_dim, action_dim, params, spec)
 
@@ -56,6 +61,8 @@ class CategoricalCritic(Net):
 def c51_project(values: np.ndarray, masses: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Project mass at arbitrary return values onto the fixed atom grid.
 
+    ``support`` must be evenly spaced, as ``CategoricalCritic`` checks: a
+    value's atom position is (v - lo) / delta with the one gap delta.
     Out-of-range values clamp to the boundary atoms; interior values split
     their mass between the two neighboring atoms proportionally to distance.
     Shapes: values (M,) or (rows, M), and masses of a shape that broadcasts

@@ -7,7 +7,8 @@ to the parameters. A ``ParamSet`` holds one network's parameters as one
 read-only flat vector with named views; every writer makes a new set, and a
 set centres its hidden weights once, on its first walk. ``Net`` is the base
 class of every network: dims, parameters, spec, ``create``, ``with_params``
-and the input-row check.
+and the input-row check. ``save_params`` and ``load_params`` write and read a
+set bit for bit in the package's one file format, ``flowrl.serialize``.
 """
 
 from flowrl.diffcore.nn import (
@@ -20,17 +21,18 @@ from flowrl.diffcore.nn import (
     backward,
     clone_params,
     init_mlp,
+    load_params,
     mlp_forward,
     mlp_value,
     mlp_value_and_input_jvp,
+    save_params,
 )
 from flowrl.diffcore.optim import AdamState, adam_step, ema_update
-from flowrl.diffcore.serialize import load_params, params_from_obj, params_to_obj, save_params
 
 __all__ = [
     "Leaf", "Loss", "MlpSpec", "MlpTape", "Net", "ParamSet",
     "backward", "clone_params", "init_mlp",
     "mlp_forward", "mlp_value", "mlp_value_and_input_jvp",
     "AdamState", "adam_step", "ema_update",
-    "load_params", "params_from_obj", "params_to_obj", "save_params",
+    "load_params", "save_params",
 ]

@@ -63,11 +63,14 @@ import copy
 import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from flowrl.errors import ConfigError, ContractError
+from flowrl.serialize import load_arrays, save_arrays
 
+_PARAMS_TAG = "flowrl-params-v1"
 _LN_EPS = 1e-6
 _GELU_K = np.sqrt(2.0 / np.pi)         # tanh-form GELU: tanh(k (h + a h^3)), a = 0.044715
 _GELU_AK = 0.044715 * _GELU_K
@@ -231,6 +234,16 @@ def clone_params(params: Mapping[str, np.ndarray]) -> ParamSet:
     """A new set holding a copy of ``params``."""
     params = ParamSet.of(params)
     return params.with_flat(params.flat)
+
+
+def save_params(params: Mapping[str, np.ndarray], path: str | Path) -> None:
+    """Write ``params`` bit for bit as a ``flowrl-params-v1`` file (``flowrl.serialize``)."""
+    save_arrays(path, _PARAMS_TAG, "params", params)
+
+
+def load_params(path: str | Path) -> ParamSet:
+    """The set a :func:`save_params` file holds; a malformed file raises ConfigError."""
+    return ParamSet(load_arrays(path, _PARAMS_TAG, "params")[0])
 
 
 class _Workspace(threading.local):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -32,8 +33,11 @@ def adam_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
     """One bias-corrected Adam update. Raises on non-finite gradients.
 
     ``grads`` must have the names and shapes of ``params``; a non-finite
-    gradient raises TrainingError naming its parameter.
+    gradient raises TrainingError naming its parameter, and an ``lr`` that is
+    not finite and > 0 raises ConfigError.
     """
+    if not 0.0 < lr < math.inf:   # NaN fails the range
+        raise ConfigError(f"lr must be finite and > 0, got {lr}")
     params = ParamSet.of(params)
     grads = params.aligned(grads, "gradient")
     g = grads.flat

@@ -27,6 +27,10 @@ an ``initial_state`` that draws nothing from its generator is read once for
 all episodes (:meth:`_Lockstep.starts`), the default start's id is kept on
 the branch table (:meth:`BranchTable.start_id`), and Monte Carlo from an
 action atom samples the start pair's row of the dense view.
+
+A :class:`Dataset` is saved in the package's one file format,
+``flowrl.serialize``: :func:`save_dataset` and :func:`load_dataset` wrap it,
+with the five columns as float64 arrays and the provenance beside them.
 """
 
 from __future__ import annotations
@@ -40,10 +44,11 @@ from typing import Callable
 import numpy as np
 
 from flowrl.errors import ConfigError, ContractError, check_int
+from flowrl.serialize import load_arrays, save_arrays
 
 
-_COLUMNS = (("s", np.float64, 2), ("a", np.float64, 2), ("r", np.float64, 1),
-            ("s_next", np.float64, 2), ("terminal", np.bool_, 1))
+_COLUMNS = (("s", 2), ("a", 2), ("r", 1), ("s_next", 2), ("terminal", 1))   # name, ndim
+_DATASET_TAG = "flowrl-dataset-v1"
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,8 +58,9 @@ class Dataset:
     Row i of ``s``, ``a``, ``r``, ``s_next`` and ``terminal`` is one
     transition; rows run episode by episode, in step order. The constructor
     copies each column to float64 (``terminal`` to bool), checks that the
-    shapes agree and every real is finite, and makes the copies read-only,
-    so ``arrays()`` hands out the columns themselves. :func:`generate_dataset`
+    shapes agree, every real is finite and a ``terminal`` that is not
+    boolean holds only 0 and 1, and makes the copies read-only, so
+    ``arrays()`` hands out the columns themselves. :func:`generate_dataset`
     fills them by lockstep rollouts or one step at a time, by the rule in
     its docstring.
     """
@@ -70,8 +76,17 @@ class Dataset:
 
     def __post_init__(self):
         n = None
-        for name, dtype, ndim in _COLUMNS:
-            col = np.array(getattr(self, name), dtype=dtype)
+        for name, ndim in _COLUMNS:
+            if name == "terminal":
+                col = np.array(self.terminal)   # a bool column, as set-up gives, needs no check
+                if col.dtype != np.bool_ and not ((col == 0) | (col == 1)).all():
+                    raise ContractError("dataset column terminal holds a value other than 0 "
+                                        "and 1")
+                col = col.astype(np.bool_, copy=False)
+            else:
+                col = np.array(getattr(self, name), dtype=np.float64)
+                if not np.isfinite(col).all():
+                    raise ContractError(f"dataset column {name} holds a non-finite value")
             if col.ndim != ndim:
                 raise ContractError(f"dataset column {name} has shape {col.shape}, "
                                     f"expected {ndim} dims")
@@ -79,8 +94,6 @@ class Dataset:
                 n = len(col)
             if len(col) != n:
                 raise ContractError(f"dataset column {name} has {len(col)} rows, expected {n}")
-            if dtype is np.float64 and not np.isfinite(col).all():
-                raise ContractError(f"dataset column {name} holds a non-finite value")
             col.flags.writeable = False
             object.__setattr__(self, name, col)
         if n == 0:
@@ -93,7 +106,7 @@ class Dataset:
 
     def arrays(self) -> dict[str, np.ndarray]:
         """The read-only columns by name, as training code reads them."""
-        return {name: getattr(self, name) for name, _, _ in _COLUMNS}
+        return {name: getattr(self, name) for name, _ in _COLUMNS}
 
 
 class ToyMdp:
@@ -728,66 +741,25 @@ def generate_dataset(mdp: ToyMdp, behavior: Policy, n_transitions: int, seed: in
                    mdp.env_id, behavior_id, seed)
 
 
-def _fmt_vec(v: np.ndarray) -> str:
-    return ",".join(map(repr, v.tolist()))
-
-
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """One transition per line: ``s|a|r|s_next|terminal`` after a header line.
+    """Write ``dataset`` bit for bit as a ``flowrl-dataset-v1`` file (``flowrl.serialize``).
 
-    The header is ``env_id|behavior_id|seed|count|state_dim|action_dim``.
-    Reals are written with repr so the round trip is bit-exact.
+    The five columns are float64 arrays under ``columns``, ``terminal`` as
+    0.0/1.0, beside the ``env_id``, ``behavior_id`` and ``seed`` provenance.
     """
-    lines = ["|".join([dataset.env_id, dataset.behavior_id, str(dataset.seed),
-                       str(len(dataset)), str(dataset.s.shape[1]), str(dataset.a.shape[1])])]
-    for s, a, r, s_next, terminal in zip(dataset.s, dataset.a, dataset.r.tolist(),
-                                         dataset.s_next, dataset.terminal.tolist()):
-        lines.append("|".join([_fmt_vec(s), _fmt_vec(a), repr(r), _fmt_vec(s_next),
-                               "1" if terminal else "0"]))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _parse_reals(field: str, width: int, what: str, lineno: int) -> list[float]:
-    parts = field.split(",")
-    if len(parts) != width:
-        raise ContractError(f"dataset line {lineno}: {what} has {len(parts)} values, "
-                            f"expected {width}")
-    try:
-        values = [float(x) for x in parts]
-    except ValueError:
-        raise ContractError(f"dataset line {lineno}: {what} {field!r} is not numeric") from None
-    if not all(map(math.isfinite, values)):
-        raise ContractError(f"dataset line {lineno}: {what} {field!r} is not finite")
-    return values
+    save_arrays(path, _DATASET_TAG, "columns", dataset.arrays(), env_id=dataset.env_id,
+                behavior_id=dataset.behavior_id, seed=int(dataset.seed))
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Read a :func:`save_dataset` file; malformed input raises ContractError."""
-    text = Path(path).read_text().strip().split("\n")
-    header = text[0].split("|")
-    if len(header) != 6:
-        raise ContractError(f"malformed dataset header: {text[0]!r}")
-    env_id, behavior_id = header[:2]
-    try:
-        seed, count, sdim, adim = (int(x) for x in header[2:])
-    except ValueError:
-        raise ContractError(f"malformed dataset header: {text[0]!r}") from None
-    if sdim < 1 or adim < 1:
-        raise ContractError(f"dataset header dims must be >= 1: {text[0]!r}")
-    columns: tuple[list, ...] = ([], [], [], [], [])
-    for lineno, line in enumerate(text[1:], start=2):
-        fields = line.split("|")
-        if len(fields) != 5:
-            raise ContractError(f"dataset line {lineno} has {len(fields)} fields, expected 5")
-        s, a, r, s_next, terminal = fields
-        if terminal not in ("0", "1"):
-            raise ContractError(f"dataset line {lineno}: terminal flag {terminal!r} "
-                                "is not 0 or 1")
-        row = (_parse_reals(s, sdim, "s", lineno), _parse_reals(a, adim, "a", lineno),
-               _parse_reals(r, 1, "r", lineno)[0], _parse_reals(s_next, sdim, "s_next", lineno),
-               terminal == "1")
-        for col, value in zip(columns, row):
-            col.append(value)
-    if len(columns[2]) != count:
-        raise ContractError(f"dataset header count {count} != {len(columns[2])} lines")
-    return Dataset(*columns, env_id, behavior_id, seed)
+    """The dataset a :func:`save_dataset` file holds.
+
+    A malformed file raises ConfigError; well-formed columns that break the
+    :class:`Dataset` contract raise its ContractError.
+    """
+    columns, provenance = load_arrays(path, _DATASET_TAG, "columns",
+                                      env_id=str, behavior_id=str, seed=int)
+    names = [name for name, _ in _COLUMNS]
+    if sorted(columns) != sorted(names):
+        raise ConfigError(f"dataset columns {list(columns)} are not {names}")
+    return Dataset(**columns, **provenance)

@@ -72,6 +72,30 @@ class TestC51Project:
             c51_project(np.zeros(shape), np.full(shape, 0.25), np.linspace(-1.0, 1.0, 5))
 
 
+class TestC51Support:
+    @staticmethod
+    def critic(support):
+        made = CategoricalCritic.create(DS, DA, len(support), Z_LO, Z_HI,
+                                        np.random.default_rng(4), hidden=(4,))
+        return CategoricalCritic(DS, DA, made.params, made.spec, support)
+
+    @pytest.mark.parametrize("support", [[0.0, 0.1, 1.0], [0.0, 1.0, 2.0, 3.5],
+                                         [0.0, np.nan, 1.0]], ids=["three", "four", "nan"])
+    def test_unevenly_spaced_support_is_a_config_error(self, support):
+        # c51_project's one gap once put a unit mass at 0.55 on [0, 0.1, 1] as [0, 0.9, 0.1]
+        with pytest.raises(ConfigError, match="support"):
+            self.critic(support)
+
+    def test_linspace_and_arange_rounding_passes(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(2, 102))
+            lo = rng.uniform(-1e6, 1e6)
+            support = np.linspace(lo, lo + rng.uniform(1e-3, 1e3), n)
+            assert np.array_equal(self.critic(support).support, support)
+        self.critic(np.arange(-10.0, 10.01, 0.4))
+
+
 class TestLossGradients:
     def test_c51_loss_matches_finite_differences(self):
         rng = np.random.default_rng(0)

@@ -1,8 +1,6 @@
 """Tests for the MLP and its closed-form reverse pass, optimizer, EMA, and serialization."""
 
-import base64
 import copy
-import json
 import pickle
 import tracemalloc
 from pathlib import Path
@@ -23,8 +21,6 @@ from flowrl.diffcore import (
     mlp_value,
     mlp_value_and_input_jvp,
     load_params,
-    params_from_obj,
-    params_to_obj,
     save_params,
 )
 from flowrl.diffcore import nn
@@ -512,6 +508,14 @@ class TestAdam:
         with pytest.raises(TrainingError, match="ln1_scale"):
             adam_step(params, grads, AdamState.for_params(params), 1e-3)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -1.0, 0.0])
+    def test_step_size_that_is_not_finite_and_positive_raises_config_error(self, lr):
+        # nan and inf once gave non-finite parameters and -1.0 climbed the loss, all silently
+        params = init_mlp(small_spec(), np.random.default_rng(3))
+        grads = {k: np.ones_like(v) for k, v in params.items()}
+        with pytest.raises(ConfigError, match="lr"):
+            adam_step(params, grads, AdamState.for_params(params), lr)
+
     @pytest.mark.parametrize("damage", ["missing", "extra", "shape"])
     def test_gradient_name_or_shape_mismatch_raises_config_error(self, damage):
         params = {"w": np.zeros((2, 3)), "b": np.zeros(3)}
@@ -587,7 +591,7 @@ class TestSerialization:
             assert loaded[name].dtype == np.float64
             assert np.array_equal(loaded[name], params[name])
 
-    def test_a_file_of_the_dict_format_loads_bit_for_bit(self):
+    def test_a_file_of_the_dict_format_loads_bit_for_bit(self, tmp_path):
         # written before parameter sets were flat: init_mlp then three Adam steps, replayed here
         path = Path(__file__).parent / "data" / "params_v1.json"
         spec = MlpSpec(in_dim=4, hidden=(8, 8), out_dim=2)
@@ -601,36 +605,8 @@ class TestSerialization:
         loaded = load_params(path)
         assert list(loaded) == list(params)
         assert loaded.flat.tobytes() == params.flat.tobytes()
-        assert json.dumps(params_to_obj(loaded)) == path.read_text()
-
-    @pytest.mark.parametrize("shape,data", [([2, 2], None), ([2, 3], b"\0" * 47)])
-    def test_data_length_must_match_shape(self, shape, data):
-        obj = params_to_obj({"w0": np.arange(6.0).reshape(2, 3)})
-        obj["params"]["w0"]["shape"] = shape
-        if data is not None:
-            obj["params"]["w0"]["data"] = base64.b64encode(data).decode("ascii")
-        with pytest.raises(ConfigError):
-            params_from_obj(obj)
-
-    @pytest.mark.parametrize("damage", ["no params", "no shape", "no data", "a list"])
-    def test_malformed_object_rejected(self, damage):
-        obj = params_to_obj({"w0": np.arange(6.0).reshape(2, 3)})
-        if damage == "no params":
-            del obj["params"]
-        elif damage == "no shape":
-            del obj["params"]["w0"]["shape"]
-        elif damage == "no data":
-            del obj["params"]["w0"]["data"]
-        else:
-            obj = [obj]
-        with pytest.raises(ConfigError):
-            params_from_obj(obj)
-
-    def test_file_that_is_not_json_rejected(self, tmp_path):
-        path = tmp_path / "params.json"
-        path.write_text("w0 = [[0, 1, 2]]\n")
-        with pytest.raises(ConfigError):
-            load_params(path)
+        save_params(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == path.read_text()
 
 
 class TestDeterminism:

@@ -46,6 +46,7 @@ from flowrl.metrics import (
     wasserstein1_discrete,
     wasserstein1_histograms,
 )
+from flowrl.serialize import save_arrays
 from scipy.stats import norm
 
 from helpers import bellman_by_pairs, digest, enumerate_by_paths, sample_from_outcomes
@@ -331,14 +332,14 @@ class TestDatasets:
     def test_round_trip_bit_exact(self, tmp_path):
         env = WindyGrid()
         ds = generate_dataset(env, behavior_policy_for(env), 150, seed=4)
-        path = tmp_path / "data.txt"
+        path = tmp_path / "data.json"
         save_dataset(ds, path)
         back = load_dataset(path)
-        assert back.env_id == ds.env_id and back.seed == ds.seed
-        assert len(back) == len(ds)
+        assert (back.env_id, back.behavior_id, back.seed) == (ds.env_id, ds.behavior_id, ds.seed)
         a, b = ds.arrays(), back.arrays()
         for key in a:
-            assert np.array_equal(a[key], b[key])
+            assert a[key].dtype == b[key].dtype and a[key].shape == b[key].shape
+            assert a[key].tobytes() == b[key].tobytes()
 
     def test_make_env_registry(self):
         assert make_env("branching-tree").env_id == "branching-tree-3"
@@ -389,6 +390,14 @@ class TestDatasets:
             Dataset(np.zeros((0, 3)), np.zeros((0, 1)), np.zeros(0), np.zeros((0, 3)), [],
                     "e", "b", 0)
 
+    @pytest.mark.parametrize("terminal", [[0.5, np.nan], [1.0, 2.0], [-1, 0]])
+    def test_terminal_that_is_not_0_or_1_is_a_contract_error(self, terminal):
+        columns = (np.zeros((2, 3)), np.zeros((2, 1)), np.zeros(2), np.ones((2, 3)))
+        with pytest.raises(ContractError, match="terminal"):
+            Dataset(*columns, terminal, "e", "b", 0)
+        ds = Dataset(*columns, np.array([1.0, 0.0]), "e", "b", 0)
+        assert ds.terminal.dtype == bool and ds.terminal.tolist() == [True, False]
+
     def test_episodes_are_contiguous_and_rows_are_branches(self):
         # rows run episode by episode: each row is a branch of outcomes(s, a), and the
         # next row continues from s_next unless the episode ended or hit the cap
@@ -410,14 +419,7 @@ class TestDatasets:
                     length = 0
 
 
-# windy-grid-3 and continuous-bandit-1d datasets in the file format, each with
-# the bytes of the columns that were saved
-GRID_FILE = """windy-grid-3|uniform-discrete|1|4|9|2
-1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|-1.0,0.0|-0.05|1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|0
-1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|0.0,1.0|-0.05|0.0,0.0,0.0,1.0,0.0,0.0,0.0,0.0,0.0|0
-0.0,0.0,0.0,1.0,0.0,0.0,0.0,0.0,0.0|0.0,-1.0|-0.05|1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|0
-1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|0.0,-1.0|-0.05|1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|0
-"""
+# the columns saved in the windy-grid-3 and continuous-bandit-1d dataset files of tests/data
 GRID_COLUMNS = {
     "s": np.eye(9)[[0, 0, 3, 0]],
     "a": np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, -1.0]]),
@@ -425,11 +427,6 @@ GRID_COLUMNS = {
     "s_next": np.eye(9)[[0, 3, 0, 0]],
     "terminal": np.zeros(4, dtype=bool),
 }
-BANDIT_FILE = """continuous-bandit-1d|uniform-box|2|3|1|1
-0.0|-0.4767757315013672|0.3181506394428474|1.0|1
-0.0|0.6284514811885606|0.2957766808613427|1.0|1
-0.0|0.200201051931308|0.27749909902487|1.0|1
-"""
 BANDIT_COLUMNS = {
     "s": np.zeros((3, 1)),
     "a": np.frombuffer(bytes.fromhex("54ca945b7e83debfec7bda47461ce43fe0ba552530a0c93f"))
@@ -438,42 +435,38 @@ BANDIT_COLUMNS = {
     "s_next": np.ones((3, 1)),
     "terminal": np.ones(3, dtype=bool),
 }
+DATA = Path(__file__).parent / "data"
 
 
 class TestLoadDataset:
-    @pytest.mark.parametrize("text,columns,provenance", [
-        (GRID_FILE, GRID_COLUMNS, ("windy-grid-3", "uniform-discrete", 1)),
-        (BANDIT_FILE, BANDIT_COLUMNS, ("continuous-bandit-1d", "uniform-box", 2)),
-    ])
-    def test_file_loads_to_saved_columns_bit_for_bit(self, tmp_path, text, columns, provenance):
-        path = tmp_path / "data.txt"
-        path.write_text(text)
-        ds = load_dataset(path)
+    @pytest.mark.parametrize("name,columns,provenance", [
+        ("dataset_grid_v1.json", GRID_COLUMNS, ("windy-grid-3", "uniform-discrete", 1)),
+        ("dataset_bandit_v1.json", BANDIT_COLUMNS, ("continuous-bandit-1d", "uniform-box", 2)),
+    ], ids=["windy-grid-3", "bandit"])
+    def test_file_loads_to_saved_columns_bit_for_bit(self, tmp_path, name, columns, provenance):
+        ds = load_dataset(DATA / name)
         assert (ds.env_id, ds.behavior_id, ds.seed) == provenance
         for key, want in columns.items():
             got = ds.arrays()[key]
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        save_dataset(ds, tmp_path / "again.txt")
-        assert (tmp_path / "again.txt").read_text() == text
+        save_dataset(ds, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == (DATA / name).read_text()
 
-    @pytest.mark.parametrize("old,new", [
-        ("|-1.0,0.0|-0.05|", "|-1.0,0.0|"),                        # four fields
-        ("|-1.0,0.0|-0.05|", "|-1.0,0.0|abc|"),                    # non-numeric real
-        ("1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|-1.0", "1.0,0.0|-1.0"),   # state of width 2
-        ("|1|4|9|2", "|one|4|9|2"),                                 # header seed not an int
-        ("|1|4|9|2", "|1|4|9|x"),                                   # header dim not an int
-        ("|1|4|9|2", "|1|5|9|2"),                                   # count != lines
-        ("0.0,0.0,0.0,0.0|-1.0,0.0|-0.05|1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|0",
-         "0.0,0.0,0.0,0.0|-1.0,0.0|-0.05|1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|7"),   # flag 7
-        ("1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|-1.0", "nan,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0|-1.0"),
-        ("|-1.0,0.0|-0.05|", "|-1.0,0.0|inf|"),                    # infinite reward
-    ], ids=["field-count", "non-numeric", "vector-width", "header-seed", "header-dim",
-            "count", "terminal-flag", "nan-state", "inf-reward"])
-    def test_malformed_file_raises_contract_error(self, tmp_path, old, new):
-        assert old in GRID_FILE
-        path = tmp_path / "data.txt"
-        path.write_text(GRID_FILE.replace(old, new, 1))
+    @pytest.mark.parametrize("column,value", [
+        ("s", np.where(np.eye(9)[[0, 0, 3, 0]] == 1.0, np.nan, 0.0)),
+        ("r", np.array([-0.05, np.inf, -0.05, -0.05])),
+        ("terminal", np.array([0.0, 0.5, 0.0, 0.0])),
+        ("terminal", np.array([0.0, 7.0, 0.0, 0.0])),
+        ("r", np.full(5, -0.05)),
+        ("a", np.zeros(4)),
+    ], ids=["nan-state", "inf-reward", "half-terminal", "terminal-7", "row-count", "action-dims"])
+    def test_columns_that_break_the_dataset_contract_raise_contract_error(
+            self, tmp_path, column, value):
+        # a well-formed file: the file format carries any float64 arrays, the Dataset refuses
+        path = tmp_path / "data.json"
+        save_arrays(path, "flowrl-dataset-v1", "columns", {**GRID_COLUMNS, column: value},
+                    env_id="windy-grid-3", behavior_id="uniform-discrete", seed=1)
         with pytest.raises(ContractError):
             load_dataset(path)
 
