@@ -8,10 +8,20 @@ regresses the online field onto a target-network field through the
 distributional TD construction, optionally weighted by a per-transition
 confidence weight that grows with return uncertainty.
 
+Only rows that bootstrap pay for the target flow. A terminal row's TD
+target is the point mass at r: its noise sensitivity is 0, so its weight is
+the 0.5 limit of the confidence weight, and it reads nothing off the target
+field. :func:`value_flow_loss` integrates the target over the nonterminal
+rows alone, and calls no target on an all-terminal batch. On a terminal row
+the DCFM and BCFM rows are also one row, bit for bit (z = t * r + (1 - t) *
+eps, regressed onto r - eps), so the stacked online pass holds the DCFM rows
+of all n transitions and then the BCFM rows of the nonterminal ones, and a
+terminal row carries both terms' coefficients, (1 + lam) * w / n.
+
 ``ReturnField`` is a ``diffcore.Net``: it adds only its (z, t, s, a) input
 layout and the field's methods. ``Net._rows`` writes every (z, t, s, a) row
-in that column order: for ``_inputs``, for the term-major DCFM and BCFM rows
-of :func:`value_flow_loss` and for the noise-major rows of :func:`_q_rows`,
+in that column order: for ``_inputs``, for the stacked DCFM and BCFM rows of
+:func:`value_flow_loss` and for the noise-major rows of :func:`_q_rows`,
 which every ensemble Q pass shares.
 """
 
@@ -103,7 +113,13 @@ def sample_return(field: ReturnField, s, a, eps, cfg: CriticConfig) -> np.ndarra
 
 def variance_estimate(field: ReturnField, s, a, noise_set: np.ndarray,
                       flow_steps: int) -> float:
-    """Return-variance estimate: mean squared flow derivative at t = 1."""
+    """Mean squared flow derivative at t = 1, E[J^2]: an upper bound on the return variance.
+
+    For a standard normal noise eps and a flow map phi, the Gaussian Poincare
+    inequality gives Var[phi(eps)] <= E[phi'(eps)^2], with equality when phi
+    is affine. So this returns the return variance itself only for a flow
+    that transports the noise affinely, and bounds it from above otherwise.
+    """
     noise_set = np.atleast_1d(np.asarray(noise_set, dtype=np.float64))
     if noise_set.size < 1:
         raise ContractError("variance_estimate needs at least one noise")
@@ -121,7 +137,8 @@ def _weight_from_jac(jac: np.ndarray, tau: float) -> np.ndarray:
 
     w = sigmoid(-tau / |dphi/deps|) + 0.5, with the zero-derivative limit
     pinned to 0.5. ``value_flow_loss`` applies it to the target flow's
-    derivative at t = 1, outside the gradient graph.
+    derivative at t = 1, outside the gradient graph. A terminal row's
+    derivative is 0, the point mass's, so its weight is exactly 0.5.
     """
     absj = np.abs(jac)
     # |J| -> 0 sends -tau/|J| to -inf; exp overflows and the weight takes its 0.5 limit
@@ -157,8 +174,17 @@ class CriticBatch:
         return self.r.size
 
     def next_actions(self, sampler, rng: np.random.Generator) -> np.ndarray:
-        """The actions ``sampler`` draws at ``s_next`` from ``rng``, as a 2-d float array."""
-        return np.atleast_2d(np.asarray(sampler(self.s_next, rng), dtype=np.float64))
+        """The actions ``sampler`` draws at ``s_next`` from ``rng``, one float row per transition.
+
+        A sampler may return one row for all of s', which is broadcast to
+        every transition; any other row count, or an array that is not 2-d
+        (after a 1-d row is read as one row), raises ContractError.
+        """
+        a = np.atleast_2d(np.asarray(sampler(self.s_next, rng), dtype=np.float64))
+        n = len(self)
+        if a.ndim != 2 or a.shape[0] not in (1, n):
+            raise ContractError(f"next actions need 1 or {n} rows, got shape {a.shape}")
+        return np.broadcast_to(a, (n, a.shape[1]))
 
     def discounts(self, gamma: float) -> np.ndarray:
         """gamma on nonterminal rows, 0 on terminal ones; ConfigError unless 0 <= gamma < 1."""
@@ -168,11 +194,18 @@ class CriticBatch:
 
 @dataclass
 class _LossDraws:
-    """Every random quantity a loss term needs, drawn once per batch."""
+    """Every random quantity a loss term needs, drawn once per batch.
+
+    ``eps``, ``t`` and ``a_next`` hold every row, drawn in that order.
+    The target-flow quantities come from one trajectory over the bootstrap
+    rows ``boot`` alone; a terminal row reads none of them, and holds 0 in
+    each, so its ``jac1`` gives the weight's 0.5 limit.
+    """
 
     eps: np.ndarray
     t: np.ndarray
     a_next: np.ndarray
+    boot: np.ndarray       # ascending indices of the nonterminal rows
     z_t: np.ndarray        # target flow read off the t = 1 trajectory at per-row time t
     vbar_t: np.ndarray     # target velocity at (z_t, t, s', a')
     z1: np.ndarray         # target flow at t = 1 (same eps)
@@ -185,15 +218,20 @@ def _draw_loss_quantities(target: ReturnField, sampler, batch: CriticBatch,
     a_next = batch.next_actions(sampler, rng)
     eps = rng.standard_normal(n)
     t = sample_times(rng, n)
-    # one target trajectory: its end gives z1 and jac1, its nodes give z_t
-    traj = euler_trajectory(target.conditioned(batch.s_next, a_next), eps,
-                            IntegrationConfig(cfg.flow_steps))
-    z1, jac1, z_t = traj.x, traj.jac, traj.at(t)
-    if cfg.clip_returns:
-        z1 = np.clip(z1, cfg.z_lo, cfg.z_hi)
-        z_t = np.clip(z_t, cfg.z_lo, cfg.z_hi)
-    vbar_t = target.velocity(z_t, t, batch.s_next, a_next)
-    return _LossDraws(eps=eps, t=t, a_next=a_next, z_t=z_t, vbar_t=vbar_t,
+    boot = np.flatnonzero(~batch.terminal)
+    z_t, vbar_t, z1, jac1 = np.zeros((4, n))
+    if boot.size:
+        # one target trajectory: its end gives z1 and jac1, its nodes give z_t
+        s_next, a_boot, t_boot = batch.s_next[boot], a_next[boot], t[boot]
+        traj = euler_trajectory(target.conditioned(s_next, a_boot), eps[boot],
+                                IntegrationConfig(cfg.flow_steps))
+        z1_boot, z_t_boot = traj.x, traj.at(t_boot)
+        if cfg.clip_returns:
+            z1_boot = np.clip(z1_boot, cfg.z_lo, cfg.z_hi)
+            z_t_boot = np.clip(z_t_boot, cfg.z_lo, cfg.z_hi)
+        z1[boot], jac1[boot], z_t[boot] = z1_boot, traj.jac, z_t_boot
+        vbar_t[boot] = target.velocity(z_t_boot, t_boot, s_next, a_boot)
+    return _LossDraws(eps=eps, t=t, a_next=a_next, boot=boot, z_t=z_t, vbar_t=vbar_t,
                       z1=z1, jac1=jac1)
 
 
@@ -216,7 +254,8 @@ def _bcfm_rows(batch: CriticBatch, d: _LossDraws, cfg: CriticConfig):
     """Bootstrapped rows: plain flow matching toward z1_td = r + gamma * z1.
 
     The same eps that produced z1 interpolates z^t_td and forms the target
-    velocity z1_td - eps. Terminal rows mask gamma to 0.
+    velocity z1_td - eps. Terminal rows mask gamma to 0, which makes each
+    one its DCFM row, bit for bit.
     """
     z1_td = batch.r + batch.discounts(cfg.gamma) * d.z1
     z_in = d.t * z1_td + (1.0 - d.t) * d.eps
@@ -238,38 +277,48 @@ def value_flow_loss(online: ReturnField, target: ReturnField, next_action_sample
     """Combined critic loss: weighted DCFM + lam * weighted BCFM.
 
     Draws one noise per transition, reused for the confidence weight, the
-    target-flow integration, and both loss terms; runs a single stacked online
-    forward pass. Returns (loss, tape, diagnostics). Besides the two terms,
-    the diagnostics show how the confidence weight spreads over the batch:
-    its mean, its 10/50/90th percentiles and the share of rows above 0.55,
-    which is near 0 when the weight is flat at its 0.5 floor.
+    target-flow integration, and both loss terms. The target flow runs over
+    the nonterminal rows only; a terminal row's weight is 0.5. A single
+    stacked online forward pass holds the DCFM rows of all n transitions,
+    then the BCFM rows of the nonterminal ones: a terminal row's two rows are
+    the same row, so it appears once, with coefficient (1 + lam) * w / n.
+    Returns (loss, tape, diagnostics). Besides the two terms (a terminal
+    row's BCFM residual is its shared row's), the diagnostics show how the
+    confidence weight spreads over the batch: its mean, its 10/50/90th
+    percentiles and the share of rows above 0.55, which is near 0 when the
+    weight is flat at its 0.5 floor. ``mean_abs_flow_derivative`` averages
+    |J| over the rows that ran the target flow, and is 0 when none did.
     """
     d = _draw_loss_quantities(target, next_action_sampler, batch, cfg, rng)
     weights = _weight_from_jac(d.jac1, cfg.tau)
-    n = len(batch)
+    n, boot = len(batch), d.boot
 
     z_dc, tgt_dc = _dcfm_rows(batch, d, cfg)
     z_bc, tgt_bc = _bcfm_rows(batch, d, cfg)
-    x = online._rows((np.stack([z_dc, z_bc])[:, :, None], 1), (d.t[None, :, None], 1),
-                     (batch.s[None], online.state_dim), (batch.a[None], online.action_dim))
-    targets = np.concatenate([tgt_dc, tgt_bc])
-    coeffs = np.concatenate([weights / n, cfg.lam * weights / n])
+    rows = np.concatenate([np.arange(n), boot])
+    x = online._rows((np.concatenate([z_dc, z_bc[boot]])[:, None], 1), (d.t[rows, None], 1),
+                     (batch.s[rows], online.state_dim), (batch.a[rows], online.action_dim))
+    targets = np.concatenate([tgt_dc, tgt_bc[boot]])
+    w_n = weights / n
+    coeffs = np.concatenate([np.where(batch.terminal, (1.0 + cfg.lam) * w_n, w_n),
+                             cfg.lam * w_n[boot]])
 
     loss = _weighted_regression(online, x, targets, coeffs)
 
     res = loss.tape.output[:, 0] - targets
-    dcfm_val = float(np.mean(weights * res[:n] ** 2))
-    bcfm_val = float(np.mean(weights * res[n:] ** 2))
+    res_dc = res[:n]
+    res_bc = res_dc.copy()
+    res_bc[boot] = res[n:]
     p10, p50, p90 = np.percentile(weights, [10, 50, 90])
     diagnostics = {
-        "dcfm": dcfm_val,
-        "bcfm": bcfm_val,
+        "dcfm": float(np.mean(weights * res_dc ** 2)),
+        "bcfm": float(np.mean(weights * res_bc ** 2)),
         "mean_weight": float(weights.mean()),
         "weight_p10": float(p10),
         "weight_p50": float(p50),
         "weight_p90": float(p90),
         "weight_share_above_0.55": float((weights > 0.55).mean()),
-        "mean_abs_flow_derivative": float(np.abs(d.jac1).mean()),
+        "mean_abs_flow_derivative": float(np.abs(d.jac1[boot]).mean()) if boot.size else 0.0,
     }
     return loss, loss.tape, diagnostics
 

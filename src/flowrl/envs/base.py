@@ -60,9 +60,11 @@ class Dataset:
     copies each column to float64 (``terminal`` to bool), checks that the
     shapes agree, every real is finite and a ``terminal`` that is not
     boolean holds only 0 and 1, and makes the copies read-only, so
-    ``arrays()`` hands out the columns themselves. :func:`generate_dataset`
-    fills them by lockstep rollouts or one step at a time, by the rule in
-    its docstring.
+    ``arrays()`` hands out the columns themselves. ``env_id`` and
+    ``behavior_id`` must be strings and ``seed`` an integer >= 0 (a bool is
+    not one), stored as an int, so every dataset can be saved and read back.
+    :func:`generate_dataset` fills them by lockstep rollouts or one step at a
+    time, by the rule in its docstring.
     """
 
     s: np.ndarray
@@ -75,6 +77,10 @@ class Dataset:
     seed: int
 
     def __post_init__(self):
+        if not (isinstance(self.env_id, str) and isinstance(self.behavior_id, str)):
+            raise ContractError(f"env_id and behavior_id must be strings, got "
+                                f"{self.env_id!r:.80} and {self.behavior_id!r:.80}")
+        object.__setattr__(self, "seed", check_int("seed", self.seed, least=0))
         n = None
         for name, ndim in _COLUMNS:
             if name == "terminal":
@@ -712,7 +718,8 @@ def generate_dataset(mdp: ToyMdp, behavior: Policy, n_transitions: int, seed: in
     ``n_transitions`` of the last round are dropped.
     """
     n_transitions = check_int("n_transitions", n_transitions)
-    rng = np.random.default_rng(check_int("seed", seed, least=0))
+    seed = check_int("seed", seed, least=0)
+    rng = np.random.default_rng(seed)
     behavior_id = getattr(behavior, "behavior_id", "custom")
     lock = _Lockstep.of(mdp, behavior)
     if lock is None:
@@ -748,7 +755,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     0.0/1.0, beside the ``env_id``, ``behavior_id`` and ``seed`` provenance.
     """
     save_arrays(path, _DATASET_TAG, "columns", dataset.arrays(), env_id=dataset.env_id,
-                behavior_id=dataset.behavior_id, seed=int(dataset.seed))
+                behavior_id=dataset.behavior_id, seed=dataset.seed)
 
 
 def load_dataset(path: str | Path) -> Dataset:

@@ -12,7 +12,7 @@ from flowrl.baselines import (
     critic_histogram,
     quantile_huber_loss,
 )
-from flowrl.critic import CriticBatch, CriticConfig, ReturnField
+from flowrl.critic import CriticBatch, CriticConfig, ReturnField, value_flow_loss
 from flowrl.errors import ConfigError, ContractError
 
 from helpers import c51_scatter, loss_grad_match, random_params_like
@@ -120,18 +120,37 @@ class TestLossGradients:
 
 class TestLossInputChecks:
     @staticmethod
-    def losses():
+    def losses(next_sampler=sampler):
         rng = np.random.default_rng(10)
         c51 = CategoricalCritic.create(DS, DA, 5, Z_LO, Z_HI, rng, hidden=(4,))
         iqn = QuantileCritic.create(DS, DA, rng, hidden=(4,))
+        flow = ReturnField.create(DS, DA, rng, hidden=(4,))
         batch = make_batch(rng)
         return {
-            "c51": lambda gamma: c51_project_and_loss(c51, c51, sampler, batch,
+            "c51": lambda gamma: c51_project_and_loss(c51, c51, next_sampler, batch,
                                                       np.random.default_rng(11), gamma=gamma),
-            "iqn": lambda gamma: quantile_huber_loss(iqn, iqn, sampler, batch,
+            "iqn": lambda gamma: quantile_huber_loss(iqn, iqn, next_sampler, batch,
                                                      np.random.default_rng(11), gamma=gamma,
                                                      kappa=1.0, n_quantiles=4),
+            "flow": lambda gamma: value_flow_loss(flow, flow, next_sampler, batch,
+                                                  CriticConfig(gamma, Z_LO, Z_HI),
+                                                  np.random.default_rng(11)),
         }
+
+    @pytest.mark.parametrize("kind", ["flow", "c51", "iqn"])
+    @pytest.mark.parametrize("row", [[0.25], [[0.25]]], ids=["1-d", "2-d"])
+    def test_one_next_action_row_is_broadcast_to_every_transition(self, kind, row):
+        one = self.losses(lambda s_next, rng: np.array(row))[kind](0.9)[0]
+        every = self.losses(lambda s_next, rng: np.full((len(s_next), DA), 0.25))[kind](0.9)[0]
+        assert one.data == every.data
+        assert np.array_equal(one.backward().flat, every.backward().flat)
+
+    @pytest.mark.parametrize("kind", ["flow", "c51", "iqn"])
+    @pytest.mark.parametrize("shape", [(0, DA), (2, DA), (5, DA), (4, DA, 1)])
+    def test_next_actions_of_another_row_count_are_a_contract_error(self, kind, shape):
+        loss = self.losses(lambda s_next, rng: np.zeros(shape))[kind]
+        with pytest.raises(ContractError):
+            loss(0.9)
 
     @pytest.mark.parametrize("kind", ["c51", "iqn"])
     @pytest.mark.parametrize("gamma", [1.5, 1.0, -0.1])

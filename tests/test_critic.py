@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import flowrl.critic as critic_module
 from flowrl.critic import (
@@ -16,12 +17,13 @@ from flowrl.critic import (
     sample_return,
     value_flow_loss,
     variance_estimate,
+    _bcfm_rows,
     _dcfm_rows,
     _draw_loss_quantities,
     _q_rows,
     _weight_from_jac,
 )
-from flowrl.diffcore import MlpSpec, MlpTape, mlp_forward, mlp_value_and_input_jvp
+from flowrl.diffcore import MlpSpec, MlpTape, backward, mlp_forward, mlp_value_and_input_jvp
 from flowrl.envs import BranchingTree
 from flowrl.errors import ConfigError, ContractError
 from flowrl.flowkit import IntegrationConfig, euler_integrate_with_derivative, euler_trajectory
@@ -60,13 +62,14 @@ def uniform_action_sampler(s_next, rng):
 
 
 def make_batch(n=8, terminal=False, seed=0) -> CriticBatch:
+    """``terminal`` is one flag for every row or a per-row mask."""
     rng = np.random.default_rng(seed)
     return CriticBatch(
         s=rng.normal(size=(n, DS)),
         a=rng.uniform(-1, 1, size=(n, DA)),
         r=rng.uniform(-1, 1, size=n),
         s_next=rng.normal(size=(n, DS)),
-        terminal=np.full(n, terminal, dtype=bool),
+        terminal=np.broadcast_to(np.asarray(terminal, dtype=bool), (n,)).copy(),
     )
 
 
@@ -490,6 +493,109 @@ class TestValueFlowLoss:
             online.with_params(ps), target, uniform_action_sampler, batch, cfg,
             np.random.default_rng(43))) >= 0.95
 
+    @pytest.mark.parametrize("terminal", [True, False], ids=["all-terminal", "none-terminal"])
+    def test_gradients_match_finite_differences_on_uniform_batches(self, terminal):
+        rng = np.random.default_rng(18)
+        online = random_field(16, hidden=(4, 4))
+        online = online.with_params(random_params_like(online.params, rng))
+        target = random_field(17, hidden=(4, 4))
+        batch = make_batch(n=5, terminal=terminal)
+        cfg = wide_config(lam=0.7, tau=2.0)
+        assert loss_grad_match(online, lambda ps: value_flow_loss(
+            online.with_params(ps), target, uniform_action_sampler, batch, cfg,
+            np.random.default_rng(44))) >= 0.95
+
+
+def _unmerged_loss(online: ReturnField, batch: CriticBatch, d, cfg: CriticConfig):
+    """The loss over 2n rows, every DCFM row then every BCFM row, and its gradients."""
+    n = len(batch)
+    w = _weight_from_jac(d.jac1, cfg.tau)
+    z_dc, tgt_dc = _dcfm_rows(batch, d, cfg)
+    z_bc, tgt_bc = _bcfm_rows(batch, d, cfg)
+    x = np.concatenate([np.concatenate([z_dc, z_bc])[:, None], np.tile(d.t, 2)[:, None],
+                        np.tile(batch.s, (2, 1)), np.tile(batch.a, (2, 1))], axis=1)
+    tape = mlp_forward(online.params, x, online.spec)
+    c = np.concatenate([w / n, cfg.lam * w / n])[:, None]
+    res = tape.output - np.concatenate([tgt_dc, tgt_bc])[:, None]
+    return float((c * res ** 2).sum()), backward(tape, 2.0 * c * res)
+
+
+class TestTerminalRows:
+    """A terminal row runs no target flow and shares one online row between its two terms."""
+
+    @staticmethod
+    def mixed_batch(n=7):
+        return make_batch(n=n, terminal=np.arange(n) % 3 != 1, seed=2)
+
+    def test_terminal_weights_are_exactly_one_half(self):
+        batch, cfg = self.mixed_batch(), wide_config(tau=TAU_UNIT_WEIGHTS)
+        d = _draw_loss_quantities(random_field(60), uniform_action_sampler, batch, cfg,
+                                  np.random.default_rng(61))
+        w = _weight_from_jac(d.jac1, cfg.tau)
+        assert np.all(w[batch.terminal] == 0.5) and np.all(w[~batch.terminal] == 1.0)
+        _, _, diag = value_flow_loss(random_field(62), random_field(60), uniform_action_sampler,
+                                     make_batch(n=6, terminal=True), cfg,
+                                     np.random.default_rng(61))
+        assert (diag["mean_weight"], diag["weight_p10"], diag["weight_p90"]) == (0.5, 0.5, 0.5)
+
+    def test_draws_cover_every_row_in_the_same_order_for_any_mask(self):
+        cfg, draws = wide_config(), []
+        for terminal in (False, True, np.arange(7) % 2 == 0):
+            draws.append(_draw_loss_quantities(random_field(60), uniform_action_sampler,
+                                               make_batch(n=7, terminal=terminal), cfg,
+                                               np.random.default_rng(63)))
+        for d in draws[1:]:
+            for name in ("eps", "t", "a_next"):
+                assert np.array_equal(getattr(d, name), getattr(draws[0], name))
+
+    def test_terminal_dcfm_and_bcfm_rows_are_bitwise_equal(self):
+        batch, cfg = self.mixed_batch(), wide_config(lam=0.5)
+        d = _draw_loss_quantities(random_field(64), uniform_action_sampler, batch, cfg,
+                                  np.random.default_rng(65))
+        term = batch.terminal
+        for dc, bc in zip(_dcfm_rows(batch, d, cfg), _bcfm_rows(batch, d, cfg)):
+            assert np.array_equal(dc[term], bc[term])
+            assert not np.any(dc[~term] == bc[~term])
+
+    @pytest.mark.parametrize("terminal", [True, False, np.arange(9) % 4 == 0],
+                             ids=["all-terminal", "none-terminal", "mixed"])
+    def test_online_tape_holds_n_plus_the_nonterminal_rows(self, terminal):
+        batch = make_batch(n=9, terminal=terminal)
+        _, tape, _ = value_flow_loss(random_field(66), random_field(67), uniform_action_sampler,
+                                     batch, wide_config(), np.random.default_rng(68))
+        assert tape.output.shape == (9 + np.count_nonzero(~batch.terminal), 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.booleans(), min_size=1, max_size=9), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 0.6, 1.0]))
+    @example([True] * 5, 7, 1.0)
+    @example([False] * 5, 7, 1.0)
+    def test_loss_and_gradients_equal_the_unmerged_layout(self, terminal, seed, lam):
+        batch = make_batch(n=len(terminal), terminal=terminal, seed=seed % 1000)
+        online, target, cfg = random_field(69), random_field(70), wide_config(lam=lam, tau=2.0)
+        loss, _, diag = value_flow_loss(online, target, uniform_action_sampler, batch, cfg,
+                                        np.random.default_rng(seed))
+        d = _draw_loss_quantities(target, uniform_action_sampler, batch, cfg,
+                                  np.random.default_rng(seed))
+        ref_value, ref_grads = _unmerged_loss(online, batch, d, cfg)
+        assert float(loss.data) == pytest.approx(ref_value, rel=1e-12)
+        assert diag["dcfm"] + lam * diag["bcfm"] == pytest.approx(ref_value, rel=1e-12)
+        grads = loss.backward()
+        np.testing.assert_allclose(grads.flat, ref_grads.flat, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref_grads.flat).max())
+
+    def test_flow_derivative_diagnostic_covers_the_rows_that_ran_the_target(self):
+        batch, cfg = self.mixed_batch(), wide_config()
+        _, _, diag = value_flow_loss(random_field(71), random_field(72), uniform_action_sampler,
+                                     batch, cfg, np.random.default_rng(73))
+        d = _draw_loss_quantities(random_field(72), uniform_action_sampler, batch, cfg,
+                                  np.random.default_rng(73))
+        assert diag["mean_abs_flow_derivative"] == np.abs(d.jac1[~batch.terminal]).mean() > 0.0
+        _, _, diag = value_flow_loss(random_field(71), random_field(72), uniform_action_sampler,
+                                     make_batch(n=5, terminal=True), cfg,
+                                     np.random.default_rng(73))
+        assert diag["mean_abs_flow_derivative"] == 0.0
+
 
 class _CountingField(ReturnField):
     """ReturnField that counts its value passes, its views, and their value and JVP passes.
@@ -502,9 +608,11 @@ class _CountingField(ReturnField):
         super().__init__(base.state_dim, base.action_dim, base.params, base.spec)
         self.calls = {"velocity": 0, "conditioned": 0, "view.velocity": 0,
                       "view.velocity_and_derivative": 0}
+        self.rows = []      # the row count of each value or JVP pass, in call order
 
     def velocity(self, z, t, s, a):
         self.calls["velocity"] += 1
+        self.rows.append(np.size(z))
         return super().velocity(z, t, s, a)
 
     def conditioned(self, s, a):
@@ -517,6 +625,7 @@ class _CountingField(ReturnField):
     def _counted(self, key, method):
         def counted(x, t):
             self.calls[key] += 1
+            self.rows.append(np.size(x))
             return method(x, t)
         return counted
 
@@ -531,6 +640,18 @@ class TestTargetTrajectory:
                         wide_config(flow_steps=flow_steps), np.random.default_rng(51))
         assert target.calls == {"velocity": 1, "conditioned": 1, "view.velocity": 0,
                                 "view.velocity_and_derivative": flow_steps}
+
+    @pytest.mark.parametrize("terminal", [np.arange(6) % 2 == 0, np.arange(6) < 5, True],
+                             ids=["half", "one-nonterminal", "all-terminal"])
+    def test_target_sees_only_the_nonterminal_rows(self, terminal):
+        target = _CountingField(random_field(18))
+        batch = make_batch(n=6, terminal=terminal)
+        value_flow_loss(random_field(19), target, uniform_action_sampler, batch,
+                        wide_config(flow_steps=4), np.random.default_rng(51))
+        m = np.count_nonzero(~batch.terminal)
+        assert target.rows == ([m] * 5 if m else [])
+        if not m:
+            assert set(target.calls.values()) == {0}
 
     def test_z_t_is_the_euler_path_cut_short_at_t(self):
         target = random_field(22)

@@ -390,6 +390,23 @@ class TestDatasets:
             Dataset(np.zeros((0, 3)), np.zeros((0, 1)), np.zeros(0), np.zeros((0, 3)), [],
                     "e", "b", 0)
 
+    @pytest.mark.parametrize("provenance", [(3, "b", 0), ("e", None, 0), ("e", "b", 1.5),
+                                            ("e", "b", True), ("e", "b", -1), ("e", "b", "0")])
+    def test_provenance_of_the_wrong_type_is_a_contract_error(self, provenance):
+        columns = (np.zeros((2, 3)), np.zeros((2, 1)), np.zeros(2), np.ones((2, 3)), [1, 0])
+        with pytest.raises(ContractError):
+            Dataset(*columns, *provenance)
+
+    def test_a_numpy_integer_seed_is_stored_as_an_int_and_round_trips(self, tmp_path):
+        env = BranchingTree()
+        made = generate_dataset(env, behavior_policy_for(env), 20, seed=np.int64(5))
+        built = Dataset(*made.arrays().values(), "e", "b", np.uint8(5))
+        for ds in (made, built):
+            assert type(ds.seed) is int and ds.seed == 5
+            save_dataset(ds, tmp_path / "data.json")
+            back = load_dataset(tmp_path / "data.json")
+            assert (back.env_id, back.behavior_id, back.seed) == (ds.env_id, ds.behavior_id, 5)
+
     @pytest.mark.parametrize("terminal", [[0.5, np.nan], [1.0, 2.0], [-1, 0]])
     def test_terminal_that_is_not_0_or_1_is_a_contract_error(self, terminal):
         columns = (np.zeros((2, 3)), np.zeros((2, 1)), np.zeros(2), np.ones((2, 3)))
