@@ -66,8 +66,9 @@ def c51_project(values: np.ndarray, masses: np.ndarray, support: np.ndarray) -> 
     Out-of-range values clamp to the boundary atoms; interior values split
     their mass between the two neighboring atoms proportionally to distance.
     Shapes: values (M,) or (rows, M), and masses of a shape that broadcasts
-    to theirs, -> output (1 or rows, N); values of more dimensions raise
-    ContractError. Mass is conserved.
+    to theirs, -> output (1 or rows, N); values of more dimensions, or
+    masses that do not broadcast to them, raise ContractError. Mass is
+    conserved.
     One ``np.bincount`` over the flat indices row * N + atom adds every lower
     share, in row-major order, and then every upper share: each atom gets
     its shares in the order of two ``np.add.at`` scatters, bit for bit, at
@@ -78,6 +79,11 @@ def c51_project(values: np.ndarray, masses: np.ndarray, support: np.ndarray) -> 
     masses = np.atleast_2d(np.asarray(masses, dtype=np.float64))
     if values.ndim != 2:
         raise ContractError(f"values must be (M,) or (rows, M), got shape {values.shape}")
+    try:
+        masses = np.broadcast_to(masses, values.shape)
+    except ValueError:
+        raise ContractError(f"masses of shape {masses.shape} do not broadcast to values of "
+                            f"shape {values.shape}") from None
     n = support.size
     delta = (support[-1] - support[0]) / (n - 1)
     b = (np.clip(values, support[0], support[-1]) - support[0]) / delta
@@ -87,8 +93,7 @@ def c51_project(values: np.ndarray, masses: np.ndarray, support: np.ndarray) -> 
     rows = values.shape[0]
     base = np.arange(0, rows * n, n)[:, None]
     index = np.concatenate([(base + lower).ravel(), (base + upper).ravel()])
-    shares = np.concatenate([np.broadcast_to(masses * (1.0 - frac), lower.shape).ravel(),
-                             np.broadcast_to(masses * frac, upper.shape).ravel()])
+    shares = np.concatenate([(masses * (1.0 - frac)).ravel(), (masses * frac).ravel()])
     return np.bincount(index, shares, minlength=rows * n).reshape(rows, n)
 
 

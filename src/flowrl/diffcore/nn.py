@@ -52,9 +52,12 @@ it on a ``Loss``, so there is no general differentiation engine.
 
 Both passes allocate nothing per hidden layer in steady state: their
 (batch, hidden) temporaries live in a per-thread workspace (``_Workspace``)
-that is reused from call to call. Outputs, gradients and the cache a tape
-keeps are fresh arrays, and the arithmetic is the same operations in the
-same order as with fresh temporaries, so every result is bit-identical.
+that is reused from call to call. Outputs and gradients are fresh arrays.
+The cache a tape keeps is carved from one fresh block per call and freed
+with the tape: as separate arrays, a 2048-row pass's cache was trimmed off
+glibc's heap top and faulted back in on every call, while one block is
+reused from the heap (see ``_walk``). The arithmetic is the same operations
+in the same order as with fresh arrays, so every result is bit-identical.
 """
 
 from __future__ import annotations
@@ -258,9 +261,10 @@ class _Workspace(threading.local):
     ``_POOLED_MAX`` elements gets a fresh array and pools nothing, which
     bounds the workspace whatever the batch. No array it returns leaves
     ``_walk`` or ``_vjp``: outputs, gradients and the ``keep`` cache are
-    always freshly allocated, so a later call cannot overwrite them. It is
-    module state rather than an object callers pass because no result
-    depends on it, only memory and speed do.
+    always freshly allocated, the cache as one block per call (see
+    ``_walk``), so a later call cannot overwrite them. It is module state
+    rather than an object callers pass because no result depends on it,
+    only memory and speed do.
     """
 
     def __init__(self):
@@ -321,15 +325,22 @@ def _walk(params: Mapping[str, np.ndarray], x, spec: MlpSpec, tangent=None, keep
     GELU's c(h), its slope and the slope's polynomial factor q, each updated
     in place; q borrows the activation slot of the layer before, whose array
     is dead once this layer's matmul has read it (a ``keep`` walk's
-    activations are fresh arrays, so that slot is free there too). Fresh
+    activations are in its block, so that slot is free there too). Fresh
     (batch, hidden) arrays reached glibc's mmap threshold from 256 rows of 64
     floats and cost page faults on every call. Only what escapes is
     allocated: the output, its JVP and, with ``keep``, the per-layer cache
     ``_vjp`` reads (layer input, xhat, inverse std, GELU slope, the weights
     the layer multiplied by), which a live tape holds until its backward
-    runs. Carrying the GELU's 1/2 on the next layer's weights, the kept
-    slopes, and the kept inputs of every layer after the first, are twice
-    the true ones.
+    runs. Each hidden layer's three kept (batch, width) arrays, xhat, the
+    activation the next layer reads and the slope, are C-contiguous views of
+    one block of 3 * batch * sum(hidden) floats, written through ``out=``.
+    Six separate ~1 MB arrays of a 2048-row walk were freed to the heap top,
+    which glibc trimmed and faulted back in on every call; the one block
+    raises glibc's mmap and trim thresholds the first time it is freed and
+    is then reused from the heap. It holds the same bytes, alive for as long
+    as the separate arrays were, and is freed with the tape. Carrying the
+    GELU's 1/2 on the next layer's weights, the kept slopes, and the kept
+    inputs of every layer after the first, are twice the true ones.
     """
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != spec.in_dim:
@@ -341,11 +352,17 @@ def _walk(params: Mapping[str, np.ndarray], x, spec: MlpSpec, tangent=None, keep
     ws = _workspace
     rows = h.shape[0]
     cache = [] if keep else None
+    block = np.empty(3 * rows * sum(spec.hidden)) if keep else None
+    at = 0
     for i, (w, b, scale, offset) in enumerate(layers):
         width = w.shape[1]
         layer_in = h
         hidden = scale is not None
-        h = np.matmul(h, w, out=ws.take(_H + i % 2, rows, width) if hidden and not keep else None)
+        if hidden and keep:     # (xhat, activation, slope) of this layer, carved from the block
+            kept = block[at:at + 3 * rows * width].reshape(3, rows, width)
+            at += 3 * rows * width
+        h = np.matmul(h, w, out=(kept[0] if keep else ws.take(_H + i % 2, rows, width))
+                      if hidden else None)
         h += b
         if dh is not None:
             dh = np.matmul(dh, w, out=ws.take(_DH + i % 2, rows, width) if hidden else None)
@@ -364,7 +381,7 @@ def _walk(params: Mapping[str, np.ndarray], x, spec: MlpSpec, tangent=None, keep
                 dh *= scale
             if keep:
                 xhat = h
-                h = h * scale
+                h = np.multiply(h, scale, out=kept[1])
             else:
                 h *= scale
             h += offset
@@ -382,7 +399,7 @@ def _walk(params: Mapping[str, np.ndarray], x, spec: MlpSpec, tangent=None, keep
             tmp *= h
             np.tanh(tmp, out=tmp)
             if need_slope:          # 2 GELU'(h) = 2c + 2q (1 - tanh^2)
-                slope = np.multiply(tmp, tmp, out=None if keep else ws.take(_SLOPE, rows, width))
+                slope = np.multiply(tmp, tmp, out=kept[2] if keep else ws.take(_SLOPE, rows, width))
                 np.subtract(1.0, slope, out=slope)
                 slope *= q
             tmp += 1.0              # 2c

@@ -108,14 +108,14 @@ def histogram_from_samples(samples: np.ndarray, edges: np.ndarray) -> tuple[Retu
 
 def histogram_from_atoms(values: np.ndarray, masses: np.ndarray,
                          edges: np.ndarray) -> ReturnHistogram:
-    """Bin an exact atom set (e.g. an enumeration oracle) of finite values onto a grid."""
-    values, edges = np.asarray(values, dtype=np.float64), check_edges(edges)
-    masses = np.asarray(masses, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise ContractError("atom values must be finite")
-    if masses.shape != values.shape:
-        raise ContractError(f"need one mass per atom value, got masses {masses.shape} "
-                            f"for values {values.shape}")
+    """Bin an exact atom set (e.g. an enumeration oracle) of finite values onto a grid.
+
+    The atoms are checked as ``wasserstein1_discrete`` checks them (ContractError
+    unless the masses are finite, nonnegative and sum to 1 within 1e-9); the
+    binned masses are renormalised to take out that rounding.
+    """
+    edges = check_edges(edges)
+    values, masses = _atoms(values, masses)
     values = np.clip(values, edges[0], edges[-1])
     idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, edges.size - 2)
     out = np.zeros(edges.size - 1)

@@ -69,8 +69,16 @@ def sample_bc_action(policy: BcFlowPolicy, s: np.ndarray, eps_d: np.ndarray,
 
 
 def snap_to_atoms(actions: np.ndarray, atoms: list[np.ndarray]) -> np.ndarray:
-    """Map each action to the nearest embedded discrete action."""
+    """Map each action to the nearest embedded discrete action.
+
+    ``actions`` is (rows, d) and every atom (d,); any other shape raises
+    ContractError.
+    """
     grid = np.stack(atoms)
+    actions = np.asarray(actions)
+    if actions.ndim != 2 or grid.ndim != 2 or actions.shape[1] != grid.shape[1]:
+        raise ContractError(f"actions of shape {actions.shape} need atoms of their width, "
+                            f"got atoms of shape {grid.shape[1:]}")
     d2 = ((actions[:, None, :] - grid[None, :, :]) ** 2).sum(axis=2)
     return grid[np.argmin(d2, axis=1)]
 

@@ -71,6 +71,15 @@ class TestC51Project:
         with pytest.raises(ContractError, match="values must be"):
             c51_project(np.zeros(shape), np.full(shape, 0.25), np.linspace(-1.0, 1.0, 5))
 
+    @pytest.mark.parametrize("values_shape, masses_shape",
+                             [((3, 5), (2, 5)), ((3, 5), (3, 4)), ((5,), (2, 5))])
+    def test_masses_that_do_not_broadcast_to_the_values_are_a_contract_error(
+            self, values_shape, masses_shape):
+        # these once raised numpy's own broadcasting ValueError
+        with pytest.raises(ContractError, match="do not broadcast"):
+            c51_project(np.zeros(values_shape), np.full(masses_shape, 0.2),
+                        np.linspace(-1.0, 1.0, 5))
+
 
 class TestC51Support:
     @staticmethod

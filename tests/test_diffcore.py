@@ -1,7 +1,11 @@
 """Tests for the MLP and its closed-form reverse pass, optimizer, EMA, and serialization."""
 
 import copy
+import os
 import pickle
+import platform
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -333,6 +337,54 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < x.shape[0] * spec.hidden[0] * 8
+
+    def test_a_tape_keeps_its_cache_in_one_block(self):
+        spec = MlpSpec(in_dim=17, hidden=(64, 64), out_dim=1)
+        rng = np.random.default_rng(26)
+        params = random_params_like(init_mlp(spec, rng), rng)
+        x = rng.normal(size=(2048, spec.in_dim))
+        backward(mlp_forward(params, x, spec), np.ones((2048, 1)))  # warm-up: the workspace grows
+        tracemalloc.start()
+        try:
+            tape = mlp_forward(params, x, spec)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        data = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        large = [t.size for t in data.traces if t.size >= x.shape[0] * 64 * 8]
+        kept = [a for layer_in, xhat, _, slope, _ in tape.cache
+                for a in (layer_in, xhat, slope) if a is not None and a is not x]
+        assert len(kept) == 6      # per hidden layer: xhat, slope and the next layer's input
+        assert all(a.shape == (2048, 64) and a.flags.c_contiguous for a in kept)
+        assert large == [3 * 2048 * 128 * 8]    # one live allocation of 1 MB or more: the block
+        block = kept[0].base
+        assert block is not None and block.nbytes == large[0]
+        assert all(a.base is block for a in kept)
+
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="counts the page faults of glibc's heap")
+    def test_steady_state_2048_row_training_pass_takes_no_page_faults(self):
+        # A fresh process: in this one, earlier tests have already raised glibc's mmap and trim
+        # thresholds, which hides the faults. Six separate cache arrays took 1250 per call.
+        import flowrl
+        src = Path(flowrl.__file__).resolve().parent.parent
+        code = ("import resource, numpy as np\n"
+                "from flowrl.diffcore import MlpSpec, backward, init_mlp, mlp_forward\n"
+                "spec = MlpSpec(in_dim=17, hidden=(64, 64), out_dim=1)\n"
+                "rng = np.random.default_rng(0)\n"
+                "params, x = init_mlp(spec, rng), rng.normal(size=(2048, 17))\n"
+                "seed = np.ones((2048, 1))\n"
+                "def step(): backward(mlp_forward(params, x, spec), seed)\n"
+                "for _ in range(5): step()\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "for _ in range(20): step()\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        assert int(out) / 20 < 100
 
 
 def unit_tangent_jvp(params, x, spec, component):

@@ -111,6 +111,20 @@ class TestW1InputChecks:
             histogram_from_atoms(self.VALUES, np.array([0.2, 0.3, 0.5]),
                                  histogram_edges((0.0, 1.0), 2))
 
+    @pytest.mark.parametrize("masses", [[-1.0, 2.0], [np.nan, 0.5], [np.inf, 0.5], [0.0, 0.0],
+                                        [5.0, 5.0]])
+    def test_histogram_from_atoms_rejects_masses_that_are_not_a_distribution(self, masses):
+        # [-1, 2] on one atom once passed as a valid histogram
+        with pytest.raises(ContractError):
+            histogram_from_atoms(np.array([0.5, 0.5]), np.array(masses),
+                                 histogram_edges((0.0, 1.0), 2))
+
+    def test_histogram_from_atoms_renormalises_a_sum_off_by_rounding(self):
+        hist = histogram_from_atoms(self.VALUES, np.array([0.5, 0.5 - 1e-10]),
+                                    histogram_edges((0.0, 1.0), 2))
+        assert hist.masses.sum() == 1.0
+        np.testing.assert_allclose(hist.masses, [0.5, 0.5], rtol=0, atol=1e-9)
+
 
 @pytest.mark.parametrize("n_bins", [True, 2.5, 0, np.float64(3.0)])
 def test_histogram_bin_count_must_be_a_positive_integer(n_bins):

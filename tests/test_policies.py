@@ -223,6 +223,16 @@ class TestRejectionSampling:
         snapped = snap_to_atoms(np.array([[0.2, 0.7], [-0.9, 0.1]]), atoms)
         np.testing.assert_array_equal(snapped, [[1.0, 0.0], [-1.0, 0.0]])
 
+    @pytest.mark.parametrize("actions, atoms", [
+        (np.zeros((3, 2)), [np.array([-1.0]), np.array([1.0])]),
+        (np.zeros((3, 1)), [np.array([-1.0, 0.0]), np.array([1.0, 0.0])]),
+        (np.zeros(2), [np.array([-1.0, 0.0]), np.array([1.0, 0.0])]),
+    ], ids=["wide-actions", "narrow-actions", "1-d-actions"])
+    def test_snap_to_atoms_rejects_actions_of_another_shape(self, actions, atoms):
+        # (3, 2) actions against 1-wide atoms once broadcast to a (3, 1) answer
+        with pytest.raises(ContractError):
+            snap_to_atoms(actions, atoms)
+
 
 class TestOneStepPolicy:
     def test_alpha_zero_loss_is_negative_mean_q(self):
