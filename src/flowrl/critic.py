@@ -102,10 +102,16 @@ def antithetic_noises(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def sample_return(field: ReturnField, s, a, eps, cfg: CriticConfig) -> np.ndarray:
-    """Transport noise to return samples through the flow ODE; clips to bounds."""
+    """Transport noise to return samples through the flow ODE; clips to bounds.
+
+    ``eps`` is a scalar or a 1-d array of noises; any other shape raises
+    ContractError.
+    """
+    eps = np.atleast_1d(np.asarray(eps, dtype=np.float64))
+    if eps.ndim != 1:
+        raise ContractError(f"noise must be a scalar or 1-d, got shape {eps.shape}")
     cond = field.conditioned(s, a)
-    z = euler_integrate(cond, np.atleast_1d(np.asarray(eps, dtype=np.float64)),
-                        IntegrationConfig(cfg.flow_steps))
+    z = euler_integrate(cond, eps, IntegrationConfig(cfg.flow_steps))
     if cfg.clip_returns:
         z = np.clip(z, cfg.z_lo, cfg.z_hi)
     return z

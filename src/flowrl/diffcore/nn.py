@@ -66,6 +66,7 @@ import copy
 import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -83,15 +84,23 @@ _GELU_Q2 = 3.0 * 0.044715 * _GELU_K
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Architecture of one MLP: input width, hidden widths, output width."""
+    """Architecture of one MLP: input width, hidden widths, output width.
+
+    Every width must be an integer >= 1 (a bool is not one) and ``hidden`` a
+    tuple or list of them, stored as a tuple; anything else raises ConfigError.
+    """
 
     in_dim: int
     hidden: tuple[int, ...]
     out_dim: int
 
     def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1 or any(h < 1 for h in self.hidden):
+        hidden = self.hidden
+        if not (isinstance(hidden, (tuple, list))
+                and all(isinstance(w, Integral) and not isinstance(w, bool) and w >= 1
+                        for w in (self.in_dim, *hidden, self.out_dim))):
             raise ConfigError(f"invalid MLP sizes: {self}")
+        object.__setattr__(self, "hidden", tuple(hidden))
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:

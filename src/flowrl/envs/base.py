@@ -9,24 +9,29 @@ Every rollout lives in this module and takes one of two paths, chosen by the
 input alone. An env with action atoms and a policy whose ``support(s)`` lies
 on them run all episodes in lockstep off the branch table's dense arrays
 (:meth:`_Lockstep.walk`); every other input (the bandit, box policies,
-selectors without ``support``) calls the policy and ``step`` one transition
-at a time (:func:`_stepwise`). Each path is one loop that yields its steps:
-:func:`generate_dataset` records them, and :func:`monte_carlo_returns` and
-``flowrl.metrics.evaluate_policy`` (through :func:`_episode_returns`) sum
-them with :func:`_returns`. One reader, :func:`_atom_probs`, gives the
-probabilities of ``policy.support`` over the action atoms for both the
-lockstep walk and the histogram Bellman backup (``flowrl.envs.oracle``),
-whose policy-free structure the branch table also keeps, built on first use.
-It reads ``support`` at every state on every call, except for a
-:class:`UniformDiscretePolicy` (the one :func:`behavior_policy_for` gives
-finite envs): its support is the same at every state, so its row is read
-once and kept on the branch table.
+selectors without ``support``) calls the policy and steps the env. Datasets
+do that time-major (:func:`_time_major`): one policy call and one
+:meth:`ToyMdp.step_many` per time step for all live episodes, the policy
+acting on the batch if it defines ``act_many`` and once per row otherwise.
+Monte Carlo and policy evaluation do it one transition at a time
+(:func:`_stepwise`). Each path is one loop that yields its steps:
+:func:`generate_dataset` records them in rounds (:func:`_rounds`), and
+:func:`monte_carlo_returns` and ``flowrl.metrics.evaluate_policy`` (through
+:func:`_episode_returns`) sum them with :func:`_returns`. One reader,
+:func:`_atom_probs`, gives the probabilities of ``policy.support`` over the
+action atoms for both the lockstep walk and the histogram Bellman backup
+(``flowrl.envs.oracle``), whose policy-free structure the branch table also
+keeps, built on first use. It reads ``support`` at every state on every
+call, except for a :class:`UniformDiscretePolicy` (the one
+:func:`behavior_policy_for` gives finite envs): its support is the same at
+every state, so its row is read once and kept on the branch table.
 
 A lockstep rollout pays for its start once per call, not once per episode:
 an ``initial_state`` that draws nothing from its generator is read once for
-all episodes (:meth:`_Lockstep.starts`), the default start's id is kept on
-the branch table (:meth:`BranchTable.start_id`), and Monte Carlo from an
-action atom samples the start pair's row of the dense view.
+all episodes (:func:`_starts`, as for a time-major round), the default
+start's id is kept on the branch table (:meth:`BranchTable.start_id`), and
+Monte Carlo from an action atom samples the start pair's row of the dense
+view.
 
 A :class:`Dataset` is saved in the package's one file format,
 ``flowrl.serialize``: :func:`save_dataset` and :func:`load_dataset` wrap it,
@@ -63,8 +68,8 @@ class Dataset:
     ``arrays()`` hands out the columns themselves. ``env_id`` and
     ``behavior_id`` must be strings and ``seed`` an integer >= 0 (a bool is
     not one), stored as an int, so every dataset can be saved and read back.
-    :func:`generate_dataset` fills them by lockstep rollouts or one step at a
-    time, by the rule in its docstring.
+    :func:`generate_dataset` fills them by lockstep or time-major rollouts,
+    by the rule in its docstring.
     """
 
     s: np.ndarray
@@ -138,9 +143,9 @@ class ToyMdp:
     def initial_state(self, rng: np.random.Generator) -> np.ndarray:
         """A start state, a function of the draws it takes from ``rng`` alone.
 
-        Lockstep rollouts rely on this: a call that draws nothing gives every
-        episode the same start, so they read it once per call
-        (:meth:`_Lockstep.starts`).
+        Lockstep and time-major rollouts rely on this: a call that draws
+        nothing gives every episode the same start, so they read it once per
+        call (:func:`_starts`).
         """
         raise NotImplementedError
 
@@ -161,6 +166,26 @@ class ToyMdp:
 
     def is_terminal(self, s: np.ndarray) -> bool:
         raise NotImplementedError
+
+    def step_many(self, states: np.ndarray, actions: np.ndarray,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One transition per row of ``states`` (k, state_dim) and ``actions`` (k, action_dim).
+
+        Returns ``(s_next, r, terminal)`` as (k, state_dim), (k,) and bool (k,)
+        arrays. This class calls the module-level :func:`step` once per row,
+        in row order, so every row is drawn and checked as ``step`` draws and
+        checks it; an env may override it with array code that keeps every
+        check ``step`` makes (the bandit does). Raises ContractError unless
+        there is one action per state.
+        """
+        states = np.asarray(states, dtype=np.float64)
+        if len(actions) != len(states):
+            raise ContractError(f"{len(actions)} actions for {len(states)} states")
+        s_next, r = np.empty_like(states), np.empty(len(states))
+        terminal = np.empty(len(states), dtype=bool)
+        for i, a in enumerate(actions):
+            s_next[i], r[i], terminal[i] = step(self, states[i], a, rng)
+        return s_next, r, terminal
 
     def _step_inner(self, s: np.ndarray, a: np.ndarray,
                     rng: np.random.Generator) -> tuple[np.ndarray, float, bool]:
@@ -457,19 +482,8 @@ class _Lockstep:
         return self.act_cdf is not None
 
     def starts(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        """Ids of ``m`` start states, one ``initial_state(rng)`` each; the view covers them.
-
-        A first call that leaves ``rng``'s state unchanged drew nothing, so
-        its state is every episode's start (:meth:`ToyMdp.initial_state`);
-        otherwise ``initial_state`` runs ``m - 1`` more times.
-        """
-        before = rng.bit_generator.state
-        sid = self.table.state_id(self.mdp.initial_state(rng))
-        if rng.bit_generator.state == before:
-            cur = np.full(m, sid)
-        else:
-            cur = np.array([sid] + [self.table.state_id(self.mdp.initial_state(rng))
-                                    for _ in range(m - 1)])
+        """Ids of ``m`` start states (:func:`_starts`); the view covers them."""
+        cur = _starts(self.mdp, m, rng, self.table.state_id)
         if not self.refresh():
             raise ContractError("policy support leaves the action atoms at a new start state")
         return cur
@@ -510,6 +524,20 @@ class _Lockstep:
                 ep, cur = ep[live], cur[live]
                 if not ep.size:
                     return
+
+
+def _starts(mdp: ToyMdp, m: int, rng: np.random.Generator, read=lambda s: s) -> np.ndarray:
+    """``read`` of ``m`` start states, one ``initial_state(rng)`` each, stacked.
+
+    A first call that leaves ``rng``'s state unchanged drew nothing, so its
+    state is every episode's start (:meth:`ToyMdp.initial_state`);
+    otherwise ``initial_state`` runs ``m - 1`` more times.
+    """
+    before = rng.bit_generator.state
+    first = read(mdp.initial_state(rng))
+    if rng.bit_generator.state == before:
+        return np.repeat(np.asarray(first)[None], m, axis=0)
+    return np.array([first] + [read(mdp.initial_state(rng)) for _ in range(m - 1)])
 
 
 def branch_table(mdp: ToyMdp) -> BranchTable:
@@ -575,13 +603,21 @@ class UniformDiscretePolicy:
 
 @dataclass(frozen=True)
 class UniformBoxPolicy:
-    """Uniform over the continuous action box."""
+    """Uniform over the continuous action box.
+
+    It acts on one state (``__call__``) or on a batch (``act_many``), the
+    protocol of time-major rollouts: ``act_many(states, rng)`` returns one
+    (k, action_dim) array for k states, here one ``rng.uniform`` call.
+    """
 
     dim: int
     behavior_id: str = "uniform-box"
 
     def __call__(self, s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-1.0, 1.0, size=self.dim)
+
+    def act_many(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(-1.0, 1.0, size=(len(states), self.dim))
 
 
 def behavior_policy_for(mdp: ToyMdp) -> Policy:
@@ -597,6 +633,13 @@ def behavior_policy_for(mdp: ToyMdp) -> Policy:
 
 # -- rollouts -------------------------------------------------------------------
 
+def _check_callable(policy) -> None:
+    """ContractError unless ``policy`` can act off the lockstep path, as ``policy(s, rng)``."""
+    if not callable(policy):
+        raise ContractError("a policy whose support(s) does not lie on the action atoms "
+                            "must be callable as policy(s, rng)")
+
+
 def _stepwise(mdp: ToyMdp, policy: Policy, rngs, horizon: int, start: tuple | None = None):
     """Run episodes one transition at a time, yielding ``(t, episode, s, a, r, s_next, terminal)``.
 
@@ -610,9 +653,7 @@ def _stepwise(mdp: ToyMdp, policy: Policy, rngs, horizon: int, start: tuple | No
     ``step`` took whatever buffer or shape the policy returned. Raises
     ContractError before the first step unless ``policy`` is callable.
     """
-    if not callable(policy):
-        raise ContractError("a policy whose support(s) does not lie on the action atoms "
-                            "must be callable as policy(s, rng)")
+    _check_callable(policy)
     for ep, rng in enumerate(rngs):
         s, a = (mdp.initial_state(rng), None) if start is None else start
         for t in range(horizon):
@@ -622,6 +663,46 @@ def _stepwise(mdp: ToyMdp, policy: Policy, rngs, horizon: int, start: tuple | No
             if terminal:
                 break
             s, a = s_next, None
+
+
+def _act(mdp: ToyMdp, policy, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The actions of ``policy`` at the rows of ``states``, as a fresh float64 array.
+
+    A policy that also acts on a batch defines ``act_many(states, rng)``,
+    called once; its (k, action_dim) shape is checked by ``step_many``. Any
+    other policy is called as ``policy(s, rng)`` once per row, in row order, and
+    each action is copied into its row after ``validate_action`` flattens and
+    checks it, whatever buffer or shape the policy returned.
+    """
+    act_many = getattr(policy, "act_many", None)
+    if act_many is not None:
+        return np.array(act_many(states, rng), dtype=np.float64)
+    actions = np.empty((len(states), mdp.action_dim))
+    for i, s in enumerate(states):
+        actions[i] = mdp.validate_action(policy(s, rng))
+    return actions
+
+
+def _time_major(mdp: ToyMdp, policy, states: np.ndarray, steps: int,
+                rng: np.random.Generator):
+    """Run episodes from the rows of ``states`` together, yielding each time step.
+
+    Each of up to ``steps`` time steps makes one :func:`_act` call and one
+    ``mdp.step_many`` call for the live episodes, and yields ``t`` and
+    ``(episode, s, a, r, s_next, terminal)`` as arrays over them, episodes by
+    their row in ``states``. An episode ends at its first terminal step.
+    """
+    ep = np.arange(len(states))
+    for t in range(steps):
+        a = _act(mdp, policy, states, rng)
+        s_next, r, terminal = mdp.step_many(states, a, rng)
+        yield t, ep, states, a, r, s_next, terminal
+        states = s_next
+        if terminal.any():
+            live = ~terminal
+            ep, states = ep[live], states[live]
+            if not ep.size:
+                return
 
 
 def _returns(walk, n: int, gamma: float) -> np.ndarray:
@@ -699,50 +780,66 @@ def _episode_returns(mdp: ToyMdp, policy, episodes: int, horizon: int,
 
 # -- dataset generation and serialization -------------------------------------
 
-def generate_dataset(mdp: ToyMdp, behavior: Policy, n_transitions: int, seed: int) -> Dataset:
-    """Seeded rollouts under ``behavior``; episodes truncated at the env cap
-    with terminal=False on truncation.
+def _rounds(n_transitions: int, cap: int, walk_round) -> list[np.ndarray]:
+    """The columns of the first ``n_transitions`` rows of rounds of episodes.
 
-    When the env has action atoms and ``behavior.support(s)`` puts all its
-    mass on them (:func:`_atom_probs`), the episodes run in
-    lockstep off the env's branch table, drawing actions from ``support``;
-    otherwise ``behavior(s, rng)`` and ``step`` run one transition at a
-    time. Nothing else selects the path. The two paths draw different
-    random streams from one seed: a finite env's dataset under
-    ``behavior_policy_for`` differs from the one the per-step loop gives
-    for the same seed, while the bandit's is the per-step loop's.
-
-    Lockstep episodes run in rounds that all start together. A round holds
-    as many episodes as the transitions still wanted at the mean episode
-    length seen so far (the cap before the first round); the rows past
-    ``n_transitions`` of the last round are dropped.
+    ``walk_round(m)`` runs m episodes that start together for up to ``cap``
+    steps and yields each time step as ``(t, episode, *columns)`` over the
+    live episodes. A round holds as many episodes as the transitions still
+    wanted at the mean episode length seen so far (the cap before the first
+    round). Each round's rows are sorted stably by episode, so they run
+    episode by episode in step order; an episode cut at the cap ends on a
+    row whose terminal flag is False. The rows past ``n_transitions`` of the
+    last round are dropped.
     """
-    n_transitions = check_int("n_transitions", n_transitions)
-    seed = check_int("seed", seed, least=0)
-    rng = np.random.default_rng(seed)
-    behavior_id = getattr(behavior, "behavior_id", "custom")
-    lock = _Lockstep.of(mdp, behavior)
-    if lock is None:
-        rows = []
-        for _, _, s, a, r, s_next, terminal in _stepwise(mdp, behavior, itertools.repeat(rng),
-                                                         mdp.episode_cap):
-            rows.append((s.copy(), a, r, s_next.copy(), terminal))
-            if len(rows) == n_transitions:
-                break
-        return Dataset(*zip(*rows), mdp.env_id, behavior_id, seed)
     parts: list[list] = []
     total = episodes = 0
-    per_episode = float(mdp.episode_cap)
+    per_episode = float(cap)
     while total < n_transitions:
         m = max(1, int(np.ceil((n_transitions - total) / per_episode)))
-        steps = lock.walk(lock.starts(m, rng), mdp.episode_cap, rng)
-        cols = [np.concatenate(col) for col in list(zip(*steps))[1:]]
+        cols = [np.concatenate(col) for col in list(zip(*walk_round(m)))[1:]]
         order = np.argsort(cols[0], kind="stable")   # episode by episode, steps in order
         parts.append([col[order] for col in cols[1:]])
         total += len(order)
         episodes += m
         per_episode = total / episodes
-    sid, aid, r, nid, terminal = (np.concatenate(col)[:n_transitions] for col in zip(*parts))
+    return [np.concatenate(col)[:n_transitions] for col in zip(*parts)]
+
+
+def generate_dataset(mdp: ToyMdp, behavior: Policy, n_transitions: int, seed: int) -> Dataset:
+    """Seeded rollouts under ``behavior``; episodes truncated at the env cap
+    with terminal=False on truncation.
+
+    When the env has action atoms and ``behavior.support(s)`` puts all its
+    mass on them (:func:`_atom_probs`), the episodes run in lockstep off the
+    env's branch table, drawing actions from ``support``. Otherwise they run
+    time-major (:func:`_time_major`): at each time step one policy call,
+    ``behavior.act_many(states, rng)`` if it defines one and else
+    ``behavior(s, rng)`` once per row, and one ``mdp.step_many`` call for all
+    live episodes. Nothing else selects the path. The two paths draw
+    different random streams from one seed, and neither is the stream of
+    stepping one episode at a time, as Monte Carlo and policy evaluation do.
+
+    Both paths run episodes in rounds that all start together (:func:`_rounds`,
+    with the starts of :func:`_starts`). A round holds as many episodes as
+    the transitions still wanted at the mean episode length seen so far (the
+    cap before the first round); the rows past ``n_transitions`` of the last
+    round are dropped. So the bandit's 4096-row dataset is one round of one
+    time step: one ``act_many`` and one ``step_many`` call.
+    """
+    n_transitions = check_int("n_transitions", n_transitions)
+    seed = check_int("seed", seed, least=0)
+    rng = np.random.default_rng(seed)
+    behavior_id = getattr(behavior, "behavior_id", "custom")
+    cap = mdp.episode_cap
+    lock = _Lockstep.of(mdp, behavior)
+    if lock is None:
+        _check_callable(behavior)
+        columns = _rounds(n_transitions, cap, lambda m: _time_major(
+            mdp, behavior, np.asarray(_starts(mdp, m, rng), dtype=np.float64), cap, rng))
+        return Dataset(*columns, mdp.env_id, behavior_id, seed)
+    sid, aid, r, nid, terminal = _rounds(
+        n_transitions, cap, lambda m: lock.walk(lock.starts(m, rng), cap, rng))
     view = lock.view
     return Dataset(view.states[sid], view.atoms[aid], r, view.states[nid], terminal,
                    mdp.env_id, behavior_id, seed)

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from flowrl.envs.base import ToyMdp
-from flowrl.errors import ConfigError
+from flowrl.envs.base import ToyMdp, check_reward
+from flowrl.errors import ConfigError, ContractError
 
 
 def _one_hot(i: int, n: int) -> np.ndarray:
@@ -251,6 +251,33 @@ class ContinuousBandit1D(ToyMdp):
         r = min(max(raw, self.r_min), self.r_max)
         return np.array([1.0]), r, True
 
+    def step_many(self, states, actions, rng):
+        """``step`` on every row at once, with every check it makes.
+
+        The actions must be a finite (k, 1) array in the [-1, 1] box (within
+        1e-9), else ContractError, as ``validate_action`` raises. Terminal rows
+        loop back to themselves with reward 0 and draw nothing; the live rows
+        draw their reward noises in one ``rng.normal(0, sigma, k_live)`` call,
+        and their clipped rewards are checked as ``check_reward`` checks them.
+        """
+        states = np.asarray(states, dtype=np.float64)
+        actions = np.asarray(actions, dtype=np.float64)
+        if states.ndim != 2 or actions.shape != (len(states), self.action_dim):
+            raise ContractError(f"actions of shape {actions.shape} for states of shape "
+                                f"{states.shape}; expected (k, {self.action_dim}) for k states")
+        if not (np.abs(actions) <= 1.0 + 1e-9).all():   # NaN fails the comparison
+            raise ContractError("an action is not finite or lies outside the [-1, 1] box")
+        live = states[:, 0] == 0.0   # not is_terminal
+        s_next, r = states.copy(), np.zeros(len(states))
+        if live.any():
+            raw = (self.reward_curve(actions[live, 0])
+                   + rng.normal(0.0, self.noise_sigma, int(live.sum())))
+            drawn = np.minimum(np.maximum(raw, self.r_min), self.r_max)
+            check_reward(self, drawn.min())   # the extremes of every reward
+            check_reward(self, drawn.max())
+            s_next[live], r[live] = 1.0, drawn
+        return s_next, r, np.ones(len(states), dtype=bool)
+
 
 def _normal_cdf(x: float) -> float:
     """Phi(x) through erfc, accurate in both tails (Phi(-x) is the survival function)."""
@@ -277,8 +304,11 @@ def make_env(env_id: str, **kwargs) -> ToyMdp:
     """Build an env from its id: a bare registry key, or a key plus ``-<size>``.
 
     The size suffix becomes the constructor's size argument, so
-    ``make_env(env.env_id)`` rebuilds an env of the same size.
+    ``make_env(env.env_id)`` rebuilds an env of the same size. An id that is
+    not a string raises ConfigError.
     """
+    if not isinstance(env_id, str):
+        raise ConfigError(f"env id must be a string, got {env_id!r:.80}")
     if env_id in ENV_REGISTRY:
         return ENV_REGISTRY[env_id](**kwargs)
     family, _, suffix = env_id.rpartition("-")

@@ -26,7 +26,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from flowrl.diffcore import mlp_value, mlp_value_and_input_jvp
-from flowrl.errors import ConfigError, ContractError, IntegrationError
+from flowrl.errors import ConfigError, ContractError, IntegrationError, check_int
 
 
 @runtime_checkable
@@ -219,5 +219,8 @@ def euler_integrate_with_derivative(field: ScalarFlowField, noise: np.ndarray,
 
 
 def sample_times(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Flow times from the open-closed interval (0, 1]."""
-    return 1.0 - rng.random(n)
+    """``n`` flow times from the open-closed interval (0, 1].
+
+    ContractError unless ``n`` is an integer >= 0 (a bool is not one).
+    """
+    return 1.0 - rng.random(check_int("n", n, least=0))

@@ -129,6 +129,16 @@ class TestSampleReturn:
         with pytest.raises(ContractError, match="non-finite"):
             sample_return(random_field(0), STATE, ACTION, np.array([0.2, np.nan]), wide_config())
 
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 1), (2, 1, 1)])
+    def test_noise_that_is_not_a_scalar_or_1d_is_a_contract_error(self, shape):
+        with pytest.raises(ContractError, match="noise"):
+            sample_return(random_field(0), STATE, ACTION, np.zeros(shape), wide_config())
+
+    def test_scalar_noise_is_one_sample(self):
+        field = linear_field(bias=2.5)
+        z = sample_return(field, STATE, ACTION, 0.1, wide_config())
+        assert z.shape == (1,) and z[0] == pytest.approx(2.6, abs=1e-12)
+
 
 class TestQEstimate:
     def test_point_mass_field_with_antithetic_pair(self):

@@ -88,6 +88,18 @@ class TestMlpForward:
         with pytest.raises(ConfigError):
             mlp_value(bad, np.zeros((2, 3)), spec)
 
+    @pytest.mark.parametrize("args", [(2.5, (4,), 1), (2, 4, 1), (2, (4.0,), 1), (2, (4,), "1"),
+                                      (True, (4,), 1), (2, (4, False), 1), (2, (0,), 1),
+                                      (2, None, 1)])
+    def test_spec_widths_that_are_not_positive_integers_are_a_config_error(self, args):
+        with pytest.raises(ConfigError):
+            MlpSpec(*args)
+
+    def test_spec_keeps_hidden_widths_as_a_tuple(self):
+        spec = MlpSpec(np.int64(2), [4, np.int32(3)], 1)
+        assert spec.hidden == (4, 3) and type(spec.hidden) is tuple
+        assert spec.layer_dims == [(2, 4), (4, 3), (3, 1)]
+
 
 class TestWalkMatchesReference:
     """The centred-weight walk against the straight-line LayerNorm MLP of ``ref_mlp``.

@@ -343,8 +343,9 @@ class TestDatasets:
 
     def test_make_env_registry(self):
         assert make_env("branching-tree").env_id == "branching-tree-3"
-        with pytest.raises(Exception):
-            make_env("no-such-env")
+        for env_id in ("no-such-env", 5, None, b"windy-grid-5"):
+            with pytest.raises(ConfigError):
+                make_env(env_id)
 
     def test_stepwise_rows_hold_copies_of_the_actions_taken(self):
         env = ContinuousBandit1D()
@@ -416,24 +417,173 @@ class TestDatasets:
         assert ds.terminal.dtype == bool and ds.terminal.tolist() == [True, False]
 
     def test_episodes_are_contiguous_and_rows_are_branches(self):
-        # rows run episode by episode: each row is a branch of outcomes(s, a), and the
-        # next row continues from s_next unless the episode ended or hit the cap
         for env in (StochasticChain(), WindyGrid()):
-            ds = generate_dataset(env, behavior_policy_for(env), 2000, seed=6)
-            start = env.initial_state(None)
+            _assert_episodes_are_contiguous_branches(
+                env, generate_dataset(env, behavior_policy_for(env), 2000, seed=6))
+
+    def test_time_major_episodes_are_contiguous_and_rows_are_branches(self):
+        for env in (StochasticChain(), WindyGrid()):
+            sampler = support_sampler(behavior_policy_for(env))
+            _assert_episodes_are_contiguous_branches(
+                env, generate_dataset(env, sampler, 2000, seed=6))
+
+
+def _assert_episodes_are_contiguous_branches(env, ds):
+    """Rows run episode by episode: each row is a branch of outcomes(s, a), and the
+    next row continues from s_next unless the episode ended or hit the cap."""
+    start = env.initial_state(None)
+    length = 0
+    for i in range(len(ds)):
+        s, a = ds.s[i], ds.a[i]
+        if length == 0:
+            assert np.array_equal(s, start)
+        else:
+            assert np.array_equal(s, ds.s_next[i - 1])
+        assert any(np.array_equal(ds.s_next[i], s_next) and ds.r[i] == r
+                   and ds.terminal[i] == terminal
+                   for _, s_next, r, terminal in env.outcomes(s, a))
+        length += 1
+        if ds.terminal[i] or length == env.episode_cap:
             length = 0
-            for i in range(len(ds)):
-                s, a = ds.s[i], ds.a[i]
-                if length == 0:
-                    assert np.array_equal(s, start)
-                else:
-                    assert np.array_equal(s, ds.s_next[i - 1])
-                assert any(np.array_equal(ds.s_next[i], s_next) and ds.r[i] == r
-                           and ds.terminal[i] == terminal
-                           for _, s_next, r, terminal in env.outcomes(s, a))
-                length += 1
-                if ds.terminal[i] or length == env.episode_cap:
-                    length = 0
+
+
+class _Fixed:
+    """A behaviour policy that takes one fixed action, on one state or on a batch."""
+
+    def __init__(self, action):
+        self.action = np.asarray(action, dtype=np.float64)
+
+    def __call__(self, s, rng):
+        raise AssertionError("a policy with act_many is not called once per row")
+
+    def act_many(self, states, rng):
+        return np.tile(self.action, (len(states), 1))
+
+
+class TestTimeMajor:
+    """Batched env steps and the time-major dataset path, refereed by ``step``."""
+
+    @pytest.mark.parametrize("actions", [np.zeros((2, 2)), np.zeros((3, 1)), np.zeros(2),
+                                         np.array([[0.1], [np.nan]]),
+                                         np.array([[-np.inf], [0.0]]),
+                                         np.array([[0.2], [1.0 + 1e-8]])],
+                             ids=["width", "rows", "1d", "nan", "inf", "box"])
+    def test_bandit_step_many_rejects_what_step_rejects(self, actions):
+        env, states = ContinuousBandit1D(), np.zeros((2, 1))
+        rng = np.random.default_rng(0)
+        if actions.ndim == 2 and actions.shape[0] == 2:
+            with pytest.raises(ContractError):
+                for a in actions:
+                    step(env, states[0], a, rng)
+        with pytest.raises(ContractError):
+            env.step_many(states, actions, rng)
+
+    def test_bandit_step_many_accepts_the_box_edges_as_step_does(self):
+        env = ContinuousBandit1D()
+        edges = np.array([[-1.0 - 1e-9], [1.0 + 1e-9], [-1.0], [1.0]])
+        s_next, r, terminal = env.step_many(np.zeros((4, 1)), edges,
+                                            np.random.default_rng(0))
+        assert (s_next == 1.0).all() and terminal.all() and np.isfinite(r).all()
+
+    def test_bandit_step_many_terminal_rows_draw_nothing(self):
+        env = ContinuousBandit1D()
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        states = np.array([[1.0], [-2.0]])
+        s_next, r, terminal = env.step_many(states, np.array([[0.5], [-0.5]]), rng)
+        assert rng.bit_generator.state == before
+        assert s_next.tobytes() == states.tobytes() and (r == 0.0).all() and terminal.all()
+        # mixed rows: one normal per live row, in row order
+        states, actions = np.array([[0.0], [1.0], [0.0]]), np.array([[0.5], [0.9], [-0.5]])
+        replay = np.random.default_rng(3)
+        noise = replay.normal(0.0, env.noise_sigma, 2)
+        s_next, r, terminal = env.step_many(states, actions, rng)
+        want = np.clip(env.reward_curve(actions[[0, 2], 0]) + noise, env.r_min, env.r_max)
+        assert r[[0, 2]].tobytes() == want.tobytes() and r[1] == 0.0
+        assert s_next.tolist() == [[1.0], [1.0], [1.0]] and terminal.all()
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_bandit_step_many_rewards_lie_within_bounds(self):
+        env = ContinuousBandit1D(noise_sigma=3.0)   # most raw rewards fall outside the bounds
+        actions = np.linspace(-1.0, 1.0, 2001)[:, None]
+        _, r, _ = env.step_many(np.zeros((len(actions), 1)), actions, np.random.default_rng(1))
+        assert ((env.r_min <= r) & (r <= env.r_max)).all()
+        assert (r == env.r_min).any() and (r == env.r_max).any()
+
+    def test_a_reward_outside_the_bounds_is_refused_by_both_steps(self):
+        class Broken(ContinuousBandit1D):
+            def reward_curve(self, a):
+                return np.full(np.shape(a), np.nan)
+
+        env = Broken()
+        with pytest.raises(ConfigError):
+            step(env, np.zeros(1), np.array([0.5]), np.random.default_rng(0))
+        with pytest.raises(ConfigError):
+            env.step_many(np.zeros((3, 1)), np.zeros((3, 1)), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("make", FINITE_ENVS + [UnitRewardLoop])
+    def test_base_step_many_equals_per_row_step(self, make):
+        env = make()
+        states = branch_table(env).dense().states   # terminal states included
+        pick = np.random.default_rng(4)
+        states = states[pick.integers(len(states), size=300)]
+        actions = pick.uniform(-1.0, 1.0, (300, env.action_dim))
+        atoms = np.stack(env.action_atoms())
+        actions[::2] = atoms[pick.integers(len(atoms), size=150)]
+        rng, replay = np.random.default_rng(9), np.random.default_rng(9)
+        s_next, r, terminal = env.step_many(states, actions, rng)
+        rows = [step(env, s, a, replay) for s, a in zip(states, actions)]
+        assert s_next.tobytes() == np.array([row[0] for row in rows]).tobytes()
+        assert r.tobytes() == np.array([row[1] for row in rows]).tobytes()
+        assert terminal.tolist() == [row[2] for row in rows]
+        assert rng.bit_generator.state == replay.bit_generator.state
+        with pytest.raises(ContractError):
+            env.step_many(states, actions[:-1], rng)
+
+    def test_bandit_dataset_follows_the_reward_law(self):
+        env = ContinuousBandit1D()
+        ds = generate_dataset(env, behavior_policy_for(env), 20_000, seed=23)
+        assert (ds.s == 0.0).all() and (ds.s_next == 1.0).all() and ds.terminal.all()
+        assert ds.a.min() >= -1.0 and ds.a.max() <= 1.0
+        d = ds.r - np.array([env.mean_reward(a) for a in ds.a[:, 0]])
+        assert abs(d.mean()) <= 5 * d.std() / np.sqrt(len(d))
+
+    def test_bandit_dataset_makes_one_batched_call_each(self, monkeypatch):
+        calls = {"act_many": [], "step_many": [], "step": []}
+        act_many, step_many = UniformBoxPolicy.act_many, ContinuousBandit1D.step_many
+
+        def counted_act(policy, states, rng):
+            calls["act_many"].append(states.shape)
+            return act_many(policy, states, rng)
+
+        def counted_step_many(env, states, actions, rng):
+            calls["step_many"].append(actions.shape)
+            return step_many(env, states, actions, rng)
+
+        monkeypatch.setattr(UniformBoxPolicy, "act_many", counted_act)
+        monkeypatch.setattr(ContinuousBandit1D, "step_many", counted_step_many)
+        monkeypatch.setattr(envs_base, "step", lambda *args: calls["step"].append(1))
+        env = ContinuousBandit1D()
+        ds = generate_dataset(env, behavior_policy_for(env), 4096, seed=7)
+        assert len(ds) == 4096
+        assert calls == {"act_many": [(4096, 1)], "step_many": [(4096, 1)], "step": []}
+
+    def test_a_policy_with_act_many_acts_on_the_batch(self):
+        env = ContinuousBandit1D()
+        ds = generate_dataset(env, _Fixed([0.5]), 50, seed=0)
+        assert ds.behavior_id == "custom" and (ds.a == 0.5).all()
+        grid = WindyGrid()
+        ds = generate_dataset(grid, _Fixed([1.0, 0.0]), 100, seed=0)
+        assert len(ds) == 100 and (ds.a == [1.0, 0.0]).all()
+
+    @pytest.mark.parametrize("env_id", ["continuous-bandit-1d", "windy-grid-5"])
+    def test_a_wrong_action_is_a_contract_error_on_either_protocol(self, env_id):
+        env = make_env(env_id)
+        wide = np.zeros(env.action_dim + 1)
+        for behavior in (lambda s, rng: wide, lambda s, rng: np.full(env.action_dim, 2.0),
+                         _Fixed(wide), _Fixed(np.full(env.action_dim, np.nan))):
+            with pytest.raises(ContractError):
+                generate_dataset(env, behavior, 20, seed=0)
 
 
 # the columns saved in the windy-grid-3 and continuous-bandit-1d dataset files of tests/data
@@ -1039,14 +1189,14 @@ def _case_digest(out) -> str:
 
 
 STREAM_DIGESTS = {   # a changed digest is a changed seeded result
-    "bandit/dataset": "071ea5a21df95ebb",
+    "bandit/dataset": "f51d0c0e09089055",   # drawn time-major since the batched env step
     "bandit/eval": "d5e582ba76705fdc",
     "bandit/mc": "6a02434036e95cb4",
     "branching-tree-3/dataset": "b558f9be8a26036c",
     "branching-tree-3/eval": "ea22a50482d67455",
     "branching-tree-3/mc": "6fb7af6f72f61451",
     "branching-tree-3/mc-off-atom": "cc6821c808724651",
-    "callable/grid-dataset": "96ce1507d5b104e5",
+    "callable/grid-dataset": "3df32405c8b90041",   # likewise
     "callable/grid-eval": "7cd374ca898d1b8f",
     "callable/tree-mc": "ee1d671c204756ee",
     "stochastic-chain-4/dataset": "6cf78924d18bf26d",

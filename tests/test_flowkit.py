@@ -183,6 +183,14 @@ class TestSampleTimes:
         assert t.min() > 0.0
         assert t.max() <= 1.0
 
+    @pytest.mark.parametrize("n", [-1, 2.5, True, "3", None])
+    def test_bad_count_is_a_contract_error(self, n):
+        with pytest.raises(ContractError, match="n must be"):
+            sample_times(np.random.default_rng(0), n)
+
+    def test_zero_count_gives_no_times(self):
+        assert sample_times(np.random.default_rng(0), np.int64(0)).shape == (0,)
+
 
 class _RowCountingField(ReturnField):
     """ReturnField that counts how often its (z, t, s, a) rows are built."""
